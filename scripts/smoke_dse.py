@@ -10,7 +10,9 @@ asserts the flow's DSE guarantees:
 * the frontier artifact is strict JSON, partitions the point set, and
   anchors the paper presets on or near the frontier;
 * a warm re-run reproduces the identical point set and frontier from
-  cache, with zero detailed-simulation re-executions.
+  cache, with zero detailed-simulation re-executions;
+* a fresh sweep at the other worker count (serial vs ``--jobs``) emits
+  a byte-identical frontier artifact.
 
 Usage::
 
@@ -113,21 +115,19 @@ def main(argv: list[str] | None = None) -> int:
             assert abs(point.tile_mw - again.tile_mw) <= 1e-9 * max(
                 1.0, abs(point.tile_mw))
 
-    # batched leg: the same sweep through the batched multi-config
-    # engine (fresh cache, batch=True) must emit a byte-identical
-    # frontier artifact — batching is an execution strategy, never a
-    # model change
+    # fan-out leg: the same sweep at the other worker count (fresh
+    # cache, no faults) must emit a byte-identical frontier artifact —
+    # serial batch priming and the parallel batch wave are execution
+    # strategies, never model changes
+    fanout = 1 if args.jobs > 1 else 2
     with tempfile.TemporaryDirectory() as tmp:
-        batched = run_dse(spec,
-                          settings=FlowSettings(scale=args.scale,
-                                                batch=True),
-                          cache_dir=tmp, jobs=args.jobs,
-                          workloads=[WORKLOAD])
-        print("\nbatched DSE sweep:")
-        print(batched.manifest.format())
-        assert batched.manifest.ok, "batched: sweep degraded"
-        assert not batched.skipped, \
-            f"batched: skipped points {batched.skipped}"
+        other = run_dse(spec, settings=FlowSettings(scale=args.scale),
+                        cache_dir=tmp, jobs=fanout, workloads=[WORKLOAD])
+        print(f"\nDSE sweep at jobs={fanout}:")
+        print(other.manifest.format())
+        assert other.manifest.ok, f"jobs={fanout}: sweep degraded"
+        assert not other.skipped, \
+            f"jobs={fanout}: skipped points {other.skipped}"
         # compare everything but the run-timing section ("settings"
         # carries points_per_s / wall_seconds, which are wall clock,
         # not model output)
@@ -137,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             return json.dumps(document, indent=2, sort_keys=True,
                               allow_nan=False)
 
-        assert stable(batched.document()) == stable(rebuilt), (
-            "batched: frontier artifact differs from the per-config "
-            "sweep's — batch on/off must be byte-identical")
+        assert stable(other.document()) == stable(rebuilt), (
+            f"jobs={fanout}: frontier artifact differs from the "
+            f"jobs={args.jobs} sweep's — fan-out must be byte-identical")
 
     print(f"\nsmoke OK: {len(cold.points)} design points, "
           f"{len(cold.frontier)} on the frontier "

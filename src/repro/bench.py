@@ -18,10 +18,8 @@ Metrics (all flat floats under ``metrics``):
 * ``core.<config>.cycles_per_s`` / ``core.<config>.instr_per_s`` —
   detailed-core simulation rate over a measured window;
 * ``core.batched.cycles_per_s`` — aggregate detailed-core rate when one
-  checkpoint is replayed across all three paper presets through the
-  batched engine (shared fetch trace); the headline win of the batched
-  sweep path, with ``core.batched.speedup_over_serial`` reported
-  alongside for context;
+  checkpoint is replayed across all three paper presets through one
+  shared fetch trace, as every sweep's detailed stage does;
 * ``stage.<name>_s`` — cold wall-clock of each pipeline stage;
 * ``dse.points_per_s`` — design points swept per second through a
   pinned cold DSE lattice (the ``repro-cli dse`` throughput);
@@ -57,8 +55,7 @@ THROUGHPUT_PREFIXES = ("functional.", "profiled.", "core.", "dse.",
 #: enough to false-alarm a 30 % gate on CI runners; speedup ratios divide
 #: two noisy rates, so they are reported but not gated either
 UNGATED_PREFIXES = ("functional.reference.",
-                    "functional.speedup_over_reference",
-                    "core.batched.speedup_over_serial")
+                    "functional.speedup_over_reference")
 
 #: default regression gate: fail when a normalized throughput metric
 #: drops by more than this fraction vs the baseline snapshot
@@ -244,12 +241,9 @@ def measure_batched(limits: BenchLimits,
                     metrics: dict[str, float]) -> None:
     """Batched replay of one checkpoint across the three paper presets.
 
-    The serial leg restores the checkpoint once per config and lets each
-    core's oracle frontend re-execute the functional model at fetch —
-    the pre-batching flow.  The batched leg records the config-invariant
-    fetch stream once (:class:`~repro.uarch.ftrace.FetchTrace`) and
-    replays it through every config's private timing.  Both legs produce
-    bit-identical stats (gated by ``tests/sim/test_equivalence.py``);
+    Records the config-invariant fetch stream once
+    (:class:`~repro.uarch.ftrace.FetchTrace`) and replays it through
+    every config's private timing, as the sweep's detailed stage does;
     the tracked metric is aggregate simulated cycles per second across
     the whole batch.
     """
@@ -273,13 +267,6 @@ def measure_batched(limits: BenchLimits,
         core.run(limits.core_window)
         return stats.cycles
 
-    def serial() -> int:
-        cycles = 0
-        for config in ALL_CONFIGS:
-            core = BoomCore(config, program, state=checkpoint.restore())
-            cycles += run_one(core)
-        return cycles
-
     def batched() -> int:
         trace = FetchTrace(program, checkpoint.restore())
         cycles = 0
@@ -287,11 +274,8 @@ def measure_batched(limits: BenchLimits,
             cycles += run_one(BoomCore(config, program, trace=trace))
         return cycles
 
-    serial_elapsed, _ = _best(limits.repeats, serial)
     batched_elapsed, cycles = _best(limits.repeats, batched)
     metrics["core.batched.cycles_per_s"] = cycles / batched_elapsed
-    metrics["core.batched.speedup_over_serial"] = (
-        serial_elapsed / batched_elapsed)
 
 
 def measure_stages(limits: BenchLimits, metrics: dict[str, float]) -> None:

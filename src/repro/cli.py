@@ -59,8 +59,7 @@ def _settings(args: argparse.Namespace) -> FlowSettings:
     fault_seed = getattr(args, "fault_seed", None)
     return FlowSettings(
         scale=args.scale, seed=args.seed, faults=faults,
-        fault_seed=env_seed if fault_seed is None else fault_seed,
-        batch=bool(getattr(args, "batch", False)))
+        fault_seed=env_seed if fault_seed is None else fault_seed)
 
 
 def _runner(args: argparse.Namespace) -> SweepRunner:
@@ -385,8 +384,7 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
         seeds = {envelope.get("seed") for envelope in envelopes.values()}
         seed = seeds.pop() if len(seeds) == 1 and None not in seeds \
             else args.seed
-    settings = FlowSettings(scale=scale, seed=seed,
-                            batch=bool(getattr(args, "batch", False)))
+    settings = FlowSettings(scale=scale, seed=seed)
     cache = None if args.no_cache else args.cache_dir
     runner = SweepRunner(settings, cache_dir=cache)
     # The committed envelopes define the coverage: sweep exactly their
@@ -765,12 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the sweep to these workloads (default: the "
              "full suite)")
     sweep_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=False,
-        help="simulate all configs of a workload in one batched pass "
-             "sharing the recorded fetch trace (byte-identical "
-             "artifacts; falls back to per-config runs on any batch "
-             "fault)")
-    sweep_parser.add_argument(
         "--fail-fast", action="store_true",
         help="abort on the first permanent failure instead of "
              "completing the remaining experiments")
@@ -862,9 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update", action="store_true",
         help="regenerate the envelopes from the current model at "
              "--scale/--seed instead of evaluating against them")
-    accuracy_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=False,
-        help="use the batched multi-config engine for the sweep")
     accuracy_parser.set_defaults(handler=_cmd_accuracy)
 
     cache_parser = commands.add_parser(
@@ -966,12 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse_parser.add_argument(
         "--resume", action="store_true",
         help="pick an interrupted DSE sweep back up from the cache")
-    dse_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=False,
-        help="simulate all configs of a workload in one batched pass "
-             "sharing the recorded fetch trace (byte-identical "
-             "artifacts; falls back to per-config runs on any batch "
-             "fault)")
     dse_parser.add_argument(
         "--fail-fast", action="store_true",
         help="abort on the first permanent failure")

@@ -78,12 +78,6 @@ class FlowSettings:
     #: settable via the REPRO_FAULTS environment variable
     faults: str | None = None
     fault_seed: int = 0
-    #: run detailed simulation through the batched multi-config engine
-    #: (repro.sim.batch) where a sweep allows it.  An execution
-    #: *strategy*, not a model knob: batched and serial runs produce
-    #: byte-identical artifacts, so — like the fault fields — it is
-    #: deliberately excluded from every fingerprint.
-    batch: bool = False
 
     def scaled_warmup(self) -> int:
         return max(200, int(self.warmup * self.scale))

@@ -62,8 +62,7 @@ def run_job(request, cache_dir: Path | str | None, *,
     :func:`repro.errors.classify_failure`.
     """
     limits = limits if limits is not None else JobLimits()
-    settings = FlowSettings(scale=request.scale, seed=request.seed,
-                            batch=request.batch)
+    settings = FlowSettings(scale=request.scale, seed=request.seed)
     jobs = min(request.jobs, limits.jobs_cap)
     workloads = list(request.workloads) \
         if request.workloads is not None else None

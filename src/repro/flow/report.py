@@ -105,7 +105,8 @@ def generate_report(runner: SweepRunner,
 
     sections.append("## Table II — workloads and SimPoints\n")
     sections.append("```\n"
-                    + format_table_ii(table_ii(runner.settings))
+                    + format_table_ii(table_ii(runner.settings,
+                                              store=runner.store))
                     + "\n```\n")
 
     sections.append("## Figs. 5-7 — per-component power (suite averages)\n")

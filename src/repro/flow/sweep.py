@@ -9,10 +9,14 @@ in a content-addressed :class:`~repro.pipeline.artifacts.ArtifactStore`.
 Delete the cache directory (or use ``repro-cli cache``) to force
 recomputation.
 
-Pass ``jobs > 1`` to :meth:`SweepRunner.run_all` to fan the work out
-across processes in two waves — first the per-workload stages, then the
-per-experiment detailed-simulation stages.  Every stage is fully seeded,
-so the parallel path is bit-identical to the serial one.
+Detailed simulation is always batched: each workload's uncached
+configs replay one shared fetch trace per checkpoint
+(:mod:`repro.sim.batch`), priming the ``detailed_sim`` artifacts that
+the per-experiment stages then consume as cache hits.  Pass
+``jobs > 1`` to :meth:`SweepRunner.run_all` to fan the work out across
+processes in three waves — the per-workload stages, the batches, then
+the per-experiment stages.  Every stage is fully seeded, so the
+parallel path is bit-identical to the serial one.
 
 Execution is *supervised* (:mod:`repro.flow.scheduler`): a crashed or
 OOM-killed worker re-spawns the pool and re-enqueues only the lost
@@ -114,15 +118,41 @@ def _prepare_worker(task: tuple) -> tuple:
     return store.stats_dict(), inline
 
 
-def _batch_worker(task: tuple) -> tuple:
-    """Process-pool worker: one workload's batched detailed stage.
+def _batch_chunks(pairs: list[tuple[str, BoomConfig]], jobs: int) \
+        -> list[tuple[str, tuple[BoomConfig, ...]]]:
+    """Group pending pairs into per-workload batches for the pool.
 
-    Primes the ``detailed_sim`` artifacts for every config of one
-    workload through the batched engine (:mod:`repro.sim.batch`); the
-    subsequent experiment wave then consumes them as cache hits.  The
-    artifacts are byte-identical to serially-computed ones, so a crashed
-    or failed batch costs nothing but the priming — the per-experiment
-    workers recompute whatever is missing.
+    One batch per workload shares the most fetch work, but a sweep over
+    fewer workloads than workers would then leave workers idle, so the
+    widest batches are split until there are at least
+    ``min(jobs, len(pairs))`` of them.
+    """
+    by_workload: dict[str, list[BoomConfig]] = {}
+    for workload, config in pairs:
+        by_workload.setdefault(workload, []).append(config)
+    splits = dict.fromkeys(by_workload, 1)
+    while sum(splits.values()) < min(jobs, len(pairs)):
+        widest = max(by_workload,
+                     key=lambda name: len(by_workload[name]) / splits[name])
+        splits[widest] += 1
+    chunks = []
+    for workload, configs in sorted(by_workload.items()):
+        count = splits[workload]
+        for index in range(count):
+            chunks.append((workload, tuple(
+                configs[index * len(configs) // count:
+                        (index + 1) * len(configs) // count])))
+    return chunks
+
+
+def _batch_worker(task: tuple) -> tuple:
+    """Process-pool worker: one batch of a workload's detailed stage.
+
+    Primes the ``detailed_sim`` artifacts for a batch of one workload's
+    configs (:mod:`repro.sim.batch`); the subsequent experiment wave
+    then consumes them as cache hits.  A batch writes the same bytes as
+    a batch of one, so a crashed or failed batch costs nothing but the
+    priming — the per-experiment workers recompute whatever is missing.
     """
     workload, configs, settings, root, inline = task
     faults = FaultInjector.from_settings(settings, root)
@@ -171,7 +201,7 @@ class SweepRunner:
         self.obs_run_dir: Path | None = None
         self.resumed_completed = 0
         #: workload -> error, for batches that degraded to per-config
-        #: simulation during the last run_all (settings.batch only)
+        #: simulation during the last run_all
         self.batch_degraded: dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -423,9 +453,8 @@ class SweepRunner:
         """The metrics registry, enriched with run-level aggregates."""
         registry = get_metrics()
         registry.gauge("cache.hit_rate").set(manifest.hit_rate)
-        if self.settings.batch:
-            registry.gauge("sweep.batch_degraded").set(
-                float(len(self.batch_degraded)))
+        registry.gauge("sweep.batch_degraded").set(
+            float(len(self.batch_degraded)))
         if session is not None and session.trace_path is not None:
             try:
                 trace = json.loads(session.trace_path.read_text())
@@ -440,52 +469,50 @@ class SweepRunner:
     # serial supervised execution
     # ------------------------------------------------------------------
 
-    def _prime_batches(self, pairs: list[tuple[str, BoomConfig]],
-                       guard: ResourceGuard | None = None) -> None:
-        """Serial-path batch priming (``settings.batch`` only).
+    def _result_cached(self, workload: str, config: BoomConfig) -> bool:
+        """Whether a pair's result exists, without counting a lookup."""
+        return (self.store.has(RESULT_STAGE,
+                               self.pipeline.result_fingerprint(workload,
+                                                                config))
+                or self._legacy_result(workload, config) is not None)
 
-        Runs the batched engine once per workload over every config
-        whose result is not yet cached, seeding the ``detailed_sim``
+    def _prime_batch(self, workload: str, configs: list[BoomConfig]) -> None:
+        """Serial-path batch priming for one workload.
+
+        Runs one batch over ``configs``, seeding the ``detailed_sim``
         artifacts the pair loop then consumes as cache hits.  Any batch
-        fault degrades that workload back to ordinary per-config
-        simulation — recorded in :attr:`batch_degraded`, never failing
-        the sweep — so the retry/fail-fast semantics of the pair loop
-        are untouched.
+        fault degrades that workload back to per-config simulation —
+        recorded in :attr:`batch_degraded`, never failing the sweep —
+        so the retry/fail-fast semantics of the pair loop are untouched.
         """
-        if not self.settings.batch:
-            return
-        by_workload: dict[str, list[BoomConfig]] = {}
-        for workload, config in pairs:
-            if self.pipeline.peek_result(workload, config) is None:
-                by_workload.setdefault(workload, []).append(config)
-        for workload, configs in by_workload.items():
-            if guard is not None and guard.expired():
-                return
-            try:
-                faults = self.store.faults
-                if faults is not None:
-                    faults.inject("worker.batch", workload)
-                primed = self.pipeline.prepare_detailed_batch(workload,
-                                                              configs)
-            except SweepInterrupted:
-                raise  # settle in run_all, not a degraded batch
-            except Exception as exc:
-                self.batch_degraded[workload] = \
-                    f"{type(exc).__name__}: {exc}"
-                logger.warning(
-                    "batched simulation for %s failed (%s); degrading "
-                    "to per-config simulation", workload, exc)
-            else:
-                if primed:
-                    logger.info("batched %d configs for %s",
-                                primed, workload)
+        try:
+            faults = self.store.faults
+            if faults is not None:
+                faults.inject("worker.batch", workload)
+            primed = self.pipeline.prepare_detailed_batch(workload, configs)
+        except SweepInterrupted:
+            raise  # settle in run_all, not a degraded batch
+        except Exception as exc:
+            self.batch_degraded[workload] = f"{type(exc).__name__}: {exc}"
+            logger.warning(
+                "batched simulation for %s failed (%s); degrading "
+                "to per-config simulation", workload, exc)
+        else:
+            if primed:
+                logger.info("batched %d configs for %s", primed, workload)
 
     def _run_serial(self, pairs: list[tuple[str, BoomConfig]],
                     results: dict[tuple[str, str], ExperimentResult],
                     outcome: ScheduleOutcome, *, policy: RetryPolicy,
                     fail_fast: bool,
                     guard: ResourceGuard | None = None) -> None:
-        self._prime_batches(pairs, guard)
+        # each workload's uncached configs are primed as one batch just
+        # before its first uncached pair, so progress, the job server's
+        # status and the deadline guard advance workload by workload
+        unprimed: dict[str, list[BoomConfig]] = {}
+        for workload, config in pairs:
+            if not self._result_cached(workload, config):
+                unprimed.setdefault(workload, []).append(config)
         for index, (workload, config) in enumerate(pairs):
             key = _pair_key(workload, config)
             if guard is not None and guard.expired():
@@ -509,6 +536,11 @@ class SweepRunner:
             while True:
                 attempts += 1
                 try:
+                    if config in unprimed.get(workload, ()):
+                        # a workload-stage fault fails this pair as it
+                        # would without batching; only the batch degrades
+                        self.pipeline.prepare_workload(workload)
+                        self._prime_batch(workload, unprimed.pop(workload))
                     result = self.run(workload, config)
                 except SweepInterrupted:
                     raise  # never a per-experiment failure record
@@ -633,27 +665,25 @@ class SweepRunner:
         if not runnable:
             return
 
-        if self.settings.batch and root is not None:
-            # Batch wave: one task per workload primes the detailed
-            # artifacts for all of its configs through the batched
-            # engine; the experiment wave below then consumes them as
-            # cache hits.  A failed or hung batch never fails the sweep
-            # — its pairs simply simulate per-config in the next wave —
-            # so this scheduler runs without fail-fast and its failures
-            # are recorded as degradations, not sweep failures.  (With
-            # no shared cache directory a worker's artifacts could not
-            # reach the experiment workers, so the wave is skipped.)
-            by_workload: dict[str, list[BoomConfig]] = {}
-            for workload, config in runnable:
-                by_workload.setdefault(workload, []).append(config)
+        if root is not None:
+            # Batch wave: tasks of per-workload batches prime the
+            # detailed artifacts of every runnable pair; the experiment
+            # wave below then consumes them as cache hits.  A failed or
+            # hung batch never fails the sweep — its pairs simply
+            # simulate per-config in the next wave — so this scheduler
+            # runs without fail-fast and its failures are recorded as
+            # degradations, not sweep failures.  (With no shared cache
+            # directory a worker's artifacts could not reach the
+            # experiment workers, so the wave is skipped.)
             batch_scheduler = SupervisedScheduler(
                 max_workers=jobs, policy=policy, timeout=timeout,
                 fail_fast=False, guard=guard)
             batch_wave = batch_scheduler.run(
-                [Task(key=f"batch:{workload}", fn=_batch_worker,
-                      payload=(workload, tuple(configs), self.settings,
+                [Task(key=f"batch:{workload}:{index}", fn=_batch_worker,
+                      payload=(workload, configs, self.settings,
                                root, inline.get(workload)))
-                 for workload, configs in sorted(by_workload.items())],
+                 for index, (workload, configs)
+                 in enumerate(_batch_chunks(runnable, jobs))],
                 on_result=lambda task, payload:
                     self.store.merge_stats(payload[0]))
             outcome.executions.extend(batch_wave.executions)
@@ -661,7 +691,7 @@ class SweepRunner:
                 outcome.retries[key] = outcome.retries.get(key, 0) + count
             outcome.respawns += batch_wave.respawns
             for record in batch_wave.failures + batch_wave.timeouts:
-                workload = record.key.split(":", 1)[1]
+                workload = record.key.split(":")[1]
                 self.batch_degraded[workload] = record.error
                 logger.warning(
                     "batched simulation for %s failed (%s); degrading "

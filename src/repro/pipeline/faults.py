@@ -13,9 +13,9 @@ Sites (``site`` → where it fires, and the ``key`` it draws on):
 
 ======================  ====================================================
 ``worker.prepare``      entry of a per-workload pool worker (key: workload)
-``worker.batch``        entry of a per-workload batched-simulation worker
-                        (key: workload); also fired in-process by the
-                        serial sweep's batch priming
+``worker.batch``        entry of a batched-simulation pool worker (key:
+                        workload); also fired in-process by the serial
+                        sweep's batch priming
 ``worker.experiment``   entry of a per-experiment pool worker
                         (key: ``workload/config``)
 ``artifact.read``       before an artifact JSON is read

@@ -39,6 +39,7 @@ from repro.checkpoint.creator import create_checkpoints
 from repro.checkpoint.store import load_checkpoints, save_checkpoints
 from repro.errors import CorruptArtifactError
 from repro.pipeline.artifacts import ArtifactStore, MODEL_VERSION
+# simulate_checkpoint is re-exported: stage 4's per-checkpoint entry point
 from repro.sim.batch import simulate_checkpoint, simulate_raw_runs_batched
 
 # NOTE: repro.flow.results is imported lazily inside the functions that
@@ -203,18 +204,17 @@ def compute_checkpoints(workload: str, settings,
 def simulate_raw_runs(config: BoomConfig, program,
                       checkpoints: list[Checkpoint],
                       interval_size: int) -> list[dict]:
-    """Stage 4: restore each checkpoint into the detailed core.
+    """Stage 4: replay each checkpoint through the detailed core.
 
     Returns plain-dict records — the "signal trace" artifact — carrying
     the complete measured :class:`CoreStats` so the power stage can be
     recomputed (or re-calibrated) without re-running the detailed core.
-    The per-checkpoint body lives in
-    :func:`repro.sim.batch.simulate_checkpoint`, shared with the batched
-    multi-config engine so the two paths cannot drift.
+    One config is the batch-of-one case of
+    :func:`repro.sim.batch.simulate_raw_runs_batched`, so every stage-4
+    run replays a shared fetch trace and the two cannot drift.
     """
-    return [simulate_checkpoint(config, program, checkpoint,
-                                interval_size)
-            for checkpoint in checkpoints]
+    return simulate_raw_runs_batched(
+        (config,), program, checkpoints, interval_size)[config.name]
 
 
 def power_runs_from_raw(raw: list[dict], config: BoomConfig,

@@ -3,12 +3,11 @@
 A job request is the service-level analogue of a stage fingerprint: it
 names *what to compute* (kind, scale, seed, workload set, config set —
 everything that changes the result) and deliberately excludes *how to
-compute it* (``jobs`` worker fan-out, ``batch`` engine selection —
-execution strategies whose artifacts are byte-identical either way, by
-the same rule that keeps them out of
-:class:`~repro.flow.experiment.FlowSettings` fingerprints).  Two
-clients disagreeing only on execution strategy therefore share one
-compute and one result body.
+compute it* (``jobs`` worker fan-out — an execution strategy whose
+artifacts are byte-identical either way, by the same rule that keeps
+it out of :class:`~repro.flow.experiment.FlowSettings` fingerprints).
+Two clients disagreeing only on fan-out therefore share one compute
+and one result body.
 
 Hashing reuses :func:`repro.pipeline.artifacts.canonical_fingerprint`
 — the exact canonical-JSON/sha256 recipe behind every artifact key —
@@ -45,8 +44,6 @@ class JobRequest:
     workloads: tuple[str, ...] | None = None
     #: preset-config subset for sweeps (sorted; ``None`` = all presets)
     configs: tuple[str, ...] | None = None
-    #: execution strategy — batched multi-config engine (hash-excluded)
-    batch: bool = False
     #: execution strategy — worker processes inside the job
     #: (hash-excluded; the server clamps it to its own cap)
     jobs: int = 1
@@ -125,8 +122,7 @@ class JobRequest:
     def to_dict(self) -> dict:
         """Canonical JSON form (round-trips through :meth:`from_dict`)."""
         out: dict = {"kind": self.kind, "scale": self.scale,
-                     "seed": self.seed, "batch": self.batch,
-                     "jobs": self.jobs}
+                     "seed": self.seed, "jobs": self.jobs}
         if self.workloads is not None:
             out["workloads"] = list(self.workloads)
         if self.configs is not None:
@@ -164,8 +160,8 @@ class JobRequest:
 def request_hash(request: JobRequest) -> str:
     """Stable content address of what a request computes.
 
-    Same recipe as every artifact fingerprint; ``batch`` and ``jobs``
-    do not participate, so requests differing only in execution
-    strategy deduplicate to one job.
+    Same recipe as every artifact fingerprint; ``jobs`` does not
+    participate, so requests differing only in worker fan-out
+    deduplicate to one job.
     """
     return canonical_fingerprint("serve.request", request.hash_params())

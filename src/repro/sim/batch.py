@@ -1,15 +1,14 @@
-"""Batched multi-config detailed simulation with front-end specialization.
+"""Stage-4 detailed simulation: batched, with front-end specialization.
 
-Replaying one SimPoint checkpoint across N uarch configurations repeats
-all config-invariant work N times: the serial stage-4 path
-(:func:`repro.pipeline.stages.simulate_raw_runs`) restores the
-architectural state per config and lets each core's oracle frontend
-re-execute the functional model instruction-by-instruction at fetch.
-Those fetch-side semantics — branch outcomes, effective addresses, the
-dynamic instruction stream itself — are pure functions of the
-checkpointed state and identical for every config.
+Replaying one SimPoint checkpoint across N uarch configurations with a
+state-restored core per config repeats all config-invariant work N
+times: each core's oracle frontend re-executes the functional model
+instruction-by-instruction at fetch.  Those fetch-side semantics —
+branch outcomes, effective addresses, the dynamic instruction stream
+itself — are pure functions of the checkpointed state and identical for
+every config.
 
-The batched engine lifts them out of the per-config loop:
+Every stage-4 run lifts them out of the per-config loop:
 
 1. the checkpoint's architectural state is reconstructed **once**, into
    a shared :class:`~repro.uarch.ftrace.FetchTrace` that lazily records
@@ -17,13 +16,15 @@ The batched engine lifts them out of the per-config loop:
 2. each configuration's :class:`~repro.uarch.core.BoomCore` replays that
    stream through its own private fetch timing
    (:class:`~repro.uarch.frontend.TraceFetchUnit`) and steps its own
-   back-end independently.
+   back-end independently — through the fused cycle loop for
+   collapsing-queue configs.
 
-Per-config stats are **bit-identical** to the serial path (gated by
-``tests/sim/test_equivalence.py``), so batched and serial runs produce
-byte-identical artifacts and may be mixed freely: the sweep primes
-batches opportunistically and falls back to per-config simulation on any
-batch fault (see :mod:`repro.flow.sweep`).
+A single config is simply a batch of one.  Per-config stats are
+**bit-identical** to a state-restored core running the generic loop
+(gated by ``tests/sim/test_equivalence.py``), so a batch of any size
+writes byte-identical artifacts: the sweep primes whole-workload
+batches and falls back to per-config batches on any batch fault (see
+:mod:`repro.flow.sweep`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ def simulate_checkpoint(config: BoomConfig, program,
                         trace: FetchTrace | None = None) -> dict:
     """Run one checkpoint through the detailed core; the raw record.
 
-    The single source of truth for stage-4 semantics: the serial path
-    (:func:`repro.pipeline.stages.simulate_raw_runs`) and the batched
-    engine both call this, so their records cannot drift.  With
-    ``trace`` the core replays the shared oracle fetch stream instead of
-    restoring and re-executing its own functional state; the stats are
-    bit-identical either way.
+    The single source of truth for stage-4 semantics.  The core replays
+    ``trace`` — the oracle fetch stream shared by every config of a
+    batch — or, without one, a private trace of ``checkpoint``.
     """
     tracer = get_tracer()
     heartbeat = None
@@ -71,9 +69,8 @@ def simulate_checkpoint(config: BoomConfig, program,
                      workload=program.name, config=config.name,
                      checkpoint=checkpoint.interval_index):
         if trace is None:
-            core = BoomCore(config, program, state=checkpoint.restore())
-        else:
-            core = BoomCore(config, program, trace=trace)
+            trace = FetchTrace(program, checkpoint.restore())
+        core = BoomCore(config, program, trace=trace)
         # The flight recorder and invariant checker both ride the
         # heartbeat observer slot (each chaining whatever was there
         # before), so a recorded/checked run takes the same loop as a
@@ -124,8 +121,7 @@ def simulate_raw_runs_batched(configs: Iterable[BoomConfig], program,
     trace is dropped — at most one trace (one functional state plus the
     recorded entries of the hungriest consumer) is live at a time.
     Returns ``{config.name: raw records}`` where each record list is
-    exactly what :func:`repro.pipeline.stages.simulate_raw_runs` would
-    have produced for that config alone.
+    exactly what a batch of that config alone would have produced.
     """
     configs = tuple(configs)
     names = [config.name for config in configs]

@@ -118,8 +118,10 @@ def test_prepare_failure_poisons_only_that_workload(tmp_path, reference):
 
 
 def test_serial_fail_fast_skips_the_tail(tmp_path):
+    # power_report, not detailed_sim: a fault inside the batch that
+    # primes the detailed stage degrades the batch instead of the pair
     runner, results = _sweep(tmp_path, jobs=1,
-                             faults="stage.detailed_sim:fail:n=1",
+                             faults="stage.power_report:fail:n=1",
                              fail_fast=True)
     manifest = runner.last_manifest
     assert not manifest.ok

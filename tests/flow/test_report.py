@@ -12,11 +12,40 @@ from repro.flow.report import generate_report
 from repro.flow.sweep import SweepRunner
 
 
+SETTINGS = FlowSettings(scale=0.06)
+
+
 @pytest.fixture(scope="module")
-def report_text(tmp_path_factory):
+def report_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")
-    runner = SweepRunner(FlowSettings(scale=0.06), cache_dir=cache)
-    return generate_report(runner)
+    runner = SweepRunner(SETTINGS, cache_dir=cache)
+    return cache, generate_report(runner)
+
+
+@pytest.fixture(scope="module")
+def report_text(report_cache):
+    return report_cache[1]
+
+
+def test_warm_report_never_reprofiles(report_cache, monkeypatch):
+    """Table II reads the sweep's cached profiles instead of re-running
+    the BBV pass for every workload."""
+    from repro.pipeline import stages
+    from repro.workloads.suite import workload_names
+
+    def no_profiling(*args, **kwargs):
+        raise AssertionError("a warm report re-ran BBV profiling")
+
+    monkeypatch.setattr(stages, "compute_profile", no_profiling)
+    cache, cold = report_cache
+    runner = SweepRunner(SETTINGS, cache_dir=cache)
+    warm = generate_report(runner)
+    stats = runner.store.stats()
+    assert stats["bbv_profile"].executions == 0
+    assert stats["bbv_profile"].hits == len(workload_names())
+    assert sum(stage.executions for stage in stats.values()) == 0
+    assert warm.split("## Pipeline cache")[0] == \
+        cold.split("## Pipeline cache")[0]
 
 
 def test_report_contains_every_section(report_text):

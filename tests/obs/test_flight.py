@@ -8,7 +8,7 @@ identity, phase boundaries are closed under the *old* phase tag,
 have a canonical order independent of worker scheduling.  Second — the
 reason the recorder may exist at all — observation-only: a sweep run
 with flight recording armed produces byte-identical stage artifacts to
-one run without it, on the serial, parallel, and batched paths alike.
+one run without it, on the serial and parallel paths alike.
 """
 
 from __future__ import annotations
@@ -209,11 +209,10 @@ SCALE = 0.05
 SWEEP_WORKLOADS = ["sha"]
 
 
-def _sweep(cache, *, flight, jobs=1, batch=False, monkeypatch=None):
+def _sweep(cache, *, flight, jobs=1, monkeypatch=None):
     if flight:
         monkeypatch.setenv(FLIGHT_ENV, "1")
-    runner = SweepRunner(FlowSettings(scale=SCALE, batch=batch),
-                         cache_dir=cache)
+    runner = SweepRunner(FlowSettings(scale=SCALE), cache_dir=cache)
     results = runner.run_all(workloads=SWEEP_WORKLOADS, jobs=jobs,
                              trace=flight)
     if flight:
@@ -240,11 +239,10 @@ def plain_reference(tmp_path_factory):
     return results, _artifact_digests(cache)
 
 
-@pytest.mark.parametrize("jobs,batch", [(1, False), (2, False), (1, True)],
-                         ids=["serial", "parallel", "batched"])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
 def test_recording_is_byte_identical(tmp_path, monkeypatch,
-                                     plain_reference, jobs, batch):
-    results = _sweep(tmp_path, flight=True, jobs=jobs, batch=batch,
+                                     plain_reference, jobs):
+    results = _sweep(tmp_path, flight=True, jobs=jobs,
                      monkeypatch=monkeypatch)
     assert results == plain_reference[0]
     assert _artifact_digests(tmp_path) == plain_reference[1]

@@ -90,7 +90,8 @@ def test_traced_parallel_sweep_records_tasks(tmp_path):
                    jobs=2, trace=True)
     manifest = runner.last_manifest
     tasks = manifest.tasks
-    assert {t.key for t in tasks} == {"prepare:qsort", "qsort/MediumBOOM"}
+    assert {t.key for t in tasks} == {"prepare:qsort", "batch:qsort:0",
+                                      "qsort/MediumBOOM"}
     parent = os.getpid()
     for task in tasks:
         assert task.pid != parent

@@ -43,6 +43,11 @@ class TestValidation:
         with pytest.raises(ServeError, match="unknown request field"):
             JobRequest.from_dict({"kind": "sweep", "color": "red"})
 
+    def test_batch_field_rejected_as_unknown(self):
+        # detailed simulation is always batched; there is no engine to pick
+        with pytest.raises(ServeError, match="unknown request field.*batch"):
+            JobRequest.from_dict({"kind": "sweep", "batch": True})
+
     def test_from_dict_rejects_non_string_lists(self):
         with pytest.raises(ServeError, match="list of names"):
             JobRequest.from_dict({"workloads": [1, 2]})
@@ -76,9 +81,7 @@ class TestNormalization:
 class TestHash:
     def test_execution_strategy_excluded(self):
         base = JobRequest.from_dict({"scale": 0.5})
-        batched = JobRequest.from_dict({"scale": 0.5, "batch": True})
         fanout = JobRequest.from_dict({"scale": 0.5, "jobs": 8})
-        assert request_hash(base) == request_hash(batched)
         assert request_hash(base) == request_hash(fanout)
 
     def test_result_relevant_fields_included(self):

@@ -140,7 +140,7 @@ def test_requires_command():
 
 def test_sweep_degraded_exit_code_and_fault_table(capsys, tmp_path):
     code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
-                 "sweep", "--faults", "stage.detailed_sim:fail:n=1"])
+                 "sweep", "--faults", "stage.power_report:fail:n=1"])
     captured = capsys.readouterr()
     assert code == 3
     assert "failures" in captured.out          # fault table printed
@@ -150,7 +150,7 @@ def test_sweep_degraded_exit_code_and_fault_table(capsys, tmp_path):
 
 def test_sweep_resume_carries_failure_and_reports(capsys, tmp_path):
     code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
-                 "sweep", "--faults", "stage.detailed_sim:fail:n=1"])
+                 "sweep", "--faults", "stage.power_report:fail:n=1"])
     capsys.readouterr()
     assert code == 3
 
