@@ -8,10 +8,8 @@ generator and asserts the service guarantees:
   (one created job, N-1 deduplicated attaches) and every client reads
   a byte-identical result body;
 * distinct submissions compute independently and all complete;
-* per-client quotas refuse over-limit submissions with 429 and exact
-  accounting;
-* SIGTERM drains gracefully — the server stops accepting, finishes
-  running work, and exits 0.
+* SIGTERM with a backlog queued drains gracefully — the server stops
+  accepting, finishes running work, and exits 0.
 
 Usage::
 
@@ -42,8 +40,7 @@ def start_server(cache: Path, port_file: Path) -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "--cache-dir", str(cache),
          "serve", "--port-file", str(port_file), "--workers", "2",
-         "--max-queue", "32", "--rate", "1000", "--burst", "1000",
-         "--max-client-jobs", "8"],
+         "--max-queue", "32"],
         env=env, cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 30.0
@@ -102,18 +99,11 @@ def main(argv: list[str] | None = None) -> int:
             assert len(distinct.bodies) == 4, \
                 "distinct seeds must not collide"
 
-            # --- quota wave: 429s with exact accounting ---------------
-            greedy = ServeClient(port=port, client_id="smoke-greedy")
-            codes = [greedy.submit(dict(request, seed=9000 + i))[0]
-                     for i in range(12)]
-            refused = codes.count(429)
-            assert refused >= 12 - 8, f"quota never pushed back: {codes}"
-            _, health = probe.healthz()
-            rejections = health["quotas"]["rejections"]["smoke-greedy"]
-            assert sum(rejections.values()) == refused, \
-                (rejections, refused)
-
-            # --- graceful SIGTERM drain -------------------------------
+            # --- graceful SIGTERM drain with work in flight ------------
+            backlog = ServeClient(port=port, client_id="smoke-backlog")
+            codes = [backlog.submit(dict(request, seed=9000 + i))[0]
+                     for i in range(6)]
+            assert codes == [202] * 6, codes
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=120.0)
             assert proc.returncode == 0, \
@@ -125,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                 proc.communicate(timeout=10.0)
 
     print(f"\nsmoke OK: {args.clients} duplicate clients -> 1 compute, "
-          f"{dup.sweeps_per_s:.1f} sweeps/s; distinct wave OK; quota "
-          f"429s accounted; SIGTERM drained clean")
+          f"{dup.sweeps_per_s:.1f} sweeps/s; distinct wave OK; "
+          f"SIGTERM drained clean")
     return 0
 
 

@@ -221,17 +221,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.flow.jobs import JobLimits
-    from repro.serve import ClientQuotas, serve_forever
+    from repro.serve import serve_forever
 
     limits = JobLimits(
         jobs_cap=args.jobs_cap, timeout=args.timeout,
         retries=args.retries, deadline=args.deadline,
         max_rss_mb=args.max_rss, min_free_mb=args.min_free_mb)
-    quotas = ClientQuotas(rate=args.rate, burst=args.burst,
-                          max_client_jobs=args.max_client_jobs)
     return serve_forever(
         args.cache_dir, host=args.host, port=args.port,
-        workers=args.workers, limits=limits, quotas=quotas,
+        workers=args.workers, limits=limits,
         max_queue=args.max_queue, trace_jobs=args.trace_jobs,
         drain_timeout=args.drain_timeout, port_file=args.port_file,
         announce=lambda line: print(line, flush=True))
@@ -419,8 +417,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.cache_dir)
     if args.action == "stats":
         counts = store.artifact_counts()
-        legacy = store.legacy_files()
-        if not counts and not legacy:
+        if not counts:
             print(f"{args.cache_dir}: empty")
             return 0
         print(f"{'stage':<22}{'artifacts':>10}{'bytes':>12}")
@@ -431,9 +428,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for stage in sorted(set(counts) - set(STAGE_ORDER)):
             number, size = counts[stage]
             print(f"{stage:<22}{number:>10}{size:>12,}")
-        if legacy:
-            print(f"{'(legacy layout)':<22}{len(legacy):>10}"
-                  f"{sum(p.stat().st_size for p in legacy):>12,}")
         manifest_path = Path(args.cache_dir) / MANIFEST_NAME
         if manifest_path.exists():
             import json
@@ -1022,15 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs-cap", type=int, default=1, metavar="N",
         help="clamp on the per-job worker fan-out a request may ask "
              "for (default 1)")
-    serve_parser.add_argument(
-        "--rate", type=float, default=10.0,
-        help="per-client sustained submissions/s (default 10)")
-    serve_parser.add_argument(
-        "--burst", type=float, default=20.0,
-        help="per-client submission burst size (default 20)")
-    serve_parser.add_argument(
-        "--max-client-jobs", type=int, default=4, metavar="N",
-        help="per-client concurrent unfinished jobs (default 4)")
     serve_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-experiment timeout inside each job")

@@ -33,11 +33,6 @@ Each ``run_all`` produces a :class:`~repro.pipeline.manifest.RunManifest`
 hits/misses, wall-clock timings, and the fault record (failures,
 timeouts, retries); with a disk cache it is also written to
 ``<cache>/run_manifest.json``.
-
-Results cached by the pre-pipeline layout (flat ``v11_*.json`` files in
-the cache root, e.g. the committed ``.repro_cache``) are migrated into
-the artifact store on first access, so existing figure/table commands
-keep working without recomputation.
 """
 
 from __future__ import annotations
@@ -91,11 +86,6 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 
 MANIFEST_NAME = "run_manifest.json"
 SWEEP_STATE_NAME = "sweep_state.json"
-
-#: settings the legacy cache-key scheme did NOT encode; legacy artifacts
-#: are only trusted when these match the values the flow shipped with
-_LEGACY_SETTINGS = FlowSettings()
-
 
 def _pair_key(workload: str, config: BoomConfig) -> str:
     return f"{workload}/{config.name}"
@@ -205,53 +195,12 @@ class SweepRunner:
         self.batch_degraded: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # legacy whole-experiment cache migration
-    # ------------------------------------------------------------------
-
-    def _legacy_key(self, workload: str, config: BoomConfig) -> str:
-        settings = self.settings
-        return (f"v{MODEL_VERSION}_{workload}_{config.name}"
-                f"_{config.predictor.kind}_s{settings.scale:g}"
-                f"_r{settings.seed}_w{settings.warmup}")
-
-    def _legacy_result(self, workload: str,
-                       config: BoomConfig) -> ExperimentResult | None:
-        """Recover a result from the pre-pipeline flat-file layout.
-
-        The legacy key omitted ``bic_threshold``, ``max_k`` and
-        ``coverage``, so legacy files are only trusted when those
-        settings match the defaults the files were produced with —
-        anything else must recompute (the stale-cache bug the staged
-        pipeline fixes).
-        """
-        if self.cache_dir is None:
-            return None
-        settings = self.settings
-        if (settings.bic_threshold, settings.max_k, settings.coverage) != \
-                (_LEGACY_SETTINGS.bic_threshold, _LEGACY_SETTINGS.max_k,
-                 _LEGACY_SETTINGS.coverage):
-            return None
-        path = self.cache_dir / f"{self._legacy_key(workload, config)}.json"
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-            result = ExperimentResult.from_dict(data)
-        except Exception:
-            return None
-        if result.workload != workload or result.config_name != config.name:
-            return None
-        return result
-
-    # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
 
     def run(self, workload: str, config: BoomConfig) -> ExperimentResult:
         """One experiment, via the stage cache when available."""
-        return self.pipeline.result(
-            workload, config,
-            fallback=lambda: self._legacy_result(workload, config))
+        return self.pipeline.result(workload, config)
 
     def run_all(self, configs: Iterable[BoomConfig] = ALL_CONFIGS,
                 workloads: list[str] | None = None,
@@ -471,10 +420,9 @@ class SweepRunner:
 
     def _result_cached(self, workload: str, config: BoomConfig) -> bool:
         """Whether a pair's result exists, without counting a lookup."""
-        return (self.store.has(RESULT_STAGE,
-                               self.pipeline.result_fingerprint(workload,
-                                                                config))
-                or self._legacy_result(workload, config) is not None)
+        return self.store.has(RESULT_STAGE,
+                              self.pipeline.result_fingerprint(workload,
+                                                               config))
 
     def _prime_batch(self, workload: str, configs: list[BoomConfig]) -> None:
         """Serial-path batch priming for one workload.
@@ -585,14 +533,6 @@ class SweepRunner:
         pending: list[tuple[str, BoomConfig]] = []
         for workload, config in pairs:
             cached = pipeline.peek_result(workload, config)
-            if cached is None:
-                legacy = self._legacy_result(workload, config)
-                if legacy is not None:
-                    self.store.import_legacy(
-                        RESULT_STAGE,
-                        pipeline.result_fingerprint(workload, config),
-                        legacy, encode=lambda result: result.to_dict())
-                    cached = legacy
             if cached is not None:
                 results[(workload, config.name)] = cached
                 self._record_completion(_pair_key(workload, config))

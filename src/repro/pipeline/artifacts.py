@@ -141,35 +141,35 @@ class StageStats:
     misses: int = 0
     executions: int = 0
     corrupt: int = 0
-    legacy_hits: int = 0
     seconds: float = 0.0
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.legacy_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         lookups = self.lookups
         if not lookups:
             return 1.0
-        return (self.hits + self.legacy_hits) / lookups
+        return self.hits / lookups
 
     def to_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "executions": self.executions, "corrupt": self.corrupt,
-                "legacy_hits": self.legacy_hits, "seconds": self.seconds}
+                "seconds": self.seconds}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "StageStats":
-        return cls(**dict(data))
+        data = dict(data)
+        data.pop("legacy_hits", None)  # retired; older manifests carry it
+        return cls(**data)
 
     def merge(self, other: "StageStats") -> None:
         self.hits += other.hits
         self.misses += other.misses
         self.executions += other.executions
         self.corrupt += other.corrupt
-        self.legacy_hits += other.legacy_hits
         self.seconds += other.seconds
 
     def minus(self, other: "StageStats") -> "StageStats":
@@ -178,7 +178,6 @@ class StageStats:
             misses=self.misses - other.misses,
             executions=self.executions - other.executions,
             corrupt=self.corrupt - other.corrupt,
-            legacy_hits=self.legacy_hits - other.legacy_hits,
             seconds=self.seconds - other.seconds)
 
 
@@ -364,23 +363,12 @@ class ArtifactStore:
             return value
         return None
 
-    def import_legacy(self, stage: str, fingerprint: str, value: Any,
-                      encode: Callable[[Any], Any] | None = None) -> None:
-        """Adopt a result recovered from a pre-pipeline cache layout."""
-        self._stats[stage].legacy_hits += 1
-        self.put_json(stage, fingerprint, value, encode=encode)
-
     def fetch_json(self, stage: str, fingerprint: str,
                    compute: Callable[[], Any],
                    encode: Callable[[Any], Any] | None = None,
                    decode: Callable[[Any], Any] | None = None,
-                   fallback: Callable[[], Any] | None = None,
                    label: str | None = None) -> Any:
         """Load-or-compute one JSON artifact, with full accounting.
-
-        ``fallback`` (optional) is consulted after a cache miss but
-        before recomputation — the hook the sweep runner uses to migrate
-        results from the legacy whole-experiment cache layout.
 
         On a disk-backed store the compute path is claim-arbitrated:
         exactly one process executes ``compute`` for a given
@@ -391,11 +379,6 @@ class ArtifactStore:
                                label=label)
         if value is not None:
             return value
-        if fallback is not None:
-            value = fallback()
-            if value is not None:
-                self.import_legacy(stage, fingerprint, value, encode=encode)
-                return value
         probe = lambda: self.peek_json(stage, fingerprint, decode=decode,
                                        label=label)
         lease, value = self._arbitrate(stage, fingerprint, probe)
@@ -608,13 +591,6 @@ class ArtifactStore:
             counts[stage_dir.name] = (number, size)
         return counts
 
-    def legacy_files(self) -> list[Path]:
-        """Pre-pipeline whole-experiment JSONs still in the cache root."""
-        if self.root is None or not self.root.exists():
-            return []
-        return sorted(path for path in self.root.glob("v*_*.json")
-                      if path.is_file())
-
     def invalidate_stage(self, stage: str) -> int:
         """Drop one stage's artifacts (memory + disk); returns count."""
         removed = 0
@@ -628,7 +604,7 @@ class ArtifactStore:
         return removed
 
     def clear(self) -> int:
-        """Drop every artifact, including legacy-layout files."""
+        """Drop every artifact."""
         removed = 0
         stages = {key[0] for key in self._memory}
         if self.root is not None and self.root.exists():
@@ -637,9 +613,6 @@ class ArtifactStore:
                           and entry.name not in INTERNAL_DIRS)
         for stage in stages:
             removed += self.invalidate_stage(stage)
-        for path in self.legacy_files():
-            path.unlink()
-            removed += 1
         if self.root is not None:
             manifest = self.root / "run_manifest.json"
             if manifest.exists():

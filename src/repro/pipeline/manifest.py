@@ -132,7 +132,7 @@ class RunManifest:
 
     @property
     def total_hits(self) -> int:
-        return sum(s.hits + s.legacy_hits for s in self.stages.values())
+        return sum(s.hits for s in self.stages.values())
 
     @property
     def total_misses(self) -> int:
@@ -202,13 +202,13 @@ class RunManifest:
 
         order = {stage: index for index, stage in enumerate(STAGE_ORDER)}
         lines = [f"{'stage':<20}{'exec':>6}{'hits':>7}{'miss':>6}"
-                 f"{'corrupt':>8}{'legacy':>7}{'seconds':>9}"]
+                 f"{'corrupt':>8}{'seconds':>9}"]
         for stage in sorted(self.stages,
                             key=lambda s: (order.get(s, 99), s)):
             stats = self.stages[stage]
             lines.append(f"{stage:<20}{stats.executions:>6}"
                          f"{stats.hits:>7}{stats.misses:>6}"
-                         f"{stats.corrupt:>8}{stats.legacy_hits:>7}"
+                         f"{stats.corrupt:>8}"
                          f"{stats.seconds:>9.2f}")
         lines.append(f"cache hit rate {self.hit_rate:.1%} over "
                      f"{self.experiments} experiments "

@@ -393,8 +393,7 @@ class ExperimentPipeline:
                 for run in payload],
             label=f"{workload}/{config.name}")
 
-    def result(self, workload: str, config: BoomConfig,
-               fallback: Any = None) -> ExperimentResult:
+    def result(self, workload: str, config: BoomConfig) -> ExperimentResult:
         from repro.flow.results import ExperimentResult
 
         def compute() -> ExperimentResult:
@@ -420,8 +419,7 @@ class ExperimentPipeline:
             RESULT_STAGE, self.result_fingerprint(workload, config),
             compute=compute,
             encode=lambda result: result.to_dict(),
-            decode=decode,
-            fallback=fallback, label=f"{workload}/{config.name}")
+            decode=decode, label=f"{workload}/{config.name}")
 
     # --------------------------- scheduling ---------------------------
 

@@ -14,11 +14,9 @@ from repro.serve.client import ServeClient
 from repro.serve.jobs import Job, JobTable
 from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.protocol import JobRequest, request_hash
-from repro.serve.quotas import ClientQuotas, TokenBucket
 from repro.serve.server import JobServer, ServerThread, serve_forever
 
 __all__ = [
-    "ClientQuotas",
     "Job",
     "JobRequest",
     "JobServer",
@@ -26,7 +24,6 @@ __all__ = [
     "LoadReport",
     "ServeClient",
     "ServerThread",
-    "TokenBucket",
     "request_hash",
     "run_load",
     "serve_forever",

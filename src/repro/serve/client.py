@@ -22,7 +22,7 @@ __all__ = ["ServeClient"]
 
 
 class ServeClient:
-    """One logical client (one quota identity) talking to one server."""
+    """One logical client (one subscriber identity) talking to one server."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  client_id: str = "anon",

@@ -126,29 +126,20 @@ class JobTable:
     # submission / lookup
     # ------------------------------------------------------------------
 
-    def submit(self, request: JobRequest, client: str) \
-            -> tuple[Job, bool, bool]:
-        """Create or attach; returns ``(job, created, settled)``.
-
-        ``settled`` is true when the submission attached to a job that
-        was already terminal *at attach time* (decided under the table
-        lock) — the caller must release that client's quota slot
-        immediately, because the worker's settle pass has already run
-        (or will run against a subscriber snapshot that predates this
-        attach).
-        """
+    def submit(self, request: JobRequest, client: str) -> tuple[Job, bool]:
+        """Create or attach; returns ``(job, created)``."""
         job_id = request_hash(request)
         with self._lock:
             job = self._jobs.get(job_id)
             if job is not None and job.state in _ATTACHABLE:
                 job.clients.append(client)
                 self.deduped += 1
-                return job, False, job.state == DONE
+                return job, False
             # absent, failed, or cancelled: (re)create
             job = Job(id=job_id, request=request, clients=[client])
             self._jobs[job_id] = job
             self.created += 1
-            return job, True, False
+            return job, True
 
     def get(self, job_id: str) -> Job | None:
         with self._lock:
@@ -171,92 +162,72 @@ class JobTable:
             job.started = time.time()
             return True
 
-    def mark_done(self, job: Job, result_text: str) -> list[str]:
-        """Running -> done; returns the subscribers to settle.
-
-        The snapshot is taken under the same lock that guards attach,
-        so every subscriber lands in exactly one settlement: either
-        this list, or (if they attached after the state flip) the
-        ``settled`` flag :meth:`submit` hands back.
-        """
+    def mark_done(self, job: Job, result_text: str) -> None:
+        """Running -> done."""
         with self._lock:
             job.result_text = result_text
             job.state = DONE
             job.finished = time.time()
-            settled = list(job.clients)
         job.done_event.set()
-        return settled
 
-    def mark_failed(self, job: Job, error: str, kind: str) -> list[str]:
-        """Running -> failed; returns the subscribers to settle."""
+    def mark_failed(self, job: Job, error: str, kind: str) -> None:
+        """Running -> failed."""
         with self._lock:
             job.error = error
             job.error_kind = kind
             job.state = FAILED
             job.finished = time.time()
-            settled = list(job.clients)
         job.done_event.set()
-        return settled
 
     # ------------------------------------------------------------------
     # cancellation
     # ------------------------------------------------------------------
 
-    def cancel(self, job_id: str, client: str) \
-            -> tuple[Job | None, bool]:
+    def cancel(self, job_id: str, client: str) -> Job | None:
         """Withdraw ``client``'s subscription; cancel if nobody is left.
 
-        Returns ``(job, removed)``: the job (whatever state it ended
-        in, ``None`` if unknown) and whether an active subscription of
-        ``client`` was actually withdrawn — only then does the caller
-        owe a quota release.
+        Returns the job, in whatever state it ended, or ``None`` if
+        the id is unknown.
         """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
-                return None, False
-            removed = False
+                return None
             if not job.terminal:
                 try:
                     job.clients.remove(client)
-                    removed = True
                 except ValueError:
                     pass  # not a subscriber: a no-op, not an error
             if job.clients or job.terminal:
-                return job, removed
+                return job
             if job.state == QUEUED:
                 job.state = CANCELLED
                 job.finished = time.time()
                 job.done_event.set()
             elif job.state == RUNNING:
                 job.cancel_requested = True
-            return job, removed
+            return job
 
-    def cancel_queued(self, job: Job) -> list[str]:
-        """Force-cancel a still-queued job (server drain); returns the
-        subscribers whose quota slots must be released."""
+    def cancel_queued(self, job: Job) -> None:
+        """Force-cancel a still-queued job (server drain)."""
         with self._lock:
             if job.state != QUEUED:
-                return []
+                return
             job.state = CANCELLED
             job.finished = time.time()
-            settled = list(job.clients)
         job.done_event.set()
-        return settled
 
-    def discard(self, job: Job) -> list[str]:
+    def discard(self, job: Job) -> None:
         """Roll back a freshly created job that could not be enqueued
-        (bounded-queue backpressure); returns subscribers to release."""
+        (bounded-queue backpressure)."""
         with self._lock:
             if self._jobs.get(job.id) is not job or job.state != QUEUED:
-                return []
+                return
             del self._jobs[job.id]
             self.created -= 1
             job.state = CANCELLED
             job.finished = time.time()
-            settled = list(job.clients)
         job.done_event.set()
-        return settled
 
     # ------------------------------------------------------------------
     # accounting

@@ -19,13 +19,11 @@ Endpoints::
 Dedup is structural: the job id *is* the request hash, so identical
 submissions collapse onto one compute in the :class:`JobTable`; the
 artifact store's lease arbitration additionally dedupes against
-concurrent sweeps outside the server.  Overload surfaces as 429 with a
-machine-readable reason — per-client token-bucket/quota refusals from
-:class:`ClientQuotas`, or ``queue-full`` when the bounded job queue
-pushes back.
+concurrent sweeps outside the server.  Overload surfaces as 429
+``queue-full`` when the bounded job queue pushes back.
 
 Shutdown is a drain, not a kill: SIGTERM/SIGINT stop admissions,
-queued jobs are cancelled (their subscribers' quota released), running
+queued jobs are cancelled, running
 jobs finish within ``drain_timeout``, and the process exits 0 — the
 interrupted-sweep settling of :mod:`repro.flow.sweep` is the fallback
 for harder deaths, not the normal path.
@@ -45,9 +43,8 @@ from typing import Callable
 from repro.errors import ServeError, classify_failure
 from repro.flow.jobs import JobLimits, run_job
 from repro.obs.metrics import get_metrics
-from repro.serve.jobs import CANCELLED, DONE, QUEUED, RUNNING, Job, JobTable
+from repro.serve.jobs import DONE, RUNNING, Job, JobTable
 from repro.serve.protocol import JobRequest
-from repro.serve.quotas import ClientQuotas
 
 __all__ = ["JobServer", "ServerThread", "serve_forever"]
 
@@ -70,7 +67,6 @@ class JobServer:
                  host: str = "127.0.0.1", port: int = 0,
                  workers: int = 2,
                  limits: JobLimits | None = None,
-                 quotas: ClientQuotas | None = None,
                  max_queue: int = 16,
                  trace_jobs: bool = False,
                  drain_timeout: float = 60.0) -> None:
@@ -79,7 +75,6 @@ class JobServer:
         self.port = port  # rebound to the real port after start()
         self.workers = max(1, workers)
         self.limits = limits if limits is not None else JobLimits()
-        self.quotas = quotas if quotas is not None else ClientQuotas()
         self.max_queue = max(1, max_queue)
         self.trace_jobs = trace_jobs
         self.drain_timeout = drain_timeout
@@ -139,8 +134,7 @@ class JobServer:
                 break
             if job is None:
                 continue
-            for client in self.table.cancel_queued(job):
-                self.quotas.release(client)
+            self.table.cancel_queued(job)
             cancelled += 1
         for _ in self._workers:
             self._queue.put_nowait(None)  # wake idle workers to exit
@@ -188,18 +182,16 @@ class JobServer:
                                runner_hook=attach)
         except Exception as exc:
             kind = classify_failure(exc)
-            settled = self.table.mark_failed(
+            self.table.mark_failed(
                 job, f"{type(exc).__name__}: {exc}", kind)
             metrics.counter("serve.failed").inc()
             logger.warning("job %s failed (%s): %s", job.id, kind, exc)
         else:
-            settled = self.table.mark_done(job, _json_body(document))
+            self.table.mark_done(job, _json_body(document))
             metrics.counter("serve.completed").inc()
         finally:
             job.runner = None
             job.tap = None
-        for client in settled:
-            self.quotas.release(client)
 
     # ------------------------------------------------------------------
     # HTTP front end
@@ -299,23 +291,13 @@ class JobServer:
             raise ServeError("server is draining", status=503)
         client = str(body.get("client") or "anon")
         request = JobRequest.from_dict(body.get("request") or {})
-        reason = self.quotas.admit(client)
-        if reason is not None:
-            metrics.counter("serve.rejected").inc()
-            return 429, _json_body(
-                {"error": reason, "client": client, "retry_after": 1.0})
-        job, created, settled = self.table.submit(request, client)
-        if settled:
-            # attached to an already-finished job: the subscription is
-            # satisfied instantly, so the slot goes straight back
-            self.quotas.release(client)
+        job, created = self.table.submit(request, client)
         if created:
             assert self._queue is not None
             try:
                 self._queue.put_nowait(job)
             except asyncio.QueueFull:
-                for waiter in self.table.discard(job):
-                    self.quotas.release(waiter)
+                self.table.discard(job)
                 metrics.counter("serve.rejected").inc()
                 return 429, _json_body(
                     {"error": "queue-full", "client": client,
@@ -346,11 +328,9 @@ class JobServer:
 
     def _post_cancel(self, job_id: str, body: dict) -> tuple[int, str]:
         client = str(body.get("client") or "anon")
-        job, removed = self.table.cancel(job_id, client)
+        job = self.table.cancel(job_id, client)
         if job is None:
             raise ServeError(f"unknown job: {job_id}", status=404)
-        if removed:
-            self.quotas.release(client)
         return 200, _json_body(
             {"job_id": job.id, "state": job.state,
              "cancel_requested": job.cancel_requested})
@@ -364,7 +344,6 @@ class JobServer:
             "queue_depth": queue.qsize() if queue is not None else 0,
             "queue_capacity": self.max_queue,
             "table": self.table.counts(),
-            "quotas": self.quotas.snapshot(),
         })
 
     # -- helpers --------------------------------------------------------
@@ -457,7 +436,6 @@ def serve_forever(cache_dir: Path | str | None, *,
                   host: str = "127.0.0.1", port: int = 0,
                   workers: int = 2,
                   limits: JobLimits | None = None,
-                  quotas: ClientQuotas | None = None,
                   max_queue: int = 16,
                   trace_jobs: bool = False,
                   drain_timeout: float = 60.0,
@@ -482,7 +460,7 @@ def serve_forever(cache_dir: Path | str | None, *,
     async def _main() -> None:
         server = JobServer(
             cache_dir, host=host, port=port, workers=workers,
-            limits=limits, quotas=quotas, max_queue=max_queue,
+            limits=limits, max_queue=max_queue,
             trace_jobs=trace_jobs, drain_timeout=drain_timeout)
         await server.start()
         if port_file is not None:

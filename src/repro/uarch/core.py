@@ -134,12 +134,9 @@ class BoomCore:
         ``_HEARTBEAT_STRIDE`` cycles.  It only reads the counters — the
         loop's termination conditions and step sequence are identical
         with and without it, so a traced run retires exactly the same
-        instructions as an untraced one.  The ``heartbeat is None``
-        generic path is the original loop, untouched, to keep the hot
-        path free of per-cycle bookkeeping; the fused loop takes the
-        observer directly (its hoisted state is settled back onto the
-        core before every callback, so observers read consistent stats
-        mid-run on either loop).
+        instructions as an untraced one.  The fused loop settles its
+        hoisted state back onto the core before every callback, so
+        observers read consistent stats mid-run on either loop.
         """
         start = self.retired_total
         start_cycle = self.cycle
@@ -152,22 +149,10 @@ class BoomCore:
             if self._fused and self.retire_log is None:
                 self._run_fused(target, deadline, heartbeat=heartbeat,
                                 hb_start=start, hb_start_cycle=start_cycle)
-            elif heartbeat is None:
-                while True:
-                    if target is not None \
-                            and self.retired_total >= target:
-                        break
-                    if self.frontend.out_of_instructions \
-                            and self.rob.is_empty:
-                        break
-                    self._step()
-                    if self.cycle > deadline:
-                        raise SimulationError(
-                            f"pipeline made no progress for "
-                            f"{_SAFETY_FACTOR}x the instruction budget "
-                            f"(deadlock?) at cycle {self.cycle}")
             else:
-                countdown = _HEARTBEAT_STRIDE
+                # -1 when unobserved: the countdown never reaches zero
+                countdown = _HEARTBEAT_STRIDE if heartbeat is not None \
+                    else -1
                 while True:
                     if target is not None and self.retired_total >= target:
                         break

@@ -60,7 +60,7 @@ def test_cache_key_distinguishes_predictors(tmp_path):
     {"coverage": 0.5},
 ])
 def test_changed_selection_settings_miss_the_cache(tmp_path, changed):
-    """Regression: the legacy cache key omitted ``bic_threshold``,
+    """Regression: the pre-pipeline cache key omitted ``bic_threshold``,
     ``max_k`` and ``coverage``, silently serving stale results when any
     of them changed.  Every stage fingerprint now covers them."""
     warm = SweepRunner(SETTINGS, cache_dir=tmp_path)
@@ -73,23 +73,6 @@ def test_changed_selection_settings_miss_the_cache(tmp_path, changed):
     assert result_stats.misses == 1
     assert result_stats.executions == 1
     assert len(_result_files(tmp_path)) == 2
-
-
-def test_stale_legacy_layout_not_trusted(tmp_path):
-    """A legacy flat-layout file must not satisfy a run whose selection
-    settings differ from the defaults it was produced under."""
-    runner = SweepRunner(SETTINGS, cache_dir=tmp_path)
-    key = runner._legacy_key("qsort", MEDIUM_BOOM)
-    (tmp_path / f"{key}.json").write_text(json.dumps({
-        "workload": "qsort", "config_name": "MediumBOOM",
-        "scale": SETTINGS.scale, "total_instructions": 1,
-        "interval_size": 1, "num_intervals": 1, "chosen_k": 1,
-        "coverage": 1.0, "runs": []}))
-    tweaked = FlowSettings(scale=SETTINGS.scale, bic_threshold=0.7)
-    fresh = SweepRunner(tweaked, cache_dir=tmp_path)
-    result = fresh.run("qsort", MEDIUM_BOOM)
-    assert result.runs  # recomputed, not the empty stale record
-    assert fresh.store.stats()[RESULT_STAGE].legacy_hits == 0
 
 
 def test_no_cache_dir(tmp_path):
@@ -192,22 +175,6 @@ def test_run_all_writes_manifest(tmp_path):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["experiments"] == 1
     assert manifest["stages"][RESULT_STAGE]["executions"] == 1
-
-
-def test_legacy_flat_layout_is_migrated(tmp_path):
-    producer = SweepRunner(SETTINGS, cache_dir=None)
-    result = producer.run("qsort", MEDIUM_BOOM)
-    consumer = SweepRunner(SETTINGS, cache_dir=tmp_path)
-    key = consumer._legacy_key("qsort", MEDIUM_BOOM)
-    (tmp_path / f"{key}.json").write_text(json.dumps(result.to_dict()))
-
-    migrated = consumer.run("qsort", MEDIUM_BOOM)
-    assert migrated.to_json() == result.to_json()
-    stats = consumer.store.stats()[RESULT_STAGE]
-    assert stats.legacy_hits == 1
-    assert stats.executions == 0
-    # the result now also lives at its content address
-    assert len(_result_files(tmp_path)) == 1
 
 
 def test_cached_json_is_valid(tmp_path):

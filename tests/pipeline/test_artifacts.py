@@ -98,15 +98,6 @@ def test_peek_counts_hit_but_never_miss(tmp_path):
     assert store.stats()["stage"].hits == 1
 
 
-def test_import_legacy_counts_and_persists(tmp_path):
-    store = ArtifactStore(tmp_path)
-    store.import_legacy("stage", "fp1", {"x": 1})
-    stats = store.stats()["stage"]
-    assert stats.legacy_hits == 1
-    assert json.loads(
-        (tmp_path / "stage" / "fp1.json").read_text()) == {"x": 1}
-
-
 def test_stats_merge_from_worker_dict(tmp_path):
     parent = ArtifactStore(tmp_path)
     worker = ArtifactStore(tmp_path)
@@ -194,14 +185,13 @@ def test_artifact_counts_and_invalidate(tmp_path):
     assert store.peek_json("b", "fp1") == {"x": 3}
 
 
-def test_clear_removes_everything_including_legacy(tmp_path):
+def test_clear_removes_everything(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put_json("a", "fp1", {"x": 1})
-    (tmp_path / "v11_qsort_MediumBOOM_tage_s1_r17_w1000.json").write_text(
-        "{}")
+    store.put_json("b", "fp2", {"x": 2})
     assert store.clear() == 2
     assert store.artifact_counts() == {}
-    assert store.legacy_files() == []
+    assert store.peek_json("a", "fp1") is None
 
 
 def test_stage_order_covers_known_stages():

@@ -2,7 +2,6 @@
 chaining, serializer round-trips and warm-run behavior."""
 
 import numpy as np
-import pytest
 
 from repro.flow.experiment import FlowSettings
 from repro.pipeline import (
@@ -159,26 +158,6 @@ def test_peek_result_does_not_compute(tmp_path):
     peeked = fresh.peek_result("qsort", MEDIUM_BOOM)
     assert peeked is not None
     assert fresh.store.stats()["experiment_result"].executions == 0
-
-
-def test_result_fallback_is_migrated_once(tmp_path):
-    produced = _pipeline().result("qsort", MEDIUM_BOOM)
-    calls = []
-
-    def fallback():
-        calls.append(1)
-        return produced
-
-    pipeline = _pipeline(tmp_path)
-    first = pipeline.result("qsort", MEDIUM_BOOM, fallback=fallback)
-    assert first.to_json() == produced.to_json()
-    assert len(calls) == 1
-    assert pipeline.store.stats()["experiment_result"].legacy_hits == 1
-
-    again = _pipeline(tmp_path).result(
-        "qsort", MEDIUM_BOOM,
-        fallback=lambda: pytest.fail("cached: fallback must not run"))
-    assert again.to_json() == produced.to_json()
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """HTTP endpoint behavior against a live in-process server.
 
 One module-scoped server instance keeps this suite fast; each test
-uses its own client id so quota ledgers do not interfere.
+uses its own client id so subscriptions do not interfere.
 """
-
-import json
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import ClientQuotas, ServeClient, ServerThread
+from repro.serve import ServeClient, ServerThread
 
 TINY = {"kind": "sweep", "scale": 0.05, "workloads": ["sha"],
         "configs": ["SmallBOOM"]}
@@ -32,7 +30,7 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["queue_capacity"] == 4
-        assert "table" in payload and "quotas" in payload
+        assert "table" in payload and "quotas" not in payload
 
     def test_submit_then_result(self, host):
         client = client_for(host, "happy")
@@ -90,38 +88,9 @@ class TestEndpoints:
             ServeClient(port=0)
 
 
-class TestQuotaEnforcement:
-    def test_rate_limited_client_sees_429(self, tmp_path):
-        quotas = ClientQuotas(rate=0.001, burst=1.0, max_client_jobs=99)
-        with ServerThread(tmp_path, workers=1, quotas=quotas) as host:
-            client = client_for(host, "greedy")
-            assert client.submit(TINY)[0] == 202
-            status, payload = client.submit(dict(TINY, seed=99))
-            assert status == 429
-            assert payload["error"] == "rate-limited"
-            _, health = client.healthz()
-            assert health["quotas"]["rejections"]["greedy"][
-                "rate-limited"] == 1
-
-    def test_quota_exceeded_and_release_on_completion(self, tmp_path):
-        quotas = ClientQuotas(rate=1000.0, burst=1000.0,
-                              max_client_jobs=1)
-        with ServerThread(tmp_path, workers=1, quotas=quotas) as host:
-            client = client_for(host, "busy")
-            status, payload = client.submit(TINY)
-            assert status == 202
-            status, refusal = client.submit(dict(TINY, seed=77))
-            assert status == 429
-            assert refusal["error"] == "quota-exceeded"
-            client.wait(payload["job_id"], timeout=120.0)
-            # slot released at completion: a new submission is admitted
-            assert client.submit(dict(TINY, seed=78))[0] == 202
-
+class TestCancel:
     def test_cancel_releases_the_slot(self, tmp_path):
-        quotas = ClientQuotas(rate=1000.0, burst=1000.0,
-                              max_client_jobs=1)
-        with ServerThread(tmp_path, workers=1, max_queue=8,
-                          quotas=quotas) as host:
+        with ServerThread(tmp_path, workers=1, max_queue=8) as host:
             client = client_for(host, "fickle")
             # occupy the single worker with a decoy so ours stays queued
             decoy = client_for(host, "decoy")
@@ -130,15 +99,16 @@ class TestQuotaEnforcement:
             assert status == 202
             status, cancel = client.cancel(payload["job_id"])
             assert status == 200
+            assert cancel["state"] == "cancelled"
+            _, final = client.status(payload["job_id"])
+            assert final["state"] == "cancelled"
+            # the withdrawn job never runs; a fresh submission is admitted
             assert client.submit(dict(TINY, seed=3))[0] == 202
 
 
 class TestBackpressure:
     def test_queue_full_rejects_and_rolls_back(self, tmp_path):
-        quotas = ClientQuotas(rate=1000.0, burst=1000.0,
-                              max_client_jobs=99)
-        with ServerThread(tmp_path, workers=1, max_queue=1,
-                          quotas=quotas) as host:
+        with ServerThread(tmp_path, workers=1, max_queue=1) as host:
             client = client_for(host, "flood")
             codes = [client.submit(dict(TINY, seed=1000 + i))[0]
                      for i in range(6)]

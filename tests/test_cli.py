@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pipeline import ArtifactStore
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,24 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert code == 0
     assert "removed" in out
     assert not (tmp_path / "experiment_result").exists()
+
+
+def test_cache_stats_reads_manifest_with_retired_field(capsys, tmp_path):
+    """A manifest written before ``legacy_hits`` was retired still loads."""
+    ArtifactStore(tmp_path).put_json("experiment_result", "fp1", {"x": 1})
+    stage = {"corrupt": 0, "executions": 1, "hits": 2, "legacy_hits": 0,
+             "misses": 1, "seconds": 0.25}
+    (tmp_path / "run_manifest.json").write_text(json.dumps({
+        "experiments": 1, "failures": [], "hit_rate": 0.4, "jobs": 1,
+        "metrics": {}, "retries": {},
+        "stages": {"bbv_profile": stage, "experiment_result": stage},
+        "tasks": [], "timeouts": [], "trace": "", "wall_seconds": 0.06}))
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "cache", "stats")
+    assert code == 0
+    assert "last sweep:" in out
+    assert "bbv_profile" in out
+    assert "legacy" not in out
 
 
 def test_cache_invalidate_cascades_downstream(capsys, tmp_path):
