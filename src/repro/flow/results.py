@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from repro.power.area import ANALYZED_COMPONENTS, REST_OF_TILE
 from repro.power.report import ComponentPower, PowerReport
 
+#: the order :class:`~repro.power.model.PowerModel` reports components in
+_MODEL_ORDER = (*ANALYZED_COMPONENTS, REST_OF_TILE)
+
 
 def _reject_non_finite(node, path: str) -> None:
     """Fail with the offending key path if ``node`` holds NaN/inf.
@@ -64,7 +67,15 @@ class SimPointRun:
                   workload: str) -> "SimPointRun":
         report = PowerReport(config_name=config_name, workload=workload,
                              cycles=data["cycles"])
-        for name, (leak, internal, switch) in data["components"].items():
+        # Rebuild the components in the power model's insertion order:
+        # the cache stores them with sorted keys, and sums over them
+        # (``tile_mw``) must not change in the last bit on a warm read.
+        components = data["components"]
+        order = [name for name in _MODEL_ORDER if name in components]
+        if len(order) < len(components):
+            order += [name for name in components if name not in order]
+        for name in order:
+            leak, internal, switch = components[name]
             report.components[name] = ComponentPower(leak, internal, switch)
         report.int_issue_slot_mw = list(data["int_issue_slot_mw"])
         return cls(interval_index=data["interval_index"],

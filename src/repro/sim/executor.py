@@ -15,14 +15,16 @@ three roles in the experimental flow (paper Fig. 4):
 Two dispatch strategies are available (``dispatch=`` constructor arg):
 
 ``superblock`` (default)
-    Each static basic block is lazily translated — once, at first entry —
-    into a fused handler function, so the fetch -> decode -> dict-lookup
-    cycle and the per-instruction loop overhead are paid per *block*
-    instead of per dynamic instruction (the same trick binary translators
-    play, minus the codegen).  Retire counts, ``control_hook`` semantics,
-    and exception behavior are bit-identical to the reference loop; the
-    equivalence suite in ``tests/sim/test_equivalence.py`` pins both to
-    golden fixtures captured from the pre-optimization implementation.
+    Each static basic block (split into pieces of at most ``_MAX_BLOCK``
+    straight-line instructions) is lazily translated — once, at first
+    entry — into a fused handler function, so the fetch -> decode ->
+    dict-lookup cycle and the per-instruction loop overhead are paid per
+    *block* instead of per dynamic instruction (the same trick binary
+    translators play, minus the codegen).  Retire counts,
+    ``control_hook`` semantics, and exception behavior are bit-identical
+    to the reference loop; the equivalence suite in
+    ``tests/sim/test_equivalence.py`` pins both to golden fixtures
+    captured from the pre-optimization implementation.
 
 ``reference``
     The original per-instruction loop, kept as the semantic baseline the
@@ -55,6 +57,13 @@ from repro.sim.state import MASK64, ArchState, to_signed
 ControlHook = Callable[[int, int], None]
 
 _DEFAULT_FUEL = 1 << 62
+
+#: most straight-line instructions one superblock compiles; a longer run
+#: is split into capped blocks that fall through to the next.  Without
+#: the cap a straight-line kernel (sha) compiles one exec'd function per
+#: entry offset into a 1,000+ instruction run, and that codegen sets the
+#: functional pass's memory high-water mark.
+_MAX_BLOCK = 64
 
 #: superblock tuple layout: (block_fn, total_count, has_ecall,
 #: term_is_control, end_pc); ``block_fn(state)`` executes the whole block
@@ -293,9 +302,14 @@ class Executor:
 
         A block extends from the entry to the first control-flow
         instruction or ``ecall`` (the only handler that can set
-        ``exited``), or to the end of the text segment.  Entries at
-        different offsets into the same straight-line run get their own
-        (overlapping) blocks, so any resume pc works.
+        ``exited``), to the end of the text segment, or to ``_MAX_BLOCK``
+        straight-line instructions, whichever comes first.  The cap
+        bounds compile memory; a capped block has no terminator, so like
+        one ended by the text segment it falls through without closing
+        the dynamic block, and retire counts and the ``control_hook``
+        stream are unchanged.  Entries at different offsets into the same
+        straight-line run get their own (overlapping) blocks, so any
+        resume pc works.
         """
         ops = self._ops
         count = len(ops)
@@ -306,6 +320,8 @@ class Executor:
             fn, instr, is_control = ops[i]
             if is_control or instr.mnemonic == "ecall":
                 term = (fn, instr, is_control)
+                break
+            if len(body) == _MAX_BLOCK:
                 break
             body.append((fn, instr))
             i += 1

@@ -14,9 +14,13 @@ Each config's :class:`~repro.uarch.frontend.TraceFetchUnit` then replays
 the shared stream through its own private timing (I-cache, predictor,
 fetch buffer), producing bit-identical stats to oracle-driven fetch.
 
-The trace extends lazily in chunks: configs consume it at different rates
-(different fetch widths and stall patterns), and the builder only runs as
-far as the hungriest consumer needs.
+The trace extends lazily: configs consume it at different rates
+(different fetch widths and stall patterns), so each
+:meth:`FetchTrace.ensure` call records only up to the requested count
+plus a small step.  The trace therefore ends at most one step past the
+furthest position any consumer asked for: every recorded entry costs a
+functional step and a live tuple, and a trace held by a batch sets much
+of the cold flow's memory peak.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from repro.uarch.decode import DecodedOp, decode_program
 #: taken flag, next pc).
 Entry = tuple[DecodedOp, int, int, bool, int]
 
-_CHUNK = 16384
+#: entries recorded past the requested count per extension, so a
+#: consumer advancing a fetch group at a time does not call back every
+#: cycle
+_STEP = 256
 
 
 class FetchTrace:
@@ -50,10 +57,10 @@ class FetchTrace:
         return len(self.entries)
 
     def ensure(self, count: int) -> None:
-        """Extend the trace to at least ``count`` entries (or exhaustion).
+        """Extend the trace to ``count + _STEP`` entries (or exhaustion).
 
-        Extends by at least a chunk per call so replay-side checks stay
-        out of the hot loop.
+        The step keeps replay-side extension checks off most cycles
+        without recording far beyond what any consumer reads.
         """
         entries = self.entries
         if self.exited or len(entries) >= count:
@@ -62,7 +69,7 @@ class FetchTrace:
         ops = self._ops
         append = entries.append
         x = state.x
-        budget = max(count, len(entries) + _CHUNK) - len(entries)
+        budget = count + _STEP - len(entries)
         while budget > 0 and not state.exited:
             pc = state.pc
             dec = ops[(pc - TEXT_BASE) >> 2]

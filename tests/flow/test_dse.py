@@ -78,6 +78,26 @@ def test_rerun_from_cache_is_identical(outcome, tmp_path):
         [p.name for p in outcome.frontier]
 
 
+def _timeless(document: dict) -> str:
+    for field in ("points_per_s", "wall_seconds"):
+        document["settings"].pop(field)
+    return json.dumps(document, sort_keys=True, allow_nan=False)
+
+
+def test_warm_rerun_document_is_bit_identical(tmp_path):
+    """Results decoded from the cache sum their power components in the
+    model's order, so a warm run's frontier document matches the cold
+    one to the last bit."""
+    spec = SpaceSpec(base="MediumBOOM", mode="random", count=4, seed=17,
+                     include_presets=False)
+    cold, warm = [run_dse(spec, settings=SETTINGS, cache_dir=tmp_path,
+                          workloads=["sha", "qsort"]) for _ in range(2)]
+    assert warm.manifest.stages["experiment_result"].executions == 0
+    assert [result.tile_mw for result in warm.results.values()] == \
+        [result.tile_mw for result in cold.results.values()]
+    assert _timeless(warm.document()) == _timeless(cold.document())
+
+
 def test_explicit_configs_bypass_generation(tmp_path):
     configs = generate_points(SpaceSpec(base="MediumBOOM", count=2,
                                         include_presets=False))
