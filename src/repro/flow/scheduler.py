@@ -29,7 +29,8 @@ with:
 
 The executor factory, clock and sleep function are injectable so tests
 can drive every recovery path deterministically and without real
-delays.
+delays.  The default factory imports the process pool only when it
+builds one, so serial (``jobs=1``) runs never load ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Future,
-    ProcessPoolExecutor,
     wait as wait_futures,
 )
 from dataclasses import dataclass, field
@@ -172,6 +172,14 @@ class ScheduleOutcome:
         self.aborted = self.aborted or other.aborted
 
 
+def _process_pool(workers: int) -> Any:
+    """The default executor: a fresh process pool of ``workers``."""
+    # multiprocessing loads only when a run actually fans out (jobs > 1)
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _render(exc: BaseException) -> str:
     text = str(exc)
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
@@ -195,7 +203,7 @@ class SupervisedScheduler:
         self.guard = guard if (guard is not None and guard.active) else None
         self._executor_factory = (
             executor_factory if executor_factory is not None
-            else lambda workers: ProcessPoolExecutor(max_workers=workers))
+            else _process_pool)
         self._sleep = sleep
         self._clock = clock
 

@@ -26,7 +26,8 @@ timeout, and deterministic model failures are recorded in the manifest
 while the rest of the sweep completes.  Results persist incrementally,
 so a killed sweep resumes from its last completed experiment
 (``repro-cli sweep --resume``); sweep progress is tracked in
-``<cache>/sweep_state.json``.
+``<cache>/sweep_state.json``, written when the sweep starts, after each
+computed experiment and when it ends (cache hits join the next write).
 
 Each ``run_all`` produces a :class:`~repro.pipeline.manifest.RunManifest`
 (``SweepRunner.last_manifest``) with per-stage execution counts, cache
@@ -458,9 +459,11 @@ class SweepRunner:
         # before its first uncached pair, so progress, the job server's
         # status and the deadline guard advance workload by workload
         unprimed: dict[str, list[BoomConfig]] = {}
+        computed: set[str] = set()
         for workload, config in pairs:
             if not self._result_cached(workload, config):
                 unprimed.setdefault(workload, []).append(config)
+                computed.add(_pair_key(workload, config))
         for index, (workload, config) in enumerate(pairs):
             key = _pair_key(workload, config)
             if guard is not None and guard.expired():
@@ -517,7 +520,7 @@ class SweepRunner:
                     break
                 else:
                     results[(workload, config.name)] = result
-                    self._record_completion(key)
+                    self._record_completion(key, persist=key in computed)
                     break
 
     # ------------------------------------------------------------------
@@ -535,7 +538,8 @@ class SweepRunner:
             cached = pipeline.peek_result(workload, config)
             if cached is not None:
                 results[(workload, config.name)] = cached
-                self._record_completion(_pair_key(workload, config))
+                self._record_completion(_pair_key(workload, config),
+                                        persist=False)
             else:
                 pending.append((workload, config))
         if not pending:
@@ -732,13 +736,22 @@ class SweepRunner:
                     attempts=record.get("attempts", 1)))
         return remaining
 
-    def _record_completion(self, key: str) -> None:
+    def _record_completion(self, key: str, persist: bool = True) -> None:
+        """Mark ``key`` completed in the sweep state.
+
+        A computed pair is persisted at once.  A cache hit
+        (``persist=False``) rides along with the next write, a computed
+        pair's or the final one in :meth:`run_all`: ``--resume`` serves
+        hits from the store anyway, and a warm run would otherwise take
+        the state lock once per pair.
+        """
         state = getattr(self, "_state", None)
         if state is None:
             return
         if key not in state["completed"]:
             state["completed"].append(key)
-        self._write_state()
+        if persist:
+            self._write_state()
 
     def _write_state(self) -> None:
         """Persist sweep progress with a locked read-modify-write merge.

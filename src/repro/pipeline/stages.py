@@ -23,15 +23,15 @@ materializes any stage on demand through an
 fingerprint chains the fingerprints of its inputs, so changing any
 upstream parameter (scale, seed, interval, BIC threshold, max_k,
 coverage, warm-up, config, predictor, or the model version) changes
-every downstream address and can never serve a stale artifact.
+every downstream address and can never serve a stale artifact.  The
+pipeline memoizes each fingerprint, and decoding a stored artifact needs
+no numpy: only computing a selection clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from typing import Any
-
-import numpy as np
 
 from repro.check.validators import require_valid_result
 from repro.checkpoint.checkpoint import Checkpoint
@@ -162,7 +162,7 @@ def selection_from_dict(data: dict) -> SimPointSelection:
         total_instructions=data["total_instructions"],
         bic_scores={int(k): score
                     for k, score in data["bic_scores"].items()},
-        labels=None if labels is None else np.asarray(labels),
+        labels=None if labels is None else tuple(labels),
         coverage_target=data["coverage_target"])
 
 
@@ -278,6 +278,8 @@ class ExperimentPipeline:
         #: program identity.  Fingerprints never include the program, so
         #: cached artifacts are unaffected.
         self._programs: dict[str, Any] = {}
+        #: (stage, workload[, config]) -> fingerprint (see _memo)
+        self._fingerprints: dict[tuple, str] = {}
 
     def program(self, workload: str):
         """The assembled :class:`Program` for ``workload`` (memoized)."""
@@ -290,21 +292,32 @@ class ExperimentPipeline:
         return program
 
     # -------------------------- fingerprints --------------------------
+    #
+    # Each digest is memoized per (stage, workload, config): the settings
+    # are fixed for the pipeline's lifetime and BoomConfig is frozen, so
+    # a warm run hashes each chain link once instead of on every lookup.
+
+    def _memo(self, key: tuple, params) -> str:
+        digest = self._fingerprints.get(key)
+        if digest is None:
+            digest = self.store.fingerprint(key[0], params())
+            self._fingerprints[key] = digest
+        return digest
 
     def profile_fingerprint(self, workload: str) -> str:
         settings = self.settings
-        interval = get_workload(workload).interval_for_scale(settings.scale)
-        return self.store.fingerprint(PROFILE_STAGE, {
+        return self._memo((PROFILE_STAGE, workload), lambda: {
             "workload": workload,
             "scale": settings.scale,
             "seed": settings.seed,
-            "interval": interval,
+            "interval": get_workload(workload).interval_for_scale(
+                settings.scale),
             "model": MODEL_VERSION,
         })
 
     def selection_fingerprint(self, workload: str) -> str:
         settings = self.settings
-        return self.store.fingerprint(SELECTION_STAGE, {
+        return self._memo((SELECTION_STAGE, workload), lambda: {
             "profile": self.profile_fingerprint(workload),
             "max_k": settings.max_k,
             "bic_threshold": settings.bic_threshold,
@@ -314,7 +327,7 @@ class ExperimentPipeline:
         })
 
     def checkpoint_fingerprint(self, workload: str) -> str:
-        return self.store.fingerprint(CHECKPOINT_STAGE, {
+        return self._memo((CHECKPOINT_STAGE, workload), lambda: {
             "selection": self.selection_fingerprint(workload),
             "warmup": self.settings.scaled_warmup(),
             "model": MODEL_VERSION,
@@ -322,20 +335,20 @@ class ExperimentPipeline:
 
     def detailed_fingerprint(self, workload: str,
                              config: BoomConfig) -> str:
-        return self.store.fingerprint(DETAILED_STAGE, {
+        return self._memo((DETAILED_STAGE, workload, config), lambda: {
             "checkpoints": self.checkpoint_fingerprint(workload),
             "config": asdict(config),
             "model": MODEL_VERSION,
         })
 
     def power_fingerprint(self, workload: str, config: BoomConfig) -> str:
-        return self.store.fingerprint(POWER_STAGE, {
+        return self._memo((POWER_STAGE, workload, config), lambda: {
             "detailed": self.detailed_fingerprint(workload, config),
             "model": MODEL_VERSION,
         })
 
     def result_fingerprint(self, workload: str, config: BoomConfig) -> str:
-        return self.store.fingerprint(RESULT_STAGE, {
+        return self._memo((RESULT_STAGE, workload, config), lambda: {
             "power": self.power_fingerprint(workload, config),
             "model": MODEL_VERSION,
         })

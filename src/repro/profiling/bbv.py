@@ -16,19 +16,25 @@ Example::
     profiler = BBVProfiler(interval_size=10_000)
     profile = profiler.profile(program)
     matrix = profile.matrix()          # intervals x blocks, row-normalized
+
+Profiling itself is pure Python: numpy loads only when
+:meth:`BBVProfile.matrix` or :meth:`BBVProfile.weights` builds an array
+for clustering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import SimPointError
 from repro.isa.program import Program
 from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
 from repro.obs.tracer import get_tracer
 from repro.sim.executor import Executor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -76,6 +82,9 @@ class BBVProfile:
         clustering operates on (intervals of slightly different lengths
         become comparable).
         """
+        # numpy loads only for runs that cluster, never for stored profiles
+        import numpy as np
+
         if not self.vectors:
             raise SimPointError("profile has no intervals")
         dense = np.zeros((self.num_intervals, self.num_blocks))
@@ -90,6 +99,9 @@ class BBVProfile:
 
     def weights(self) -> np.ndarray:
         """Fraction of total instructions in each interval."""
+        # numpy loads only for runs that cluster, never for stored profiles
+        import numpy as np
+
         lengths = np.asarray(self.interval_lengths, dtype=float)
         return lengths / lengths.sum()
 

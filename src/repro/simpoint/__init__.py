@@ -1,32 +1,6 @@
-"""SimPoint 3.0: random projection, k-means, BIC, point selection."""
+"""SimPoint 3.0: random projection, k-means, BIC, point selection.
 
-from repro.simpoint.bic import bic_score, choose_k, DEFAULT_BIC_THRESHOLD
-from repro.simpoint.kmeans import kmeans, KMeansResult
-from repro.simpoint.projection import (
-    DEFAULT_DIMENSIONS,
-    project,
-    projection_matrix,
-)
-from repro.simpoint.simpoints import (
-    DEFAULT_COVERAGE,
-    DEFAULT_MAX_K,
-    select_simpoints,
-    SimPoint,
-    SimPointSelection,
-)
-
-__all__ = [
-    "bic_score",
-    "choose_k",
-    "DEFAULT_BIC_THRESHOLD",
-    "kmeans",
-    "KMeansResult",
-    "DEFAULT_DIMENSIONS",
-    "project",
-    "projection_matrix",
-    "DEFAULT_COVERAGE",
-    "DEFAULT_MAX_K",
-    "select_simpoints",
-    "SimPoint",
-    "SimPointSelection",
-]
+Import from the submodules (``repro.simpoint.simpoints`` and friends):
+the package root re-exports nothing, so loading the selection types
+does not load numpy and the clustering stack with them.
+"""

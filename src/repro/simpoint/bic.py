@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.errors import SimPointError
 from repro.simpoint.kmeans import KMeansResult
-
-DEFAULT_BIC_THRESHOLD = 0.9
+from repro.simpoint.simpoints import DEFAULT_BIC_THRESHOLD
 
 
 def bic_score(data: np.ndarray, result: KMeansResult) -> float:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimPointError
-
-DEFAULT_DIMENSIONS = 15
+from repro.simpoint.simpoints import DEFAULT_DIMENSIONS
 
 
 def projection_matrix(num_blocks: int, dimensions: int = DEFAULT_DIMENSIONS,

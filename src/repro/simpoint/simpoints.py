@@ -17,22 +17,25 @@ Example::
     selection = select_simpoints(profile, seed=42)
     for point in selection.top_points():
         print(point.interval_index, point.weight)
+
+Only :func:`select_simpoints` needs numpy and the clustering modules; the
+selection types and defaults import without them, so a run that reads
+stored selections never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import SimPointError
 from repro.profiling.bbv import BBVProfile
-from repro.simpoint.bic import bic_score, choose_k, DEFAULT_BIC_THRESHOLD
-from repro.simpoint.kmeans import kmeans, KMeansResult
-from repro.simpoint.projection import DEFAULT_DIMENSIONS, project
 
 DEFAULT_MAX_K = 10
 DEFAULT_COVERAGE = 0.9
+#: fraction of the best BIC the chosen k must reach (:mod:`.bic`)
+DEFAULT_BIC_THRESHOLD = 0.9
+#: random-projection width (:mod:`.projection`)
+DEFAULT_DIMENSIONS = 15
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ class SimPointSelection:
     num_intervals: int
     total_instructions: int
     bic_scores: dict[int, float] = field(default_factory=dict)
-    labels: np.ndarray | None = None
+    #: k-means cluster of each interval (None for non-clustered baselines)
+    labels: tuple[int, ...] | None = None
     coverage_target: float = DEFAULT_COVERAGE
 
     def top_points(self, coverage: float | None = None) -> list[SimPoint]:
@@ -92,6 +96,13 @@ def select_simpoints(profile: BBVProfile,
                      bic_threshold: float = DEFAULT_BIC_THRESHOLD,
                      coverage: float = DEFAULT_COVERAGE) -> SimPointSelection:
     """Run the full SimPoint analysis over a BBV profile."""
+    # numpy and the clustering stack load only for runs that cluster
+    import numpy as np
+
+    from repro.simpoint.bic import bic_score, choose_k
+    from repro.simpoint.kmeans import kmeans, KMeansResult
+    from repro.simpoint.projection import project
+
     if profile.num_intervals == 0:
         raise SimPointError("profile has no intervals")
     matrix = profile.matrix(normalize=True)
@@ -130,5 +141,6 @@ def select_simpoints(profile: BBVProfile,
                              interval_size=profile.interval_size,
                              num_intervals=profile.num_intervals,
                              total_instructions=profile.total_instructions,
-                             bic_scores=scores, labels=best.labels,
+                             bic_scores=scores,
+                             labels=tuple(best.labels.tolist()),
                              coverage_target=coverage)

@@ -10,6 +10,7 @@ from repro.analysis.efficiency import (
 from repro.flow.experiment import FlowSettings
 from repro.flow.report import generate_report
 from repro.flow.sweep import SweepRunner
+from tests.test_imports import heavy_modules_after
 
 
 SETTINGS = FlowSettings(scale=0.06)
@@ -46,6 +47,23 @@ def test_warm_report_never_reprofiles(report_cache, monkeypatch):
     assert sum(stage.executions for stage in stats.values()) == 0
     assert warm.split("## Pipeline cache")[0] == \
         cold.split("## Pipeline cache")[0]
+
+
+def test_warm_report_loads_neither_numpy_nor_the_pool(report_cache):
+    """Regenerating the report from stored artifacts never clusters and
+    never fans out, so it must not pay for numpy or multiprocessing."""
+    cache, _ = report_cache
+    loaded = heavy_modules_after(
+        "import sys\n"
+        "from repro.flow.experiment import FlowSettings\n"
+        "from repro.flow.report import generate_report\n"
+        "from repro.flow.sweep import SweepRunner\n"
+        f"runner = SweepRunner(FlowSettings(scale={SETTINGS.scale!r}),"
+        " cache_dir=sys.argv[1])\n"
+        "generate_report(runner)\n"
+        "assert runner.last_manifest.hit_rate == 1.0",
+        str(cache))
+    assert loaded == set()
 
 
 def test_report_contains_every_section(report_text):

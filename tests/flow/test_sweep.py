@@ -188,3 +188,31 @@ def test_cached_json_is_valid(tmp_path):
 
 def test_model_version_still_exported():
     assert isinstance(MODEL_VERSION, int)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_rerun_writes_state_once_per_end(tmp_path, monkeypatch, jobs):
+    """Cache hits ride along with the final state write instead of each
+    taking the state lock; a computed pair is still persisted at once."""
+    configs, workloads = (MEDIUM_BOOM, MEGA_BOOM), ["qsort", "sha"]
+    writes = []
+    original = SweepRunner._write_state
+
+    def counting(self):
+        writes.append(list(self._state["completed"]))
+        original(self)
+
+    monkeypatch.setattr(SweepRunner, "_write_state", counting)
+    SweepRunner(SETTINGS, cache_dir=tmp_path).run(workloads[0], configs[0])
+    writes.clear()
+    # three computed pairs and one hit: start, three computes, final
+    SweepRunner(SETTINGS, cache_dir=tmp_path).run_all(
+        configs=configs, workloads=workloads, jobs=jobs)
+    assert len(writes) == 5
+    writes.clear()
+    SweepRunner(SETTINGS, cache_dir=tmp_path).run_all(
+        configs=configs, workloads=workloads, jobs=jobs)
+    assert [len(completed) for completed in writes] == [0, 4]
+    state = json.loads((tmp_path / "sweep_state.json").read_text())
+    assert state["status"] == "complete"
+    assert len(state["completed"]) == 4

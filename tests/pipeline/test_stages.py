@@ -1,6 +1,8 @@
 """Tests for the staged experiment pipeline: sharing, fingerprint
 chaining, serializer round-trips and warm-run behavior."""
 
+from dataclasses import asdict
+
 import numpy as np
 
 from repro.flow.experiment import FlowSettings
@@ -11,13 +13,16 @@ from repro.pipeline import (
     STAGE_ORDER,
     WORKLOAD_STAGES,
 )
+from repro.pipeline.artifacts import MODEL_VERSION, canonical_fingerprint
 from repro.pipeline.stages import (
     profile_from_dict,
     profile_to_dict,
     selection_from_dict,
     selection_to_dict,
 )
-from repro.uarch.config import MEDIUM_BOOM, MEGA_BOOM
+from repro.uarch.config import ALL_CONFIGS, MEDIUM_BOOM, MEGA_BOOM
+from repro.uarch.space import DesignSpace
+from repro.workloads.suite import get_workload
 
 SETTINGS = FlowSettings(scale=0.1)
 
@@ -64,6 +69,57 @@ def test_fingerprints_computed_without_running_stages():
     pipeline.result_fingerprint("sha", MEDIUM_BOOM)
     assert all(stats.executions == 0
                for stats in pipeline.store.stats().values())
+
+
+def _direct_chain(workload, config):
+    """Every stage digest of one pair, hashed from scratch."""
+    interval = get_workload(workload).interval_for_scale(SETTINGS.scale)
+    profile = canonical_fingerprint("bbv_profile", {
+        "workload": workload, "scale": SETTINGS.scale,
+        "seed": SETTINGS.seed, "interval": interval,
+        "model": MODEL_VERSION})
+    selection = canonical_fingerprint("simpoint_selection", {
+        "profile": profile, "max_k": SETTINGS.max_k,
+        "bic_threshold": SETTINGS.bic_threshold,
+        "coverage": SETTINGS.coverage, "seed": SETTINGS.seed,
+        "model": MODEL_VERSION})
+    checkpoints = canonical_fingerprint("checkpoints", {
+        "selection": selection, "warmup": SETTINGS.scaled_warmup(),
+        "model": MODEL_VERSION})
+    detailed = canonical_fingerprint("detailed_sim", {
+        "checkpoints": checkpoints, "config": asdict(config),
+        "model": MODEL_VERSION})
+    power = canonical_fingerprint("power_report", {
+        "detailed": detailed, "model": MODEL_VERSION})
+    result = canonical_fingerprint("experiment_result", {
+        "power": power, "model": MODEL_VERSION})
+    return [profile, selection, checkpoints, detailed, power, result]
+
+
+def _chain(pipeline, workload, config):
+    return [pipeline.profile_fingerprint(workload),
+            pipeline.selection_fingerprint(workload),
+            pipeline.checkpoint_fingerprint(workload),
+            pipeline.detailed_fingerprint(workload, config),
+            pipeline.power_fingerprint(workload, config),
+            pipeline.result_fingerprint(workload, config)]
+
+
+def test_memoized_fingerprints_equal_direct_digests(monkeypatch):
+    """Presets and a DSE point: the memoized chain is the hashed one, and
+    a repeat lookup hashes nothing."""
+    dse_point = DesignSpace.around("MediumBOOM").random(1, seed=5)[0]
+    configs = (*ALL_CONFIGS, dse_point)
+    pipeline = _pipeline()
+    first = {config: _chain(pipeline, "sha", config) for config in configs}
+
+    def no_hashing(stage, params):
+        raise AssertionError(f"{stage} fingerprint recomputed")
+
+    monkeypatch.setattr(pipeline.store, "fingerprint", no_hashing)
+    for config in configs:
+        assert _chain(pipeline, "sha", config) == first[config] == \
+            _direct_chain("sha", config)
 
 
 # ----------------------------------------------------------------------
