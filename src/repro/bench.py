@@ -46,8 +46,7 @@ from time import perf_counter
 SCHEMA_VERSION = 1
 
 #: metrics where larger is better; only these are regression-gated
-THROUGHPUT_PREFIXES = ("functional.", "profiled.", "core.", "dse.",
-                       "serve.")
+THROUGHPUT_PREFIXES = ("functional.", "profiled.", "core.", "dse.")
 
 #: throughput metrics excluded from the regression gate: the reference
 #: dispatch loop is kept for equivalence testing, not performance, and
@@ -69,11 +68,6 @@ CORE_CONFIGS = ("MediumBOOM", "MegaBOOM")
 STAGE_WORKLOAD = "qsort"
 DSE_WORKLOAD = "sha"
 DSE_POINTS = 8
-#: job-server benchmark: N concurrent clients submitting the identical
-#: tiny sweep; throughput measures request-hash dedup + one compute
-SERVE_CLIENTS = 8
-SERVE_WORKLOAD = "sha"
-SERVE_CONFIG = "SmallBOOM"
 #: batched-replay benchmark: one checkpoint, replayed across the three
 #: paper presets.  Captured 20k instructions in (steady-state compression
 #: loop, past workload init) so the window measures representative work.
@@ -322,29 +316,6 @@ def measure_dse(limits: BenchLimits, metrics: dict[str, float]) -> None:
     metrics["dse.points_per_s"] = outcome.points_per_s
 
 
-def measure_serve(limits: BenchLimits, metrics: dict[str, float]) -> None:
-    """Concurrent duplicate submissions through a live job server.
-
-    Cold cache, ``SERVE_CLIENTS`` clients, one identical request each:
-    the wall clock covers HTTP round-trips, request-hash arbitration,
-    one underlying compute, and result fan-out — the whole
-    sweep-as-a-service overhead on top of the pipeline itself.
-    """
-    import tempfile
-
-    from repro.serve import ServerThread, run_load
-
-    request = {"kind": "sweep", "scale": limits.stage_scale,
-               "workloads": [SERVE_WORKLOAD], "configs": [SERVE_CONFIG]}
-    with tempfile.TemporaryDirectory(prefix="bench-serve-") as cache:
-        with ServerThread(cache, workers=2, max_queue=32) as host:
-            report = run_load(host.port, request, clients=SERVE_CLIENTS,
-                              mode="duplicate", timeout=300.0)
-    if report.failed or not report.byte_identical:
-        raise RuntimeError(f"serve bench failed: {report.to_dict()}")
-    metrics["serve.sweeps_per_s"] = report.sweeps_per_s
-
-
 def measure_calibration(metrics: dict[str, float]) -> None:
     """A fixed pure-Python loop: the machine-speed yardstick.
 
@@ -394,7 +365,6 @@ def run_bench(limits: BenchLimits | None = None, *,
     measure_batched(limits, metrics)
     measure_stages(limits, metrics)
     measure_dse(limits, metrics)
-    measure_serve(limits, metrics)
     metrics["peak_rss_kb"] = peak_rss_kb()
     return {
         "schema": SCHEMA_VERSION,
@@ -451,14 +421,27 @@ def compare(current: dict, baseline: dict) -> dict[str, dict]:
     return out
 
 
+def _gated(metric: str) -> bool:
+    return (metric.startswith(THROUGHPUT_PREFIXES)
+            and not metric.startswith(UNGATED_PREFIXES))
+
+
 def regression_failures(current: dict, baseline: dict,
                         threshold: float = DEFAULT_THRESHOLD) -> list[str]:
-    """Throughput metrics that regressed past ``threshold`` (normalized)."""
-    failures = []
+    """Gated metrics that regressed past ``threshold`` (normalized).
+
+    A gated metric present in only one of the two snapshots fails too:
+    a metric the baseline lacks is never compared, so it must not pass
+    the gate silently.
+    """
+    now = {m for m in current.get("metrics", {}) if _gated(m)}
+    base = {m for m in baseline.get("metrics", {}) if _gated(m)}
+    failures = [f"{metric}: missing from the baseline"
+                for metric in sorted(now - base)]
+    failures += [f"{metric}: missing from the current snapshot"
+                 for metric in sorted(base - now)]
     for metric, entry in compare(current, baseline).items():
-        if not metric.startswith(THROUGHPUT_PREFIXES):
-            continue
-        if metric.startswith(UNGATED_PREFIXES):
+        if not _gated(metric):
             continue
         ratio = entry.get("normalized_ratio", entry.get("ratio"))
         if ratio is not None and ratio < 1.0 - threshold:
@@ -504,8 +487,7 @@ def format_trend(snapshots: list[tuple[str, dict]], *,
             metric
             for _, snapshot in snapshots
             for metric in snapshot.get("metrics", {})
-            if metric.startswith(THROUGHPUT_PREFIXES)
-            and not metric.startswith(UNGATED_PREFIXES)})
+            if _gated(metric)})
     else:
         names = list(metrics)
     dates = [name.removeprefix("BENCH_").removesuffix(".json")

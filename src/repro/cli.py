@@ -219,22 +219,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.flow.jobs import JobLimits
-    from repro.serve import serve_forever
-
-    limits = JobLimits(
-        jobs_cap=args.jobs_cap, timeout=args.timeout,
-        retries=args.retries, deadline=args.deadline,
-        max_rss_mb=args.max_rss, min_free_mb=args.min_free_mb)
-    return serve_forever(
-        args.cache_dir, host=args.host, port=args.port,
-        workers=args.workers, limits=limits,
-        max_queue=args.max_queue, trace_jobs=args.trace_jobs,
-        drain_timeout=args.drain_timeout, port_file=args.port_file,
-        announce=lambda line: print(line, flush=True))
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -994,50 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="restrict --trend to this metric "
                                    "(repeatable)")
     bench_parser.set_defaults(handler=_cmd_bench)
-
-    serve_parser = commands.add_parser(
-        "serve", help="run the sweep-as-a-service job server "
-                      "(see docs/serve.md)")
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0 = pick a free one; see --port-file)")
-    serve_parser.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound port here once listening")
-    serve_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="concurrent jobs executed at once (default 2)")
-    serve_parser.add_argument(
-        "--max-queue", type=int, default=16,
-        help="bounded job queue depth; beyond it submissions get 429 "
-             "queue-full (default 16)")
-    serve_parser.add_argument(
-        "--jobs-cap", type=int, default=1, metavar="N",
-        help="clamp on the per-job worker fan-out a request may ask "
-             "for (default 1)")
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment timeout inside each job")
-    serve_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="per-experiment retry budget inside each job")
-    serve_parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock guardrail")
-    serve_parser.add_argument(
-        "--max-rss", type=float, default=None, metavar="MB",
-        help="per-job peak-RSS guardrail")
-    serve_parser.add_argument(
-        "--min-free-mb", type=float, default=None, metavar="MB",
-        help="refuse job work when free memory drops below this")
-    serve_parser.add_argument(
-        "--trace-jobs", action="store_true",
-        help="record an observability trace for every job")
-    serve_parser.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="how long SIGTERM waits for running jobs (default 60)")
-    serve_parser.set_defaults(handler=_cmd_serve)
 
     check_parser = commands.add_parser(
         "check", help="validate the models: invariants, differential "

@@ -231,14 +231,6 @@ class SweepInterrupted(SchedulerError):
         super().__init__(f"interrupted by {signal_name}")
 
 
-class ServeError(ReproError):
-    """Job-server protocol misuse (bad request, unknown job, refusal)."""
-
-    def __init__(self, message: str, status: int = 400) -> None:
-        self.status = status
-        super().__init__(message)
-
-
 #: exception types retried by the supervised scheduler.  ``OSError``
 #: covers the whole I/O family (disk, pipes, timeouts — ``TimeoutError``
 #: is an ``OSError`` subclass); ``BrokenExecutor`` covers crashed /
@@ -262,8 +254,8 @@ def classify_failure(exc: BaseException) -> str:
 # ----------------------------------------------------------------------
 #
 # Every ``repro-cli`` invocation exits through this vocabulary, so
-# wrappers (CI, the job server's load generator, shell scripts) can
-# branch on *why* a command stopped without scraping stderr:
+# wrappers (CI, the smoke scripts, shell pipelines) can branch on *why*
+# a command stopped without scraping stderr:
 #
 # 0/1/2/3 predate the taxonomy handler and keep their meanings; the
 # rest are reserved here so subcommands cannot drift apart.

@@ -15,7 +15,6 @@ from repro.flow.experiment import (
     run_selection,
 )
 from repro.flow.interrupt import InterruptGuard
-from repro.flow.jobs import JobLimits, run_job
 from repro.flow.results import ExperimentResult, SimPointRun
 from repro.flow.scheduler import (
     RetryPolicy,
@@ -38,8 +37,6 @@ __all__ = [
     "run_selection",
     "ExperimentResult",
     "InterruptGuard",
-    "JobLimits",
-    "run_job",
     "SimPointRun",
     "RetryPolicy",
     "ScheduleOutcome",

@@ -107,7 +107,8 @@ def run_dse(spec: SpaceSpec,
     manifest carry the evidence.
 
     ``runner_hook`` receives the internal :class:`SweepRunner` before
-    the sweep starts — the job server uses it to poll live progress.
+    the sweep starts — the end-to-end benchmark (``perf/repeat.py``)
+    uses it to read the run's manifest.
     """
     from repro.analysis.dse import (
         pareto_frontier,

@@ -11,9 +11,9 @@ re-raising — the CLI then exits with the reserved
 :data:`~repro.errors.EXIT_INTERRUPTED` code.
 
 Signal handlers can only be installed from the main thread of the main
-interpreter; anywhere else (the job server runs sweeps on worker
-threads, pool workers run under their own lifecycle) the guard is a
-deliberate no-op and the process's existing disposition stands.
+interpreter; anywhere else (a sweep started on a helper thread, pool
+workers running under their own lifecycle) the guard is a deliberate
+no-op and the process's existing disposition stands.
 """
 
 from __future__ import annotations

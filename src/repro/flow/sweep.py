@@ -187,9 +187,6 @@ class SweepRunner:
                                                self.cache_dir))
         self.pipeline = ExperimentPipeline(self.store, self.settings)
         self.last_manifest: RunManifest | None = None
-        #: obs run directory of the current/last traced run (the job
-        #: server attaches its heartbeat taps here)
-        self.obs_run_dir: Path | None = None
         self.resumed_completed = 0
         #: workload -> error, for batches that degraded to per-config
         #: simulation during the last run_all
@@ -356,18 +353,6 @@ class SweepRunner:
             "%d journal intent(s) aborted, %d lease(s) released",
             exc.signal_name, aborted, released)
 
-    def progress(self) -> dict:
-        """Snapshot of the running (or last) sweep, safe to read from
-        another thread — the job server's status endpoint polls this."""
-        state = getattr(self, "_state", None)
-        if state is None:
-            return {"status": "idle", "total": 0, "completed": 0,
-                    "failures": 0}
-        return {"status": state.get("status", "unknown"),
-                "total": state.get("total", 0),
-                "completed": len(state.get("completed", ())),
-                "failures": len(state.get("failures", ()))}
-
     # ------------------------------------------------------------------
     # observability session plumbing
     # ------------------------------------------------------------------
@@ -382,7 +367,6 @@ class SweepRunner:
                            "directory; trace disabled")
             return None, None
         session = TraceSession(self.cache_dir, label="sweep").start()
-        self.obs_run_dir = session.run_dir
         monitor = None
         if progress:
             monitor = ProgressMonitor(session.run_dir).start()
@@ -456,8 +440,8 @@ class SweepRunner:
                     fail_fast: bool,
                     guard: ResourceGuard | None = None) -> None:
         # each workload's uncached configs are primed as one batch just
-        # before its first uncached pair, so progress, the job server's
-        # status and the deadline guard advance workload by workload
+        # before its first uncached pair, so progress and the deadline
+        # guard advance workload by workload
         unprimed: dict[str, list[BoomConfig]] = {}
         computed: set[str] = set()
         for workload, config in pairs:

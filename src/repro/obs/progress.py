@@ -10,10 +10,8 @@ instantaneous rate and an ETA when the stream advertises its total.
 Worker diagnostic logs are drained through the same thread, so the
 terminal has exactly one writer.
 
-The ingestion itself lives in :class:`HeartbeatTap` so other consumers
-can fold the same heartbeats without the rendering thread: the job
-server attaches one tap per traced job and serves
-:meth:`HeartbeatTap.snapshot` from its ``status`` endpoint.
+The ingestion itself lives in :class:`HeartbeatTap`;
+:class:`ProgressMonitor` adds the rendering thread and the log drain.
 """
 
 from __future__ import annotations
@@ -47,8 +45,9 @@ class HeartbeatTap:
     Stateful and cheap to poll: each :meth:`poll` reads only the bytes
     appended since the last one (complete lines only, tolerating a torn
     tail from a crashed writer) and folds heartbeats into
-    per-(workload, stream) state.  Thread-safe — the server's asyncio
-    loop snapshots while a monitor thread ingests.
+    per-(workload, stream) state.  Thread-safe — :meth:`ProgressMonitor.stop`
+    drains once more after a bounded ``join``, which a still-running
+    monitor thread can outlive, so two polls may overlap.
     """
 
     def __init__(self, run_dir: Path | str) -> None:
@@ -104,18 +103,6 @@ class HeartbeatTap:
         with self._lock:
             return sorted(self._streams.items(),
                           key=lambda item: -item[1].updated)
-
-    def snapshot(self) -> dict[str, dict]:
-        """JSON-able view: ``"workload/stream" -> {value, total, ...}``."""
-        out: dict[str, dict] = {}
-        for (workload, name), state in self.streams():
-            out[f"{workload}/{name}"] = {
-                "value": state.value,
-                "total": state.total,
-                "rate": state.rate,
-                "units": state.units,
-            }
-        return out
 
 
 class ProgressMonitor:

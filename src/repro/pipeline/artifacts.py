@@ -198,9 +198,9 @@ def canonical_fingerprint(kind: str, params: Mapping) -> str:
     """Stable sha256[:24] content address of ``(kind, params)``.
 
     The scheme behind every stage fingerprint — exposed at module level
-    so other layers addressing work by content (the job server's
-    request hashes) share one canonicalization instead of inventing a
-    second, subtly different one.
+    so tests (and any layer addressing work by content) share one
+    canonicalization instead of inventing a second, subtly different
+    one.
     """
     canonical = json.dumps(
         {"format": ARTIFACT_FORMAT, "stage": kind,

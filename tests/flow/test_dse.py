@@ -6,6 +6,7 @@ import pytest
 
 from repro.flow.dse import run_dse
 from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.uarch.config import ALL_CONFIGS, config_id
 from repro.uarch.space import generate_points, SpaceSpec
 
@@ -104,6 +105,27 @@ def test_explicit_configs_bypass_generation(tmp_path):
     out = run_dse(SPEC, settings=SETTINGS, cache_dir=tmp_path,
                   configs=configs, workloads=["sha"])
     assert [c.name for c in out.configs] == [c.name for c in configs]
+
+
+def test_runner_hook_sees_the_runner_before_the_sweep(tmp_path):
+    """The end-to-end benchmark reads the sweep's manifest through the
+    hook, so the hook must get the one runner before it starts."""
+    spec = SpaceSpec(base="MediumBOOM", mode="random", count=2, seed=5,
+                     include_presets=False)
+    workloads = ["sha", "qsort"]
+    seen = []
+
+    def hook(runner):
+        seen.append((runner, runner.last_manifest))
+
+    out = run_dse(spec, settings=SETTINGS, cache_dir=tmp_path,
+                  workloads=workloads, runner_hook=hook)
+    assert len(seen) == 1
+    runner, manifest_at_hook = seen[0]
+    assert isinstance(runner, SweepRunner)
+    assert manifest_at_hook is None  # the sweep had not started
+    assert runner.last_manifest is out.manifest
+    assert out.manifest.experiments == len(out.configs) * len(workloads)
 
 
 def test_dse_metrics_gauge_updated(outcome):

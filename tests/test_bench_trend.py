@@ -1,10 +1,16 @@
-"""`repro-bench --trend`: the per-metric trajectory across snapshots."""
+"""`repro-bench`: the per-metric trajectory across snapshots, and the
+regression gate."""
 
 from __future__ import annotations
 
 import json
 
-from repro.bench import format_trend, load_snapshots, main
+from repro.bench import (
+    format_trend,
+    load_snapshots,
+    main,
+    regression_failures,
+)
 
 
 def _snapshot(path, date, *, ops, cycles):
@@ -70,3 +76,50 @@ def test_main_trend_mode_runs_no_benchmarks(tmp_path, capsys):
     assert "core.batched.cycles_per_s" in out
     # trend mode must not write a fresh BENCH snapshot anywhere
     assert len(list(tmp_path.glob("BENCH_*.json"))) == 2
+
+
+def _metrics(metrics: dict, *, ops: float = 1e6) -> dict:
+    return {"metrics": {"calibration.ops_per_s": ops, **metrics}}
+
+
+BASELINE = _metrics({"core.cycles_per_s": 1000.0,
+                     "dse.points_per_s": 10.0})
+
+
+def test_gate_fails_a_drop_past_the_threshold():
+    current = _metrics({"core.cycles_per_s": 600.0,
+                        "dse.points_per_s": 10.0})
+    failures = regression_failures(current, BASELINE, threshold=0.30)
+    assert len(failures) == 1
+    assert failures[0].startswith("core.cycles_per_s:")
+
+
+def test_gate_passes_a_drop_within_the_threshold():
+    current = _metrics({"core.cycles_per_s": 750.0,
+                        "dse.points_per_s": 9.0})
+    assert regression_failures(current, BASELINE, threshold=0.30) == []
+
+
+def test_gate_normalizes_by_calibration():
+    # half the raw rate on a machine half as fast is no regression
+    current = _metrics({"core.cycles_per_s": 500.0,
+                        "dse.points_per_s": 5.0}, ops=5e5)
+    assert regression_failures(current, BASELINE) == []
+
+
+def test_gate_ignores_ungated_prefixes():
+    baseline = _metrics({"functional.reference.instr_per_s": 1000.0,
+                         "functional.speedup_over_reference": 8.0})
+    current = _metrics({"functional.reference.instr_per_s": 10.0,
+                        "functional.speedup_over_reference": 1.0,
+                        "stage.bbv_profile_s": 1.0})
+    assert regression_failures(current, baseline) == []
+
+
+def test_gate_fails_a_metric_on_one_side_only():
+    current = _metrics({"core.cycles_per_s": 1000.0,
+                        "profiled.instr_per_s": 5.0})
+    assert regression_failures(current, BASELINE) == [
+        "profiled.instr_per_s: missing from the baseline",
+        "dse.points_per_s: missing from the current snapshot",
+    ]
