@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
     core.retire_log = []
     core.run(1000)
-    core.frontend.state.x[9] ^= 0xBAD
+    core.frontend.trace.state.x[9] ^= 0xBAD
     diff = diff_core_against_reference(core, program, checkpoint.restore(),
                                        raise_on_mismatch=False)
     assert not diff.ok, "tampered register not caught by differential run"

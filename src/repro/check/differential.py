@@ -1,18 +1,21 @@
 """Differential validation: detailed core vs. functional executor.
 
-The detailed core is oracle-driven — its frontend steps a private
-functional model at fetch — so a second, independent functional run from
-the *same checkpoint* must agree with it exactly: same commit PC stream,
+The detailed core is oracle-driven — its frontend replays a
+:class:`~repro.uarch.ftrace.FetchTrace` recorded from a functional model
+of the checkpoint — so a second, independent functional run from the
+*same checkpoint* must agree with it exactly: same commit PC stream,
 same final registers (FP compared bitwise), same memory pages.  Any
 divergence means one of the two execution paths is wrong, and the report
 pins down the first point where they disagree.
 
-The comparison aligns the two runs on *fetched* instructions: the core
+The comparison aligns the two runs on *recorded* instructions: the core
 stops once its retire target is reached, possibly with uops still in
-flight, but its oracle state has already executed every fetched
-instruction — so the reference executor runs for exactly
-``core.frontend.fetched`` instructions.  The commit PC stream is checked
-as a prefix (only retired uops have committed).
+flight, and its trace runs ahead of fetch.  The trace's model
+(``core.frontend.trace.state``) has executed every fetched instruction
+plus the recorded entries fetch has not reached yet — so the reference
+executor runs for exactly ``frontend.fetched + len(trace.entries) -
+frontend.pos`` instructions.  The commit PC stream is checked as a
+prefix (only retired uops have committed).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ class DifferentialReport:
     """Outcome of one lockstep comparison."""
 
     config_name: str
-    #: instructions both models executed (fetched by the detailed core)
+    #: instructions both models executed (recorded by the detailed core's
+    #: fetch trace: everything fetched plus the trace's lookahead)
     instructions: int
     #: committed uops whose PCs were checked against the reference stream
     commit_pcs_checked: int
@@ -105,8 +109,10 @@ def diff_core_against_reference(core, program, reference_state,
     run to whatever point is being validated; ``reference_state`` must be
     an independent restore of the same starting checkpoint.
     """
-    detailed_state = core.frontend.state
-    fetched = core.frontend.fetched
+    frontend = core.frontend
+    trace = frontend.trace
+    detailed_state = trace.state
+    recorded = frontend.fetched + len(trace.entries) - frontend.pos
 
     reference_pcs: list[int] = []
 
@@ -114,12 +120,12 @@ def diff_core_against_reference(core, program, reference_state,
         reference_pcs.extend(range(block_start, block_end + 4, 4))
 
     executor = Executor(program, state=reference_state)
-    executed = executor.run(max_instructions=fetched, control_hook=hook)
+    executed = executor.run(max_instructions=recorded, control_hook=hook)
 
     divergence = None
     checked = 0
-    if executed != fetched:
-        divergence = (f"instruction count: detailed fetched {fetched}, "
+    if executed != recorded:
+        divergence = (f"instruction count: detailed recorded {recorded}, "
                       f"reference executed {executed}")
     else:
         # Commit order is program order, so the retire log must be a
@@ -139,7 +145,7 @@ def diff_core_against_reference(core, program, reference_state,
         if divergence is None:
             divergence = _first_divergence(detailed_state, reference_state)
     report = DifferentialReport(config_name=core.config.name,
-                                instructions=fetched,
+                                instructions=recorded,
                                 commit_pcs_checked=checked,
                                 divergence=divergence)
     if divergence is not None and raise_on_mismatch:

@@ -1,29 +1,27 @@
 """Stage-4 detailed simulation: batched, with front-end specialization.
 
-Replaying one SimPoint checkpoint across N uarch configurations with a
-state-restored core per config repeats all config-invariant work N
-times: each core's oracle frontend re-executes the functional model
-instruction-by-instruction at fetch.  Those fetch-side semantics —
+Every detailed core fetches by replaying a
+:class:`~repro.uarch.ftrace.FetchTrace`: the oracle instruction stream —
 branch outcomes, effective addresses, the dynamic instruction stream
-itself — are pure functions of the checkpointed state and identical for
-every config.
-
-Every stage-4 run lifts them out of the per-config loop:
+itself — recorded from a functional model of the checkpointed state.
+That stream is a pure function of the checkpoint and identical for
+every config, so replaying one SimPoint checkpoint across N uarch
+configurations records it once:
 
 1. the checkpoint's architectural state is reconstructed **once**, into
-   a shared :class:`~repro.uarch.ftrace.FetchTrace` that lazily records
-   the oracle instruction stream;
+   a shared trace that lazily records the oracle instruction stream;
 2. each configuration's :class:`~repro.uarch.core.BoomCore` replays that
    stream through its own private fetch timing
-   (:class:`~repro.uarch.frontend.TraceFetchUnit`) and steps its own
-   back-end independently — through the fused cycle loop for
-   collapsing-queue configs.
+   (:class:`~repro.uarch.frontend.FetchUnit`) and steps its own back-end
+   independently — through the fused cycle loop for collapsing-queue
+   configs.
 
-A single config is simply a batch of one.  Per-config stats are
-**bit-identical** to a state-restored core running the generic loop
-(gated by ``tests/sim/test_equivalence.py``), so a batch of any size
-writes byte-identical artifacts: the sweep primes whole-workload
-batches and falls back to per-config batches on any batch fault (see
+A single config is simply a batch of one, whose core records (and
+trims) a private trace.  Per-config stats are **bit-identical** to a
+core running the generic loop (gated by
+``tests/sim/test_equivalence.py``), so a batch of any size writes
+byte-identical artifacts: the sweep primes whole-workload batches and
+falls back to per-config batches on any batch fault (see
 :mod:`repro.flow.sweep`).
 """
 
@@ -68,9 +66,8 @@ def simulate_checkpoint(config: BoomConfig, program,
     with tracer.span("detailed_sim.checkpoint",
                      workload=program.name, config=config.name,
                      checkpoint=checkpoint.interval_index):
-        if trace is None:
-            trace = FetchTrace(program, checkpoint.restore())
-        core = BoomCore(config, program, trace=trace)
+        state = checkpoint.restore() if trace is None else None
+        core = BoomCore(config, program, state=state, trace=trace)
         # The flight recorder and invariant checker both ride the
         # heartbeat observer slot (each chaining whatever was there
         # before), so a recorded/checked run takes the same loop as a

@@ -32,8 +32,7 @@ from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.cache import L1Cache
 from repro.uarch.config import BoomConfig
 from repro.uarch.execute import ExecutionUnits
-from repro.uarch.frontend import (REDIRECT_PENALTY, _LINE_SHIFT, FetchUnit,
-                                  TraceFetchUnit)
+from repro.uarch.frontend import REDIRECT_PENALTY, _LINE_SHIFT, FetchUnit
 from repro.uarch.ftrace import FetchTrace
 from repro.uarch.issue import make_issue_queue
 from repro.uarch.lsu import LoadStoreUnit
@@ -60,21 +59,18 @@ class BoomCore:
         self.bpu = BranchPredictionUnit(config.predictor, stats.predictor)
         self.icache = L1Cache(config.icache, stats.icache, hit_latency=1)
         self.dcache = L1Cache(config.dcache, stats.dcache, hit_latency=3)
-        if trace is not None:
-            # Batched replay: the shared oracle trace stands in for the
-            # per-core functional model (no ArchState needed).
-            self.frontend: FetchUnit = TraceFetchUnit(
-                config, program, trace, self.bpu, self.icache,
-                stats.frontend)
-        else:
+        # A core given no trace records a private one of ``state`` (or of
+        # the program's initial state) and, as its only reader, trims it.
+        owns_trace = trace is None
+        if owns_trace:
             if state is None:
                 state = ArchState.for_program(program)
-            self.frontend = FetchUnit(config, program, state, self.bpu,
-                                      self.icache, stats.frontend)
-        # The specialized fused loop replicates the collapsing-queue select
-        # inline; ring-queue configs replay the trace via the generic loop.
-        self._fused = (trace is not None
-                       and config.issue_queue_kind == "collapsing")
+            trace = FetchTrace(program, state)
+        self.frontend = FetchUnit(config, trace, self.bpu, self.icache,
+                                  stats.frontend, owns_trace=owns_trace)
+        # The fused loop replicates the collapsing-queue select inline;
+        # ring-queue configs run the generic loop.
+        self._fused = config.issue_queue_kind == "collapsing"
         self.rename = RenameStage(config, stats.int_rename, stats.fp_rename)
         self.rob = ReorderBuffer(config.rob_entries, stats.rob)
         kind = config.issue_queue_kind
@@ -377,23 +373,25 @@ class BoomCore:
         self.stats.dcache.mshr_occupancy += self.dcache.mshr_occupancy(cycle)
 
     # ------------------------------------------------------------------
-    # the fused trace-replay loop (batched engine)
+    # the fused cycle loop
     # ------------------------------------------------------------------
 
     def _run_fused(self, target: int | None, deadline: int,
                    heartbeat=None, hb_start: int = 0,
                    hb_start_cycle: int = 0) -> None:
-        """Specialized cycle loop for trace-driven (batched) replay.
+        """Specialized cycle loop: the one every collapsing-queue core runs.
 
         Semantically identical to iterating :meth:`_step`: same stage
         order, same counter updates, same termination and deadline
         conditions — gated bit-identical against the generic loop by
-        ``tests/sim/test_equivalence.py``.  The per-cycle stage bodies
+        ``tests/sim/test_equivalence.py`` and the random programs of
+        ``tests/uarch/test_differential.py``.  The per-cycle stage bodies
         (commit, complete, the collapsing-queue selects, dispatch/rename,
-        sampling) are inlined here with hot state hoisted into locals, so
-        per-cycle Python dispatch collapses into one loop body.  Only
-        built for collapsing issue queues with no retire log; every other
-        shape replays the trace through the generic loop.
+        fetch, sampling) are inlined here with hot state hoisted into
+        locals, so per-cycle Python dispatch collapses into one loop
+        body.  Only run for collapsing issue queues with no retire log;
+        ring-queue cores and cores recording a retire log take the
+        generic loop.
 
         ``heartbeat`` matches the :meth:`run` observer contract: every
         ``_HEARTBEAT_STRIDE`` cycles the hoisted locals are settled back
@@ -1037,10 +1035,12 @@ class BoomCore:
                         by_trace[key] = by_trace.get(key, 0) + 1
                         width -= 1
 
-                # ---- fetch (TraceFetchUnit.cycle, inlined) ----
+                # ---- fetch (FetchUnit.cycle, inlined) ----
                 fbo += buf_n
                 if pos + fetch_width > n_entries and not exited:
-                    trace.ensure(pos + fetch_width)
+                    fe.pos = pos
+                    fe.extend(fetch_width)
+                    pos = fe.pos
                     n_entries = len(trace_entries)
                     exited = trace.exited
                 if pos < n_entries or not exited:

@@ -7,9 +7,9 @@ a :class:`DecodedOp` template.  Fetch then stamps out :class:`Uop`
 instances from the template with direct slot stores — no per-fetch spec
 walks, enum property lookups, or string comparisons.
 
-The decode table is shared between every :class:`~repro.uarch.frontend.
-FetchUnit` built for the same program (checkpointed detailed runs build
-one core per SimPoint), via an id-keyed cache with weakref eviction —
+The decode table is shared between every :class:`~repro.uarch.ftrace.
+FetchTrace` built for the same program (checkpointed detailed runs build
+one trace per SimPoint), via an id-keyed cache with weakref eviction —
 the same lifetime scheme as the functional executor's superblock cache.
 """
 

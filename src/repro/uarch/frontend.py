@@ -1,9 +1,9 @@
 """The fetch stage: instruction cache, branch prediction, fetch buffer.
 
-The detailed core is oracle-driven: the frontend steps its own functional
-model instruction-by-instruction as it fetches, so branch outcomes and
-memory addresses are known at fetch.  The *timing* consequences are then
-modeled faithfully:
+The detailed core is oracle-driven: fetch replays the dynamic instruction
+stream a :class:`~repro.uarch.ftrace.FetchTrace` records from the
+functional model, so branch outcomes and memory addresses are known at
+fetch.  The *timing* consequences are then modeled faithfully:
 
 * the I-cache is accessed once per active fetch cycle; misses stall fetch;
 * a fetch group ends at a taken control-flow instruction or a cache-line
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.isa.program import Program, TEXT_BASE
-from repro.sim.state import ArchState, MASK64
 from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.cache import L1Cache
 from repro.uarch.config import BoomConfig
-from repro.uarch.decode import decode_program
+from repro.uarch.ftrace import FetchTrace
 from repro.uarch.stats import FrontendStats
 from repro.uarch.uop import COMPLETED, Uop
 from repro.isa.instructions import OpClass
@@ -42,45 +40,72 @@ _LINE_SHIFT = 6
 
 
 class FetchUnit:
-    """Oracle-driven fetch with a real predictor and I-cache in the loop."""
+    """Trace-replaying fetch with a real predictor and I-cache in the loop.
 
-    def __init__(self, config: BoomConfig, program: Program,
-                 state: ArchState, bpu: BranchPredictionUnit,
-                 icache: L1Cache, stats: FrontendStats) -> None:
+    Replays the config-invariant instruction stream recorded in ``trace``
+    through this config's private fetch timing (I-cache, predictor,
+    fetch-group boundaries, fetch buffer) with a private cursor ``pos``.
+    One trace may feed many units (a batch); a unit that ``owns_trace``
+    is its only reader and drops the entries it has consumed whenever it
+    extends the trace, so a whole-program run holds a bounded window of
+    the dynamic stream instead of all of it.
+    """
+
+    def __init__(self, config: BoomConfig, trace: FetchTrace,
+                 bpu: BranchPredictionUnit, icache: L1Cache,
+                 stats: FrontendStats, owns_trace: bool = False) -> None:
         self.config = config
-        self.program = program
-        self.state = state
+        self.trace = trace
+        self.owns_trace = owns_trace
         self.bpu = bpu
         self.icache = icache
         self.stats = stats
-        self._ops = decode_program(program)
         self.buffer: deque[Uop] = deque()
         self.stall_until = 0
         self.blocked_by: Uop | None = None
         self._seq = 0
+        self.pc = trace.start_pc
+        self.pos = 0
 
     def rebind_stats(self, stats: FrontendStats) -> None:
         self.stats = stats
 
     @property
     def exited(self) -> bool:
-        return self.state.exited
+        """True once the exit instruction has been fetched: the cursor is
+        past the end of an exhausted trace."""
+        trace = self.trace
+        return trace.exited and self.pos >= len(trace.entries)
 
     @property
     def fetched(self) -> int:
-        """Total uops fetched — equally, instructions the oracle state has
-        executed (the frontend steps its functional model at fetch)."""
+        """Total uops fetched since construction."""
         return self._seq
 
     @property
     def out_of_instructions(self) -> bool:
-        return self.state.exited and not self.buffer
+        return self.exited and not self.buffer
+
+    def extend(self, ahead: int) -> None:
+        """Record the trace to at least ``ahead`` entries past the cursor.
+
+        An owned trace first drops the entries already consumed.
+        """
+        trace = self.trace
+        if self.owns_trace and self.pos:
+            del trace.entries[:self.pos]
+            self.pos = 0
+        trace.ensure(self.pos + ahead)
 
     def cycle(self, cycle: int) -> None:
         """Run one fetch cycle."""
         stats = self.stats
         stats.fetch_buffer_occupancy += len(self.buffer)
-        if self.state.exited:
+        trace = self.trace
+        fetch_width = self.config.fetch_width
+        if len(trace.entries) < self.pos + fetch_width and not trace.exited:
+            self.extend(fetch_width)
+        if trace.exited and self.pos >= len(trace.entries):
             return
         if self.blocked_by is not None:
             blocker = self.blocked_by
@@ -97,7 +122,7 @@ class FetchUnit:
         if space <= 0:
             return
         # One I-cache access and one predictor lookup per active cycle.
-        latency = self.icache.access(self.state.pc, cycle)
+        latency = self.icache.access(self.pc, cycle)
         stats.icache_accesses += 1
         self.bpu.stats.lookups += 1
         if latency is None:
@@ -109,35 +134,34 @@ class FetchUnit:
             self.stall_until = cycle + latency
             stats.fetch_stall_cycles += 1
             return
-        self._fetch_group(cycle, min(self.config.fetch_width, space))
+        self._fetch_group(cycle, min(fetch_width, space))
 
     def _fetch_group(self, cycle: int, budget: int) -> None:
-        state = self.state
-        ops = self._ops
+        entries = self.trace.entries
+        end = len(entries)
         stats = self.stats
         buffer = self.buffer
-        x = state.x
-        line = state.pc >> _LINE_SHIFT
+        pos = self.pos
+        line = self.pc >> _LINE_SHIFT
         seq = self._seq
-        while budget > 0 and not state.exited:
-            pc = state.pc
+        while budget > 0 and pos < end:
+            dec, pc, mem_addr, taken, next_pc = entries[pos]
             if pc >> _LINE_SHIFT != line:
                 break  # next line is a new fetch group (new I$ access)
-            dec = ops[(pc - TEXT_BASE) >> 2]
             uop = dec.make_uop(seq)
             seq += 1
             if dec.is_mem:
-                uop.mem_addr = (x[dec.rs1] + dec.imm) & MASK64
-            next_pc = dec.fn(state, dec.instr)
-            taken = next_pc is not None
-            state.pc = next_pc if taken else pc + 4
+                uop.mem_addr = mem_addr
+            pos += 1
+            self.pc = next_pc
             buffer.append(uop)
             stats.fetch_buffer_writes += 1
             budget -= 1
             if dec.is_control:
-                if self._predict(uop, pc, taken, state.pc, cycle):
+                if self._predict(uop, pc, taken, next_pc, cycle):
                     break
         self._seq = seq
+        self.pos = pos
 
     def _predict(self, uop: Uop, pc: int, taken: bool,
                  actual_next: int, cycle: int) -> bool:
@@ -179,112 +203,3 @@ class FetchUnit:
             # Correctly-predicted taken control flow ends the fetch group.
             return True
         return False
-
-
-class TraceFetchUnit(FetchUnit):
-    """Fetch driven by a shared pre-recorded oracle trace.
-
-    Replays the config-invariant instruction stream recorded in a
-    :class:`~repro.uarch.ftrace.FetchTrace` through this config's private
-    fetch timing.  Every timing decision — I-cache access, predictor
-    lookups, fetch-group boundaries, stall bookkeeping — follows the exact
-    code path of the oracle-driven :class:`FetchUnit`, so the stats it
-    produces are bit-identical; only the semantic execution of the
-    functional model is replaced by reading recorded entries.  One trace
-    instance may feed many cores (the batched engine's shared front-end
-    work); each unit keeps a private cursor.
-    """
-
-    def __init__(self, config: BoomConfig, program: Program, trace,
-                 bpu: BranchPredictionUnit, icache: L1Cache,
-                 stats: FrontendStats) -> None:
-        self.config = config
-        self.program = program
-        self.trace = trace
-        self.bpu = bpu
-        self.icache = icache
-        self.stats = stats
-        self._ops = decode_program(program)
-        self.buffer = deque()
-        self.stall_until = 0
-        self.blocked_by = None
-        self._seq = 0
-        self.pc = trace.start_pc
-        self.pos = 0
-
-    @property
-    def exited(self) -> bool:
-        # The oracle FetchUnit's state.exited flips right after the exit
-        # instruction is fetched; in trace terms that is "cursor past the
-        # end of an exhausted trace".
-        trace = self.trace
-        return trace.exited and self.pos >= len(trace.entries)
-
-    @property
-    def out_of_instructions(self) -> bool:
-        return self.exited and not self.buffer
-
-    def cycle(self, cycle: int) -> None:
-        """Run one fetch cycle (mirrors :meth:`FetchUnit.cycle`)."""
-        stats = self.stats
-        stats.fetch_buffer_occupancy += len(self.buffer)
-        trace = self.trace
-        fetch_width = self.config.fetch_width
-        if len(trace.entries) < self.pos + fetch_width and not trace.exited:
-            trace.ensure(self.pos + fetch_width)
-        if trace.exited and self.pos >= len(trace.entries):
-            return
-        if self.blocked_by is not None:
-            blocker = self.blocked_by
-            if blocker.state == COMPLETED and \
-                    cycle >= blocker.complete_cycle + REDIRECT_PENALTY:
-                self.blocked_by = None
-            else:
-                stats.fetch_stall_cycles += 1
-                return
-        if cycle < self.stall_until:
-            stats.fetch_stall_cycles += 1
-            return
-        space = self.config.fetch_buffer_entries - len(self.buffer)
-        if space <= 0:
-            return
-        latency = self.icache.access(self.pc, cycle)
-        stats.icache_accesses += 1
-        self.bpu.stats.lookups += 1
-        if latency is None:
-            self.stall_until = cycle + 1
-            stats.fetch_stall_cycles += 1
-            return
-        if latency > self.icache.hit_latency:
-            stats.icache_misses += 1
-            self.stall_until = cycle + latency
-            stats.fetch_stall_cycles += 1
-            return
-        self._fetch_group(cycle, min(fetch_width, space))
-
-    def _fetch_group(self, cycle: int, budget: int) -> None:
-        entries = self.trace.entries
-        end = len(entries)
-        stats = self.stats
-        buffer = self.buffer
-        pos = self.pos
-        line = self.pc >> _LINE_SHIFT
-        seq = self._seq
-        while budget > 0 and pos < end:
-            dec, pc, mem_addr, taken, next_pc = entries[pos]
-            if pc >> _LINE_SHIFT != line:
-                break  # next line is a new fetch group (new I$ access)
-            uop = dec.make_uop(seq)
-            seq += 1
-            if dec.is_mem:
-                uop.mem_addr = mem_addr
-            pos += 1
-            self.pc = next_pc
-            buffer.append(uop)
-            stats.fetch_buffer_writes += 1
-            budget -= 1
-            if dec.is_control:
-                if self._predict(uop, pc, taken, next_pc, cycle):
-                    break
-        self._seq = seq
-        self.pos = pos

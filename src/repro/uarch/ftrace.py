@@ -1,26 +1,28 @@
-"""Config-invariant fetch trace: the oracle instruction stream, recorded once.
+"""Config-invariant fetch trace: the oracle instruction stream.
 
-The detailed core is oracle-driven: fetch steps a functional model
-instruction-by-instruction so branch outcomes and effective addresses are
-known at fetch time (frontend.py).  Those outcomes are a pure function of
-the checkpointed architectural state — identical for *every* uarch config
-that replays the same checkpoint.  Replaying a SimPoint across N configs
-therefore re-executes the same semantics N times.
-
-A :class:`FetchTrace` lifts that work out of the per-config loop: it steps
-one private functional model and records, per dynamic instruction, the
-decoded template, fetch pc, effective address, taken flag, and next pc.
-Each config's :class:`~repro.uarch.frontend.TraceFetchUnit` then replays
-the shared stream through its own private timing (I-cache, predictor,
-fetch buffer), producing bit-identical stats to oracle-driven fetch.
+The detailed core is oracle-driven: branch outcomes and effective
+addresses are known at fetch time.  A :class:`FetchTrace` is the one
+place in the core that steps the functional model for them: it records,
+per dynamic instruction, the decoded template, fetch pc, effective
+address, taken flag, and next pc.  Those outcomes are a pure function of
+the checkpointed architectural state — identical for *every* uarch
+config that replays the same checkpoint — so a batch of configs shares
+one trace, and each config's :class:`~repro.uarch.frontend.FetchUnit`
+replays it through its own private timing (I-cache, predictor, fetch
+buffer).  A core given no trace records a private one.
 
 The trace extends lazily: configs consume it at different rates
 (different fetch widths and stall patterns), so each
 :meth:`FetchTrace.ensure` call records only up to the requested count
-plus a small step.  The trace therefore ends at most one step past the
-furthest position any consumer asked for: every recorded entry costs a
-functional step and a live tuple, and a trace held by a batch sets much
-of the cold flow's memory peak.
+plus a small step.  A shared trace therefore ends at most one step past
+the furthest position any consumer asked for and is never trimmed; a
+private trace's only reader drops the entries it has consumed before
+each extension.  Every recorded entry costs a functional step and a live
+tuple, and a trace held by a batch sets much of the cold flow's memory
+peak.
+
+``state`` is the functional model: it has executed every entry recorded
+so far, including those no consumer has fetched yet.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ _STEP = 256
 class FetchTrace:
     """Lazily-built oracle fetch stream for one checkpoint replay."""
 
-    __slots__ = ("program", "entries", "start_pc", "exited", "_state",
+    __slots__ = ("program", "entries", "start_pc", "exited", "state",
                  "_ops")
 
     def __init__(self, program: Program, state: ArchState) -> None:
@@ -50,7 +52,7 @@ class FetchTrace:
         self.entries: list[Entry] = []
         self.start_pc = state.pc
         self.exited = state.exited
-        self._state = state
+        self.state = state
         self._ops = decode_program(program)
 
     def __len__(self) -> int:
@@ -65,7 +67,7 @@ class FetchTrace:
         entries = self.entries
         if self.exited or len(entries) >= count:
             return
-        state = self._state
+        state = self.state
         ops = self._ops
         append = entries.append
         x = state.x

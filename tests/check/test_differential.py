@@ -51,7 +51,7 @@ def test_tampered_register_is_caught():
     core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
     core.retire_log = []
     core.run(500)
-    core.frontend.state.x[7] ^= 0xDEAD
+    core.frontend.trace.state.x[7] ^= 0xDEAD
     report = diff_core_against_reference(core, program,
                                          checkpoint.restore(),
                                          raise_on_mismatch=False)
@@ -65,7 +65,7 @@ def test_tampered_memory_is_caught():
     core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
     core.retire_log = []
     core.run(500)
-    state = core.frontend.state
+    state = core.frontend.trace.state
     pages = state.memory.snapshot_pages()
     number = next(iter(pages))
     state.memory.restore_pages({number: b"\xff" * len(pages[number])})
@@ -98,6 +98,6 @@ def test_mismatch_raises_by_default():
     core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
     core.retire_log = []
     core.run(500)
-    core.frontend.state.x[7] ^= 0xDEAD
+    core.frontend.trace.state.x[7] ^= 0xDEAD
     with pytest.raises(DifferentialMismatch):
         diff_core_against_reference(core, program, checkpoint.restore())

@@ -30,7 +30,7 @@ def run_checked(source: str, config, budget: int | None = None):
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_random_programs_hold_invariants(seed, config):
     core, checker = run_checked(generate_program(seed), config)
-    assert core.frontend.state.exited
+    assert core.frontend.trace.state.exited
     assert checker.checks_run >= 1
 
 
@@ -53,7 +53,7 @@ def test_mid_flight_state_holds_invariants():
     checker = CoreInvariantChecker(core)
     core.run(300, heartbeat=checker)
     checker.check()
-    assert not core.frontend.state.exited
+    assert not core.frontend.trace.state.exited
 
 
 def test_checked_run_is_behavior_identical():

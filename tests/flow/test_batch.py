@@ -4,8 +4,8 @@ Every sweep primes each workload's ``detailed_sim`` artifacts through
 the batched engine (:mod:`repro.sim.batch`) — one shared fetch trace per
 checkpoint, every config replaying it — and the ordinary per-config
 pipeline consumes them as cache hits.  These tests pin the contract
-against the reference a state-restored core on the generic loop
-(``BoomCore(state=...)``) produces:
+against the reference a state-restored core stepping the generic loop
+(``BoomCore(state=...)`` with a retire log) produces:
 
 * serial and parallel sweeps write byte-identical artifacts and
   results to the reference;
@@ -58,6 +58,7 @@ def _restored_records(config, program, checkpoints, interval_size):
     records = []
     for checkpoint in checkpoints:
         core = BoomCore(config, program, state=checkpoint.restore())
+        core.retire_log = []  # keeps the core on the generic loop (_step)
         if checkpoint.warmup_instructions:
             core.run(checkpoint.warmup_instructions)
         stats = core.begin_measurement()

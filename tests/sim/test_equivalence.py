@@ -15,9 +15,9 @@ path, the decode-cached frontend, and the batched-stats core are all
   inside, exactly on, and past cap boundaries, plus a mid-run resume;
 * final ``uarch.stats`` counters and power reports per config;
 * batched multi-config replay (one shared fetch trace feeding every
-  config) vs serial per-config simulation — bit-identical cycle counts
-  and stat dictionaries, including the ring-queue fallback shape and a
-  DSE-sampled off-preset point;
+  config, through the fused loop) vs each config alone on the generic
+  loop — bit-identical cycle counts and stat dictionaries, including the
+  ring-queue shape and a DSE-sampled off-preset point;
 * the shared fetch trace records no more than one extension step past
   what its furthest consumer asked for.
 """
@@ -239,7 +239,7 @@ def test_suite_superblocks_respect_the_cap(workload):
 
 
 # ----------------------------------------------------------------------
-# batched multi-config replay vs serial per-config simulation
+# batched multi-config replay vs the generic loop
 # ----------------------------------------------------------------------
 
 _BATCH_WARMUP = 500
@@ -265,10 +265,13 @@ def _measure(core) -> tuple[int, str]:
 
 
 def _serial_runs(program, checkpoint, configs):
-    return {config.name:
-            _measure(BoomCore(config, program,
-                              state=checkpoint.restore()))
-            for config in configs}
+    """Each config alone, on a core stepping the generic loop."""
+    runs = {}
+    for config in configs:
+        core = BoomCore(config, program, state=checkpoint.restore())
+        core.retire_log = []  # keeps the core on the generic loop (_step)
+        runs[config.name] = _measure(core)
+    return runs
 
 
 def _batched_runs(program, checkpoint, configs):
@@ -278,7 +281,8 @@ def _batched_runs(program, checkpoint, configs):
 
 
 def test_batched_presets_bit_identical():
-    """All three paper presets in ONE batch vs serial, full stat dicts."""
+    """All three paper presets in ONE batch vs the generic loop, full
+    stat dicts."""
     program, checkpoint = _batch_checkpoint()
     serial = _serial_runs(program, checkpoint, ALL_CONFIGS)
     batched = _batched_runs(program, checkpoint, ALL_CONFIGS)
@@ -291,7 +295,7 @@ def test_batched_presets_bit_identical():
 
 
 def test_batched_ring_queue_shape_bit_identical():
-    """The non-collapsing issue-queue fallback replays identically."""
+    """The non-collapsing issue-queue shape replays identically."""
     program, checkpoint = _batch_checkpoint()
     ring = tuple(config.with_issue_queues("ring")
                  for config in ALL_CONFIGS[:2])

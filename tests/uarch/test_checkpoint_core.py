@@ -37,9 +37,9 @@ def test_core_resumes_checkpoints_exactly(seed, boundary):
     core = BoomCore(MEDIUM_BOOM, assemble(source),
                     state=checkpoint.restore())
     core.run()
-    assert core.frontend.state.exited
-    assert core.frontend.state.x == reference.state.x
-    assert fp_regs_equal(core.frontend.state.f, reference.state.f)
+    assert core.frontend.trace.state.exited
+    assert core.frontend.trace.state.x == reference.state.x
+    assert fp_regs_equal(core.frontend.trace.state.f, reference.state.f)
     # instructions retired by the core = remainder of the program
     assert core.retired_total == reference.state.retired - boundary
 
@@ -56,7 +56,7 @@ def test_serialized_checkpoint_resumes_in_core(seed):
     roundtripped = BoomCore(LARGE_BOOM, assemble(source),
                             state=reloaded.restore())
     roundtripped.run()
-    assert direct.frontend.state.x == roundtripped.frontend.state.x
+    assert direct.frontend.trace.state.x == roundtripped.frontend.trace.state.x
     assert direct.cycle == roundtripped.cycle
 
 
@@ -70,6 +70,6 @@ def test_core_on_already_exited_checkpoint():
                                     warmup_instructions=0)
     core = BoomCore(MEDIUM_BOOM, assemble(source),
                     state=checkpoint.restore())
-    state = core.frontend.state
+    state = core.frontend.trace.state
     state.exited = True  # restore() carries registers; flag re-derived
     assert core.run(100) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.sim.executor import Executor
+from repro.uarch import ftrace
 from repro.uarch.config import LARGE_BOOM, MEDIUM_BOOM, MEGA_BOOM
 from repro.uarch.core import BoomCore
 
@@ -42,7 +43,7 @@ def test_retires_program_to_completion():
     """))
     reference.run_to_completion()
     assert core.retired_total == reference.state.retired
-    assert core.frontend.state.exited
+    assert core.frontend.trace.state.exited
 
 
 def test_architectural_results_match_functional_sim():
@@ -70,7 +71,7 @@ def test_architectural_results_match_functional_sim():
     core = run_core(source)
     reference = Executor(assemble(source))
     reference.run_to_completion()
-    assert core.frontend.state.x == reference.state.x
+    assert core.frontend.trace.state.x == reference.state.x
 
 
 def test_ipc_bounded_by_decode_width():
@@ -300,3 +301,28 @@ def test_per_slot_occupancy_collected():
     assert sum(slots) == core.stats.int_iq.occupancy
     # occupancy is front-loaded in a collapsing queue
     assert slots[0] >= slots[len(slots) // 2]
+
+
+def test_owned_trace_keeps_a_bounded_window():
+    """A core that records its own trace drops what fetch has consumed:
+    the trace never holds more than one extension step plus a fetch
+    group, however long the run."""
+    source = f"""
+    _start:
+        li t0, 8000
+    loop:
+        addi t1, t1, 3
+        xor t2, t2, t1
+        addi t0, t0, -1
+        bnez t0, loop
+        li a0, 0
+        {EXIT}
+    """
+    core = BoomCore(MEDIUM_BOOM, assemble(source))
+    lengths = []
+    core.run(heartbeat=lambda retired, cycles: lengths.append(
+        len(core.frontend.trace.entries)))
+    lengths.append(len(core.frontend.trace.entries))
+    assert core.retired_total > 32_000
+    assert len(lengths) >= 3
+    assert max(lengths) <= ftrace._STEP + MEDIUM_BOOM.fetch_width

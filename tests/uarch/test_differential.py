@@ -1,11 +1,15 @@
 """Differential testing: the detailed core vs. the functional simulator.
 
-The BoomCore's oracle-driven frontend must retire exactly the same
+The BoomCore's trace-replaying frontend must retire exactly the same
 architectural stream as the plain functional executor — for any program.
 These tests generate random (but terminating) programs spanning ALU, M,
 memory, FP, and forward-branch behaviour and assert end-state equality
-on all three configurations.
+on all three configurations, and that the two core loops (the fused
+loop a plain core runs, the generic loop a retire log selects) give
+identical cycle counts and stats dicts.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,10 +101,13 @@ def run_both(source: str, config):
     reference.run_to_completion()
     core = BoomCore(config, assemble(source))
     core.run()
-    return reference.state, core.frontend.state, core
+    return reference.state, core.frontend.trace.state, core
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 17, 99])
+_SEEDS = [1, 2, 3, 17, 99]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_random_programs_agree(seed, config):
     source = generate_program(seed)
@@ -109,6 +116,20 @@ def test_random_programs_agree(seed, config):
     assert detailed.x == reference.x
     assert fp_regs_equal(detailed.f, reference.f)
     assert core.retired_total == reference.retired
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+def test_random_programs_agree_on_both_core_loops(seed, config):
+    program = assemble(generate_program(seed))
+    runs = []
+    for retire_log in (None, []):  # a retire log selects the generic loop
+        core = BoomCore(config, program)
+        core.retire_log = retire_log
+        core.run()
+        runs.append((core.cycle,
+                     json.dumps(core.stats.to_dict(), sort_keys=True)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)

@@ -99,7 +99,7 @@ class TestRingCore:
         ring_config = MEGA_BOOM.with_issue_queues("ring")
         core = BoomCore(ring_config, assemble(INT_LOOP))
         core.run()
-        assert core.frontend.state.x == reference.state.x
+        assert core.frontend.trace.state.x == reference.state.x
 
     def test_same_ipc_no_shift_stats(self):
         collapsing = BoomCore(MEGA_BOOM, assemble(INT_LOOP))
@@ -155,4 +155,4 @@ class TestLazyFpSnapshots:
         core = BoomCore(MEDIUM_BOOM.with_lazy_fp_snapshots(),
                         assemble(INT_LOOP))
         core.run()
-        assert core.frontend.state.x == reference.state.x
+        assert core.frontend.trace.state.x == reference.state.x

@@ -1,4 +1,4 @@
-"""Unit tests for the fetch unit (oracle-driven frontend)."""
+"""Unit tests for the fetch unit (trace-replaying frontend)."""
 
 from repro.isa.assembler import assemble
 from repro.sim.state import ArchState
@@ -6,6 +6,7 @@ from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.cache import L1Cache
 from repro.uarch.config import MEDIUM_BOOM
 from repro.uarch.frontend import BTB_BUBBLE, FetchUnit, REDIRECT_PENALTY
+from repro.uarch.ftrace import FetchTrace
 from repro.uarch.stats import CacheStats, FrontendStats, PredictorStats
 from repro.uarch.uop import COMPLETED
 
@@ -16,7 +17,7 @@ def make_frontend(source, config=MEDIUM_BOOM):
     predictor_stats = PredictorStats()
     bpu = BranchPredictionUnit(config.predictor, predictor_stats)
     icache = L1Cache(config.icache, CacheStats(), hit_latency=1)
-    frontend = FetchUnit(config, program, state, bpu, icache,
+    frontend = FetchUnit(config, FetchTrace(program, state), bpu, icache,
                          FrontendStats())
     return frontend
 
