@@ -29,8 +29,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -43,7 +43,7 @@ from repro.analysis.accuracy import (
     write_envelope,
 )
 from repro.flow import FlowSettings, SweepRunner
-from repro.obs.flight import FLIGHT_ENV
+from repro.obs.flight import FLIGHT_ENV, flight_samples
 from repro.obs.session import latest_run_dir
 
 #: pinned gate parameters — changing them requires --update
@@ -60,15 +60,15 @@ BEND_SPEC = "artifact.write:bend:n=0:k=experiment_result"
 def run_sweep(cache: str, *, scale: float, seed: int,
               workloads: list[str] | None, jobs: int,
               faults: str | None = None, flight: bool = False):
-    """One sweep; returns (results, flight.json path or None)."""
+    """One sweep; returns (results, flight document or None)."""
     settings = FlowSettings(scale=scale, seed=seed, faults=faults)
     runner = SweepRunner(settings, cache_dir=cache)
     saved = os.environ.get(FLIGHT_ENV)
     if flight:
         os.environ[FLIGHT_ENV] = "1"
     try:
-        # run_all owns the trace session; the recorder hooks into it
-        # via REPRO_FLIGHT + the session's exported obs directory.
+        # run_all owns the trace session; the recorder emits its
+        # samples through the session's tracers (REPRO_FLIGHT arms it).
         results = runner.run_all(workloads=workloads, jobs=jobs,
                                  trace=flight)
     finally:
@@ -77,12 +77,13 @@ def run_sweep(cache: str, *, scale: float, seed: int,
                 os.environ.pop(FLIGHT_ENV, None)
             else:
                 os.environ[FLIGHT_ENV] = saved
-    flight_path = None
+    document = None
     if flight:
         run_dir = latest_run_dir(cache)
-        if run_dir is not None and (run_dir / "flight.json").is_file():
-            flight_path = run_dir / "flight.json"
-    return results, flight_path
+        if run_dir is not None and (run_dir / "trace.json").is_file():
+            document = flight_samples(
+                json.loads((run_dir / "trace.json").read_text()))
+    return results, document
 
 
 def gate(args: argparse.Namespace) -> int:
@@ -103,13 +104,14 @@ def gate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as cache:
-        results, flight_path = run_sweep(
+        results, flight = run_sweep(
             cache, scale=GATE_SCALE, seed=GATE_SEED,
             workloads=sorted(envelopes), jobs=args.jobs, flight=True)
-        if flight_path is not None and args.flight_out:
-            Path(args.flight_out).parent.mkdir(parents=True,
-                                               exist_ok=True)
-            shutil.copyfile(flight_path, args.flight_out)
+        if flight is not None and args.flight_out:
+            out = Path(args.flight_out)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(json.dumps(flight, indent=2, sort_keys=True)
+                           + "\n")
             print(f"flight timeline saved to {args.flight_out}",
                   file=sys.stderr)
     evaluation = evaluate_accuracy(results, envelopes)
@@ -193,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="restrict the sweep (default: every "
                              "envelope; self-test default: sha dijkstra)")
     parser.add_argument("--flight-out", default=None, metavar="FILE",
-                        help="copy the gate run's flight timeline here "
+                        help="write the gate run's flight timeline here "
                              "(CI uploads it when the gate fails)")
     args = parser.parse_args(argv)
     if args.update:

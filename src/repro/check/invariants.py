@@ -1,13 +1,13 @@
 """Runtime conservation laws for the detailed core.
 
-A :class:`CoreInvariantChecker` is attached to a :class:`BoomCore` as (or
-wrapping) the heartbeat observer of :meth:`BoomCore.run`, so it fires every
-``_HEARTBEAT_STRIDE`` cycles *between* pipeline steps — never mid-step —
-and sees settled state.  Like the heartbeat it strictly observes: it reads
-structural occupancies and counters, recomputes what they must add up to,
-and raises :class:`~repro.errors.InvariantViolation` on the first law that
-fails.  With checks off the core's hot loop is untouched, and a checked
-run retires exactly the same instructions as an unchecked one.
+A :class:`CoreInvariantChecker` is one of the observers of
+:meth:`BoomCore.run`, so it fires every ``_OBSERVER_STRIDE`` cycles
+*between* pipeline steps — never mid-step — and sees settled state.
+Like every observer it only reads: it inspects structural occupancies
+and counters, recomputes what they must add up to, and raises
+:class:`~repro.errors.InvariantViolation` on the first law that fails.
+With checks off the core's hot loop is untouched, and a checked run
+retires exactly the same instructions as an unchecked one.
 
 The laws, by structure:
 
@@ -48,29 +48,24 @@ from repro.uarch.uop import DISPATCHED
 class CoreInvariantChecker:
     """Conservation-law observer for one :class:`BoomCore`.
 
-    Use it directly as the ``heartbeat`` argument of ``core.run``, or pass
-    ``wrapped=`` to chain an existing observer (e.g. a tracing heartbeat)
-    behind the checks::
+    List it among the observers of ``core.run``::
 
         checker = CoreInvariantChecker(core)
-        core.run(budget, heartbeat=checker)
+        core.run(budget, observers=[checker])
         checker.check()   # final state, after the run returns
     """
 
-    def __init__(self, core, wrapped=None) -> None:
+    def __init__(self, core) -> None:
         self.core = core
-        self.wrapped = wrapped
         self.checks_run = 0
         # (stats identity, cycles, int reads/writes, fp reads/writes) at
         # the previous check — the baseline for port-budget deltas.
         self._port_baseline: tuple | None = None
 
-    # -- heartbeat protocol -------------------------------------------
+    # -- observer protocol --------------------------------------------
 
     def __call__(self, retired: int, cycles: int) -> None:
         self.check()
-        if self.wrapped is not None:
-            self.wrapped(retired, cycles)
 
     # -- the laws ------------------------------------------------------
 

@@ -4,7 +4,7 @@ For one (workload, config) pair this materializes the shared pipeline
 stages (profile -> SimPoints -> checkpoints, cached like any sweep), then
 runs every checkpoint through the detailed core with
 
-* runtime invariants attached as the heartbeat observer (and a final
+* runtime invariants attached as the core's observer (and a final
   check after the pipeline drains),
 * the commit log enabled, so the run is differentially validated against
   an independent functional re-execution of the same checkpoint,
@@ -86,9 +86,10 @@ def run_check(workload: str, config, settings, store) -> CheckReport:
         window = checkpoint.measure_instructions or interval
         try:
             if checkpoint.warmup_instructions:
-                core.run(checkpoint.warmup_instructions, heartbeat=checker)
+                core.run(checkpoint.warmup_instructions,
+                         observers=[checker])
             stats = core.begin_measurement()
-            measured = core.run(window, heartbeat=checker)
+            measured = core.run(window, observers=[checker])
             checker.check()
         except CheckError as exc:
             report.invariant_checks += checker.checks_run

@@ -219,11 +219,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_run_trace(run_dir) -> dict | None:
+    """A run's ``trace.json``; ``None`` (reported) if it cannot be had."""
+    import json
+
+    from repro.obs.merge import write_merged_trace
+
+    trace_path = run_dir / "trace.json"
+    if not trace_path.exists():
+        # interrupted / crashed run: merge whatever event files survived
+        try:
+            write_merged_trace(run_dir)
+        except OSError as exc:
+            print(f"cannot merge trace in {run_dir}: {exc}",
+                  file=sys.stderr)
+            return None
+    return json.loads(trace_path.read_text())
+
+
+def _emit_chrome(text: str, output: str | None) -> int:
+    if output:
+        from pathlib import Path
+
+        Path(output).write_text(text)
+        print(f"wrote {output} (open in Perfetto / chrome://tracing)")
+    else:
+        print(text)
+    return 0
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs.merge import write_merged_trace
     from repro.obs.render import chrome_json, format_summary, format_tree
     from repro.obs.session import METRICS_NAME, resolve_run_dir
 
@@ -234,25 +262,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"`repro-cli sweep --trace` or REPRO_TRACE=1",
               file=sys.stderr)
         return 2
-    trace_path = run_dir / "trace.json"
-    if not trace_path.exists():
-        # interrupted / crashed run: merge whatever event files survived
-        try:
-            write_merged_trace(run_dir)
-        except OSError as exc:
-            print(f"cannot merge trace in {run_dir}: {exc}",
-                  file=sys.stderr)
-            return 2
-    trace = json.loads(trace_path.read_text())
+    trace = _read_run_trace(run_dir)
+    if trace is None:
+        return 2
     if args.format == "chrome":
-        text = chrome_json(trace)
-        if args.output:
-            Path(args.output).write_text(text)
-            print(f"wrote {args.output} (open in Perfetto / "
-                  f"chrome://tracing)")
-        else:
-            print(text)
-        return 0
+        return _emit_chrome(chrome_json(trace), args.output)
     if args.format in ("tree", "full"):
         print(format_tree(trace))
     if args.format in ("summary", "full"):
@@ -282,9 +296,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_flight(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
-    from repro.obs.flight import write_merged_flight
+    from repro.obs.flight import flight_samples
     from repro.obs.render import flight_to_chrome, format_flight
     from repro.obs.session import resolve_run_dir
 
@@ -295,31 +308,19 @@ def _cmd_flight(args: argparse.Namespace) -> int:
               f"`repro-cli --flight sweep` or REPRO_FLIGHT=1",
               file=sys.stderr)
         return 2
-    flight_path = run_dir / "flight.json"
-    if not flight_path.exists():
-        # interrupted run: merge whatever per-process files survived
-        try:
-            merged = write_merged_flight(run_dir)
-        except OSError as exc:
-            print(f"cannot merge flight data in {run_dir}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if merged is None:
-            print(f"no flight samples in {run_dir}; record a run with "
-                  f"`repro-cli --flight sweep` or REPRO_FLIGHT=1",
-                  file=sys.stderr)
-            return 2
-    flight = json.loads(flight_path.read_text())
+    trace = _read_run_trace(run_dir)
+    if trace is None:
+        return 2
+    flight = flight_samples(trace)
+    if not flight["samples"]:
+        print(f"no flight samples in {run_dir}; record a run with "
+              f"`repro-cli --flight sweep` or REPRO_FLIGHT=1",
+              file=sys.stderr)
+        return 2
     if args.format == "chrome":
-        text = json.dumps(flight_to_chrome(flight),
-                          separators=(",", ":"))
-        if args.output:
-            Path(args.output).write_text(text)
-            print(f"wrote {args.output} (open in Perfetto / "
-                  f"chrome://tracing)")
-        else:
-            print(text)
-        return 0
+        return _emit_chrome(json.dumps(flight_to_chrome(flight),
+                                       separators=(",", ":")),
+                            args.output)
     print(format_flight(flight, width=args.width))
     return 0
 
@@ -1035,8 +1036,7 @@ def main(argv: list[str] | None = None) -> int:
         set_checks_enabled(True)
     if args.flight:
         # The env var is the worker handoff (pool workers inherit it),
-        # and an obs session must exist for the recorder to have a
-        # directory — so --flight implies --trace.
+        # and samples travel on the trace — so --flight implies --trace.
         import os
 
         from repro.obs.flight import FLIGHT_ENV

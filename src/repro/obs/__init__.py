@@ -20,8 +20,7 @@ from .flight import (
     FLIGHT_ENV,
     FlightRecorder,
     flight_requested,
-    read_flight_file,
-    write_merged_flight,
+    flight_samples,
 )
 from .heartbeat import HeartbeatEmitter, wrap_control_hook
 from .logs import (
@@ -96,6 +95,7 @@ __all__ = [
     "critical_path",
     "ensure_process_tracer",
     "flight_requested",
+    "flight_samples",
     "flight_to_chrome",
     "format_flight",
     "format_summary",
@@ -107,7 +107,6 @@ __all__ = [
     "latest_run_dir",
     "merge_event_files",
     "read_event_file",
-    "read_flight_file",
     "reset_metrics",
     "reset_tracer",
     "resolve_run_dir",
@@ -120,6 +119,5 @@ __all__ = [
     "tracing_requested",
     "worker_utilization",
     "wrap_control_hook",
-    "write_merged_flight",
     "write_merged_trace",
 ]

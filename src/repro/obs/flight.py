@@ -3,41 +3,36 @@
 Aggregate IPC and power numbers can drift silently while every tier-1
 test stays green; the flight recorder turns one detailed-simulation
 window into a *timeline* so drift is attributable.  A
-:class:`FlightRecorder` rides the heartbeat observer slot of
-``BoomCore.run`` (chaining any tracing emitter or invariant checker, the
-same composition :class:`repro.check.invariants.CoreInvariantChecker`
-uses): every ``_HEARTBEAT_STRIDE`` cycles it diffs the core's stats tree
-against the previous sample and emits one strict-JSON line holding the
-interval's IPC, per-structure occupancy averages, stall/CPI-stack
-taxonomy, branch/cache miss rates, and per-component power shares.
+:class:`FlightRecorder` is one of the observers ``BoomCore.run`` calls
+every ``_OBSERVER_STRIDE`` cycles: it diffs the core's stats tree
+against the previous sample and emits one ``flight`` record through the
+process tracer holding the interval's IPC, per-structure occupancy
+averages, stall/CPI-stack taxonomy, branch/cache miss rates, and
+per-component power shares.
 
-Recording is opt-in (``REPRO_FLIGHT=1`` or ``repro-cli --flight``) and
-observation-only: the recorder reads counters that the run loop settles
-for *any* heartbeat observer, folds nothing back, and writes outside the
-artifact store — so detailed-simulation artifacts are byte-identical
+Recording is opt-in (``REPRO_FLIGHT=1`` or ``repro-cli --flight``, which
+implies tracing) and observation-only: the recorder reads counters that
+the run loop settles for every observer, folds nothing back, and writes
+only to the trace — so detailed-simulation artifacts are byte-identical
 with recording on or off (gated by ``tests/obs/test_flight.py`` and
-``tests/sim/test_equivalence.py``).  Samples land in
-``flight-<pid>.jsonl`` under the active obs run directory and are merged
-into ``flight.json`` beside ``trace.json``; ``repro-cli flight`` renders
-them as sparkline timelines or Chrome counter tracks.
+``tests/sim/test_equivalence.py``).  Samples are merged into
+``trace.json`` with every other event; :func:`flight_samples` pulls
+them back out in canonical order and ``repro-cli flight`` renders them
+as sparkline timelines or Chrome counter tracks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
-from typing import Any, IO
-
-from .tracer import OBS_DIR_ENV
+from typing import Any
 
 __all__ = [
     "FLIGHT_ENV",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "flight_requested",
-    "read_flight_file",
-    "write_merged_flight",
+    "flight_samples",
 ]
 
 #: user-facing switch: ``REPRO_FLIGHT=1`` arms the recorder (the CLI
@@ -81,16 +76,13 @@ def _numeric_delta(current: Any, baseline: Any) -> Any:
 
 
 class FlightRecorder:
-    """Heartbeat observer sampling one core's telemetry timeline.
+    """Core observer sampling one core's telemetry timeline.
 
-    Chain it in the heartbeat slot like the invariant checker::
+    List it among the observers of ``core.run``::
 
-        recorder = FlightRecorder.for_session(core, workload="sha",
-                                              checkpoint=0,
-                                              wrapped=heartbeat)
-        if recorder is not None:
-            heartbeat = recorder
-        core.run(budget, heartbeat=heartbeat)
+        recorder = FlightRecorder(core, get_tracer(), workload="sha",
+                                  checkpoint=0)
+        core.run(budget, observers=[recorder])
         recorder.finish()
 
     Each sample covers the window since the previous one (the stats
@@ -100,11 +92,9 @@ class FlightRecorder:
     phase with a boundary sample so phase totals reconstruct exactly.
     """
 
-    def __init__(self, core, *, workload: str = "?",
+    def __init__(self, core, tracer, *, workload: str = "?",
                  checkpoint: int | None = None,
-                 path: Path | str | None = None,
-                 sink: list | None = None,
-                 wrapped=None, phase: str = "warmup") -> None:
+                 phase: str = "warmup") -> None:
         # Deferred imports: obs is imported by the pipeline layer at
         # startup, while these pull in the uarch/power/analysis stack —
         # recorder construction happens at simulation time, never at
@@ -114,9 +104,9 @@ class FlightRecorder:
         from repro.uarch.stats import CoreStats
 
         self.core = core
+        self.tracer = tracer
         self.workload = workload
         self.checkpoint = checkpoint
-        self.wrapped = wrapped
         self.phase = phase
         self.samples = 0
         self.pid = os.getpid()
@@ -126,49 +116,27 @@ class FlightRecorder:
         self._baseline: dict | None = None
         self._baseline_id: int | None = None
         self._finished = False
-        self._sink = sink
-        self._file: IO[str] | None = None
-        if path is not None:
-            try:
-                # line-buffered append, one write per sample: a crash
-                # tears at most the final line, which readers skip
-                self._file = open(path, "a", buffering=1)
-            except OSError:
-                self._file = None
-
-    # ------------------------------------------------------------------
-    # construction from the observability environment
-    # ------------------------------------------------------------------
 
     @classmethod
-    def for_session(cls, core, *, workload: str,
-                    checkpoint: int | None = None, wrapped=None,
+    def for_session(cls, core, tracer, *, workload: str,
+                    checkpoint: int | None = None,
                     environ: dict | None = None) -> "FlightRecorder | None":
-        """Recorder writing into the active obs run dir, or ``None``.
+        """Recorder emitting through ``tracer``, or ``None``.
 
-        Requires both ``REPRO_FLIGHT`` and an exported obs run directory
-        (``REPRO_OBS_DIR``, i.e. an active :class:`TraceSession`) — the
-        same parent→worker handoff the tracer uses, so pool workers of a
-        ``--flight`` sweep record into the same run directory.
+        Requires both ``REPRO_FLIGHT`` and an enabled tracer — pool
+        workers of a ``--flight`` sweep inherit both from the parent's
+        trace session, so their samples land in the same run.
         """
-        environ = os.environ if environ is None else environ
-        if not flight_requested(environ):
+        if not tracer.enabled or not flight_requested(environ):
             return None
-        run_dir = environ.get(OBS_DIR_ENV)
-        if not run_dir:
-            return None
-        path = Path(run_dir) / f"flight-{os.getpid()}.jsonl"
-        return cls(core, workload=workload, checkpoint=checkpoint,
-                   path=path, wrapped=wrapped)
+        return cls(core, tracer, workload=workload, checkpoint=checkpoint)
 
     # ------------------------------------------------------------------
-    # heartbeat protocol
+    # observer protocol
     # ------------------------------------------------------------------
 
     def __call__(self, retired: int, cycles: int) -> None:
         self._sample(final=False)
-        if self.wrapped is not None:
-            self.wrapped(retired, cycles)
 
     def set_phase(self, phase: str) -> None:
         """Close the current phase with a boundary sample and switch."""
@@ -178,33 +146,18 @@ class FlightRecorder:
         self.phase = phase
 
     def finish(self) -> None:
-        """Emit the terminal sample (exactly once) and release the file."""
+        """Emit the terminal sample (exactly once)."""
         if self._finished:
             return
         self._finished = True
         self._sample(final=True)
-        file = self._file
-        self._file = None
-        if file is not None:
-            try:
-                file.close()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
 
     def _sample(self, *, final: bool) -> None:
-        core = self.core
-        # Fold the issue queues' batched occupancy histograms into the
-        # stats counters mid-run (additive and clearing, so the exit
-        # fold stays correct and the hot loop's histogram references
-        # stay valid) — observers must see settled occupancy.
-        core.iq_int.flush_samples()
-        core.iq_mem.flush_samples()
-        core.iq_fp.flush_samples()
-        stats = core.stats
+        stats = self.core.stats
         current = stats.to_dict()
         if self._baseline_id == id(stats):
             delta = _numeric_delta(current, self._baseline)
@@ -279,77 +232,28 @@ class FlightRecorder:
         return record
 
     def _emit(self, record: dict) -> None:
-        if self._sink is not None:
-            self._sink.append(record)
-            return
-        file = self._file
-        if file is None:
-            return
         try:
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":"), allow_nan=False)
-            file.write(line + "\n")
-        except (OSError, ValueError):
-            pass  # observability must never fail the run
+            # samples stay strict JSON: a non-finite value drops the
+            # sample rather than putting NaN on the trace
+            json.dumps(record, allow_nan=False)
+        except ValueError:
+            return
+        self.tracer.flight(record)
 
 
-# ----------------------------------------------------------------------
-# consumers: torn-tolerant reading and per-run merge
-# ----------------------------------------------------------------------
+def flight_samples(trace: dict) -> dict:
+    """The flight document of a merged trace: its samples, in order.
 
-def read_flight_file(path: Path | str) -> tuple[list[dict], int]:
-    """Parse one ``flight-<pid>.jsonl``; ``(samples, skipped_lines)``.
-
-    Torn tails from crashed workers (the writer is line-buffered, so at
-    most the final line can be partial) are counted and skipped.
+    Sample order is canonical — (workload, config, checkpoint, pid,
+    seq) — so documents from the same run are identical regardless of
+    worker scheduling.  ``skipped_lines`` carries the trace's count of
+    torn lines, any of which may have been a sample.
     """
-    samples: list[dict] = []
-    skipped = 0
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return samples, 1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, ValueError):
-            skipped += 1
-            continue
-        if isinstance(record, dict) and record.get("type") == "flight":
-            samples.append(record)
-        else:
-            skipped += 1
-    return samples, skipped
-
-
-def write_merged_flight(run_dir: Path | str,
-                        pattern: str = "flight-*.jsonl") -> Path | None:
-    """Merge per-process flight files into ``<run_dir>/flight.json``.
-
-    Returns the merged path, or ``None`` when the run recorded no
-    flight samples.  Sample order is canonical — (workload, config,
-    checkpoint, pid, seq) — so merged documents from the same run are
-    byte-identical regardless of worker scheduling.
-    """
-    run_dir = Path(run_dir)
-    samples: list[dict] = []
-    skipped = 0
-    for path in sorted(run_dir.glob(pattern)):
-        found, bad = read_flight_file(path)
-        samples.extend(found)
-        skipped += bad
-    if not samples and not skipped:
-        return None
+    samples = [event["attrs"] for event in trace.get("events", [])
+               if event.get("type") == "flight"]
     samples.sort(key=lambda s: (str(s.get("workload", "")),
                                 str(s.get("config", "")),
                                 s.get("checkpoint") or 0,
                                 s.get("pid", 0), s.get("seq", 0)))
-    out = run_dir / "flight.json"
-    out.write_text(json.dumps(
-        {"schema": FLIGHT_SCHEMA, "samples": samples,
-         "skipped_lines": skipped},
-        indent=2, sort_keys=True) + "\n")
-    return out
+    return {"schema": FLIGHT_SCHEMA, "samples": samples,
+            "skipped_lines": trace.get("skipped_lines", 0)}

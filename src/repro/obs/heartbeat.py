@@ -1,7 +1,8 @@
 """Throughput heartbeats sampled from inside long simulation loops.
 
 A :class:`HeartbeatEmitter` is handed (as an optional callback) to the
-functional executor's control hook and the detailed core's run loop.
+functional executor's control hook and, as one of its observers, to the
+detailed core's run loop.
 Call sites invoke it with their current progress counter; the emitter
 rate-limits on wall time, computes the instantaneous rate, and emits a
 ``hb`` trace event.  It strictly observes — it never changes loop
@@ -51,8 +52,13 @@ class HeartbeatEmitter:
         self._last_value = 0
         self._finished = False
 
-    def __call__(self, value: int, **extra: Any) -> None:
-        """Record progress; emits at most one event per interval."""
+    def __call__(self, value: int, cycles: int | None = None,
+                 **extra: Any) -> None:
+        """Record progress; emits at most one event per interval.
+
+        Takes the detailed core's observer arguments, ``(retired,
+        cycles)``; ``cycles``, when given, rides along on the event.
+        """
         if self._finished:
             # A sample arriving after finish() would put a non-final
             # event behind the terminal one on the stream; drop it.
@@ -68,6 +74,8 @@ class HeartbeatEmitter:
         if self.total:
             attrs["total"] = self.total
         attrs.update(self.attrs)
+        if cycles is not None:
+            attrs["cycles"] = cycles
         attrs.update(extra)
         self.tracer.heartbeat(self.name, **attrs)
 

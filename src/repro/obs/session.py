@@ -23,7 +23,6 @@ import os
 import time
 from pathlib import Path
 
-from .flight import write_merged_flight
 from .merge import write_merged_trace
 from .metrics import get_metrics
 from .tracer import (
@@ -81,7 +80,6 @@ class TraceSession:
         self.run_id = f"{stamp}-{label}-{os.getpid()}"
         self.run_dir = obs_root(cache_root) / self.run_id
         self.trace_path: Path | None = None
-        self.flight_path: Path | None = None
         self._saved_env: dict[str, str | None] = {}
         self._active = False
 
@@ -116,10 +114,6 @@ class TraceSession:
             self.trace_path = write_merged_trace(self.run_dir)
         except OSError:
             self.trace_path = None
-        try:
-            self.flight_path = write_merged_flight(self.run_dir)
-        except OSError:
-            self.flight_path = None
         self._write_metrics()
         self._point_latest()
         return self.trace_path

@@ -19,6 +19,9 @@ Event records (one JSON object per line):
     Instant event (artifact hits, task lifecycle, checkpoints...).
 ``{"type": "hb", "name", "ts", "pid", "attrs"}``
     Heartbeat sample (live progress; see :mod:`repro.obs.heartbeat`).
+``{"type": "flight", "ts", "pid", "attrs"}``
+    Flight-recorder sample; ``attrs`` is the sample (see
+    :mod:`repro.obs.flight`).
 
 The module-level tracer is what instrumented library code talks to via
 :func:`get_tracer`.  When tracing is off it is a :class:`NullTracer`
@@ -149,6 +152,9 @@ class NullTracer:
     def heartbeat(self, _name: str, **_attrs: Any) -> None:
         pass
 
+    def flight(self, _sample: dict) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
@@ -251,6 +257,10 @@ class Tracer:
     def heartbeat(self, name: str, **attrs: Any) -> None:
         self._emit({"type": "hb", "name": name, "ts": self._clock(),
                     "pid": self.pid, "attrs": attrs})
+
+    def flight(self, sample: dict) -> None:
+        self._emit({"type": "flight", "ts": self._clock(),
+                    "pid": self.pid, "attrs": sample})
 
     def close(self) -> None:
         file = self._file

@@ -52,7 +52,6 @@ def simulate_checkpoint(config: BoomConfig, program,
     batch — or, without one, a private trace of ``checkpoint``.
     """
     tracer = get_tracer()
-    heartbeat = None
     emitter = None
     if tracer.enabled:
         window_hint = checkpoint.measure_instructions or interval_size
@@ -61,44 +60,40 @@ def simulate_checkpoint(config: BoomConfig, program,
             total=checkpoint.warmup_instructions + window_hint,
             workload=program.name, config=config.name,
             checkpoint=checkpoint.interval_index)
-        heartbeat = lambda retired, cycles: emitter(retired,
-                                                    cycles=cycles)
     with tracer.span("detailed_sim.checkpoint",
                      workload=program.name, config=config.name,
                      checkpoint=checkpoint.interval_index):
         state = checkpoint.restore() if trace is None else None
         core = BoomCore(config, program, state=state, trace=trace)
-        # The flight recorder and invariant checker both ride the
-        # heartbeat observer slot (each chaining whatever was there
-        # before), so a recorded/checked run takes the same loop as a
-        # traced one and produces byte-identical artifacts —
-        # REPRO_FLIGHT and REPRO_CHECK are deliberately not part of
-        # the stage fingerprint.
+        # Observers only read, so a checked, recorded or traced run
+        # takes the same loop as a plain one and produces byte-identical
+        # artifacts — REPRO_FLIGHT and REPRO_CHECK are deliberately not
+        # part of the stage fingerprint.
+        checker = CoreInvariantChecker(core) if checks_enabled() else None
         recorder = FlightRecorder.for_session(
-            core, workload=program.name,
-            checkpoint=checkpoint.interval_index, wrapped=heartbeat)
-        if recorder is not None:
-            heartbeat = recorder
-        checker = None
-        if checks_enabled():
-            checker = CoreInvariantChecker(core, wrapped=heartbeat)
-            heartbeat = checker
-        if checkpoint.warmup_instructions:
-            core.run(checkpoint.warmup_instructions,
-                     heartbeat=heartbeat)
-        if recorder is not None:
-            # Closes the warmup phase with a boundary sample *before*
-            # the stats window swaps, so the warmup tail is captured.
-            recorder.set_phase("measure")
-        stats = core.begin_measurement()
-        window = checkpoint.measure_instructions or interval_size
-        measured = core.run(window, heartbeat=heartbeat)
-        if checker is not None:
-            checker.check()
-        if recorder is not None:
-            recorder.finish()
-    if emitter is not None:
-        emitter.finish(checkpoint.warmup_instructions + measured)
+            core, tracer, workload=program.name,
+            checkpoint=checkpoint.interval_index)
+        observers = [observer for observer in (checker, recorder, emitter)
+                     if observer is not None]
+        try:
+            if checkpoint.warmup_instructions:
+                core.run(checkpoint.warmup_instructions, observers)
+            if recorder is not None:
+                # Closes the warmup phase with a boundary sample *before*
+                # the stats window swaps, so the warmup tail is captured.
+                recorder.set_phase("measure")
+            stats = core.begin_measurement()
+            window = checkpoint.measure_instructions or interval_size
+            measured = core.run(window, observers)
+            if checker is not None:
+                checker.check()
+        finally:
+            # A checkpoint that fails an invariant or deadlocks keeps its
+            # last stride's telemetry: that window is the one to look at.
+            if recorder is not None:
+                recorder.finish()
+            if emitter is not None:
+                emitter.finish(core.retired_total)
     return {
         "interval_index": checkpoint.interval_index,
         "weight": checkpoint.weight,

@@ -2,11 +2,19 @@
 
 One :class:`BoomCore` instance wires together the fetch unit (with its
 branch predictor and L1I), the rename stage (two units, branch snapshots),
-the ROB, the three collapsing issue queues, the physical register files,
-the execution units, the LSU, and the L1D — and advances them one cycle at
-a time:
+the ROB, the three issue queues (collapsing, or ring-shaped when
+``BoomConfig.issue_queue_kind`` says ``"ring"``), the physical register
+files, the execution units, the LSU, and the L1D — and advances them one
+cycle at a time:
 
     commit -> complete -> issue -> dispatch -> fetch -> sample
+
+Two loops implement that step.  Collapsing-queue cores run the fused
+loop (``_run_fused``), every stage inlined; ring-queue cores, and cores
+recording a retire log, step the generic loop (``_step``), which is
+also the fused loop's reference.  Both call the same observers (the
+invariant checker, the flight recorder, the progress heartbeat) every
+``_OBSERVER_STRIDE`` cycles on settled state.
 
 The core is the *detailed simulation* stage of the paper's flow (Fig. 3,
 step 5): it executes SimPoint checkpoints (warm-up excluded from stats)
@@ -43,7 +51,7 @@ from repro.uarch.uop import COMPLETED, ISSUED, Uop
 
 _FORWARD_LATENCY = 4
 _SAFETY_FACTOR = 400  # max cycles per requested instruction before we bail
-_HEARTBEAT_STRIDE = 4096  # cycles between heartbeat-observer callbacks
+_OBSERVER_STRIDE = 4096  # cycles between observer calls
 
 
 class BoomCore:
@@ -119,20 +127,20 @@ class BoomCore:
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int | None = None,
-            heartbeat=None) -> int:
+            observers=()) -> int:
         """Advance the pipeline until ``max_instructions`` retire.
 
         Without a budget, runs until the program exits and the pipeline
         drains.  Returns the number of instructions retired by this call.
 
-        ``heartbeat`` (optional) is a progress observer called as
-        ``heartbeat(retired_this_call, cycles_this_call)`` every
-        ``_HEARTBEAT_STRIDE`` cycles.  It only reads the counters — the
-        loop's termination conditions and step sequence are identical
-        with and without it, so a traced run retires exactly the same
-        instructions as an untraced one.  The fused loop settles its
-        hoisted state back onto the core before every callback, so
-        observers read consistent stats mid-run on either loop.
+        ``observers`` are called in list order as
+        ``observer(retired_this_call, cycles_this_call)`` every
+        ``_OBSERVER_STRIDE`` cycles, after the loop has settled its
+        state (:meth:`_observe`), so every observer reads the stats a
+        generic loop would show on either loop.  Observers only read —
+        the loop's termination conditions and step sequence are
+        identical with and without them, so an observed run retires
+        exactly the same instructions as an unobserved one.
         """
         start = self.retired_total
         start_cycle = self.cycle
@@ -143,12 +151,11 @@ class BoomCore:
         deadline = self.cycle + _SAFETY_FACTOR * (budget + 64)
         try:
             if self._fused and self.retire_log is None:
-                self._run_fused(target, deadline, heartbeat=heartbeat,
-                                hb_start=start, hb_start_cycle=start_cycle)
+                self._run_fused(target, deadline, observers, start,
+                                start_cycle)
             else:
                 # -1 when unobserved: the countdown never reaches zero
-                countdown = _HEARTBEAT_STRIDE if heartbeat is not None \
-                    else -1
+                countdown = _OBSERVER_STRIDE if observers else -1
                 while True:
                     if target is not None and self.retired_total >= target:
                         break
@@ -158,22 +165,33 @@ class BoomCore:
                     self._step()
                     countdown -= 1
                     if countdown == 0:
-                        countdown = _HEARTBEAT_STRIDE
-                        heartbeat(self.retired_total - start,
-                                  self.cycle - start_cycle)
+                        countdown = _OBSERVER_STRIDE
+                        self._observe(observers,
+                                      self.retired_total - start,
+                                      self.cycle - start_cycle)
                     if self.cycle > deadline:
                         raise SimulationError(
                             f"pipeline made no progress for "
                             f"{_SAFETY_FACTOR}x the instruction budget "
                             f"(deadlock?) at cycle {self.cycle}")
         finally:
-            # Issue-queue occupancy is sampled into histograms per cycle;
-            # fold them into the stats counters whenever control leaves
-            # the cycle loop so readers always see settled stats.
-            self.iq_int.flush_samples()
-            self.iq_mem.flush_samples()
-            self.iq_fp.flush_samples()
+            self._flush_samples()
         return self.retired_total - start
+
+    def _flush_samples(self) -> None:
+        # Issue-queue occupancy is sampled into histograms per cycle;
+        # fold them into the stats counters (additive and clearing, so
+        # the fused loop's histogram references stay valid) whenever
+        # someone is about to read the stats.
+        self.iq_int.flush_samples()
+        self.iq_mem.flush_samples()
+        self.iq_fp.flush_samples()
+
+    def _observe(self, observers, retired: int, cycles: int) -> None:
+        """Settle the occupancy histograms, then call every observer."""
+        self._flush_samples()
+        for observer in observers:
+            observer(retired, cycles)
 
     def _step(self) -> None:
         cycle = self.cycle
@@ -376,9 +394,8 @@ class BoomCore:
     # the fused cycle loop
     # ------------------------------------------------------------------
 
-    def _run_fused(self, target: int | None, deadline: int,
-                   heartbeat=None, hb_start: int = 0,
-                   hb_start_cycle: int = 0) -> None:
+    def _run_fused(self, target: int | None, deadline: int, observers,
+                   start: int, start_cycle: int) -> None:
         """Specialized cycle loop: the one every collapsing-queue core runs.
 
         Semantically identical to iterating :meth:`_step`: same stage
@@ -393,13 +410,13 @@ class BoomCore:
         ring-queue cores and cores recording a retire log take the
         generic loop.
 
-        ``heartbeat`` matches the :meth:`run` observer contract: every
-        ``_HEARTBEAT_STRIDE`` cycles the hoisted locals are settled back
+        ``observers`` follow the :meth:`run` contract: every
+        ``_OBSERVER_STRIDE`` cycles the hoisted locals are settled back
         onto the core/stats tree (``settle`` below, the same fold the
-        exit path performs) and the observer is called — so invariant
+        exit path performs) before :meth:`_observe` — so invariant
         checkers and flight recorders read exactly the state a generic
-        loop would show, while the ``heartbeat is None`` cost is one
-        integer decrement and compare per cycle.
+        loop would show, while the unobserved cost is one integer
+        decrement and compare per cycle.
         """
         config = self.config
         stats = self.stats
@@ -560,12 +577,93 @@ class BoomCore:
             else:
                 bucket.append(uop)
 
+        def select(queue: list, units: int, q_stats, slot_writes: list,
+                   cycle: int):
+            # Inline twin of IssueQueue.select for the int and fp
+            # queues.  Returns the collapsed queue (None when nothing
+            # issued), its length, and whether a busy divider turned a
+            # ready uop away.
+            kept = None
+            kept_n = 0
+            issued_n = 0
+            index = 0
+            div_blocked = False
+            for uop in queue:
+                took = False
+                if kept is None or issued_n < units:
+                    ok = True
+                    for producer in uop.srcs:
+                        if producer.state != _COMPLETED \
+                                or producer.complete_cycle > cycle:
+                            ok = False
+                            break
+                    if ok:
+                        # ExecutionUnits.can_accept + dispatch,
+                        # unrolled per opclass (same counters and
+                        # latencies as execute.LATENCY).
+                        opclass = uop.opclass
+                        latency = 0
+                        if opclass is _ALU or opclass is _SYSTEM:
+                            exec_stats.alu_ops += 1
+                            latency = 1
+                        elif opclass is _BRANCH \
+                                or opclass is _JAL \
+                                or opclass is _JALR:
+                            exec_stats.branch_ops += 1
+                            exec_stats.alu_ops += 1
+                            latency = 1
+                        elif opclass is _MUL:
+                            exec_stats.mul_ops += 1
+                            latency = 3
+                        elif opclass is _FP_ALU:
+                            exec_stats.fp_alu_ops += 1
+                            latency = 3
+                        elif opclass is _FP_MUL:
+                            exec_stats.fp_mul_ops += 1
+                            latency = 4
+                        elif opclass is _FP_CVT:
+                            exec_stats.fp_cvt_ops += 1
+                            latency = 2
+                        elif opclass is _DIV:
+                            if fus._div_busy_until <= cycle:
+                                fus._div_busy_until = cycle + 13
+                                exec_stats.div_ops += 1
+                                exec_stats.div_busy_cycles += 13
+                                latency = 13
+                            else:
+                                div_blocked = True
+                        elif opclass is _FP_DIV:
+                            if fus._fp_div_busy_until <= cycle:
+                                fus._fp_div_busy_until = cycle + 16
+                                exec_stats.fp_div_ops += 1
+                                latency = 16
+                            else:
+                                div_blocked = True
+                        if latency:
+                            finish_issue(uop, cycle, latency)
+                            took = True
+                if took:
+                    if kept is None:
+                        kept = queue[:index]
+                        kept_n = index
+                    issued_n += 1
+                elif kept is not None:
+                    if kept_n != index:
+                        q_stats.shifts += 1
+                        slot_writes[kept_n] += 1
+                    kept.append(uop)
+                    kept_n += 1
+                index += 1
+            if kept is not None:
+                q_stats.issues += issued_n
+            return kept, kept_n, div_blocked
+
         def settle() -> None:
             # Locals are authoritative inside the loop; sync them back
             # onto the core and fold the per-call accumulators into the
             # stats tree, then zero the accumulators so the fold stays
-            # additive.  Runs on loop exit and before every heartbeat
-            # callback: after it returns the core reads exactly as if
+            # additive.  Runs on loop exit and before every observer
+            # stride: after it returns the core reads exactly as if
             # the generic loop had been stepping it.
             nonlocal cycles_count, entry_retired, fbo, fs, ica, icm, \
                 fbw, fbr, dw, rob_occ, ldq_occ, stq_occ, acc_rob, \
@@ -612,7 +710,7 @@ class BoomCore:
 
         # -1 when unobserved: the countdown decrements forever without
         # hitting zero, so the disabled cost is one int op per cycle.
-        countdown = _HEARTBEAT_STRIDE if heartbeat is not None else -1
+        countdown = _OBSERVER_STRIDE if observers else -1
 
         try:
             while True:
@@ -685,83 +783,14 @@ class BoomCore:
                                 fp_unit.total_restores += 1
                             rob_stats.flushes += 1
 
-                # ---- issue: int queue (collapsing select, inlined) ----
+                # ---- issue: int queue (collapsing select) ----
                 if int_n and not int_stale:
-                    kept = None
-                    kept_n = 0
-                    issued_n = 0
-                    index = 0
-                    div_blocked = False
-                    for uop in int_q:
-                        took = False
-                        if kept is None or issued_n < alu_units:
-                            ok = True
-                            for producer in uop.srcs:
-                                if producer.state != _COMPLETED \
-                                        or producer.complete_cycle > cycle:
-                                    ok = False
-                                    break
-                            if ok:
-                                # ExecutionUnits.can_accept + dispatch,
-                                # unrolled per opclass (same counters and
-                                # latencies as execute.LATENCY).
-                                opclass = uop.opclass
-                                latency = 0
-                                if opclass is _ALU or opclass is _SYSTEM:
-                                    exec_stats.alu_ops += 1
-                                    latency = 1
-                                elif opclass is _BRANCH \
-                                        or opclass is _JAL \
-                                        or opclass is _JALR:
-                                    exec_stats.branch_ops += 1
-                                    exec_stats.alu_ops += 1
-                                    latency = 1
-                                elif opclass is _MUL:
-                                    exec_stats.mul_ops += 1
-                                    latency = 3
-                                elif opclass is _FP_ALU:
-                                    exec_stats.fp_alu_ops += 1
-                                    latency = 3
-                                elif opclass is _FP_MUL:
-                                    exec_stats.fp_mul_ops += 1
-                                    latency = 4
-                                elif opclass is _FP_CVT:
-                                    exec_stats.fp_cvt_ops += 1
-                                    latency = 2
-                                elif opclass is _DIV:
-                                    if fus._div_busy_until <= cycle:
-                                        fus._div_busy_until = cycle + 13
-                                        exec_stats.div_ops += 1
-                                        exec_stats.div_busy_cycles += 13
-                                        latency = 13
-                                    else:
-                                        div_blocked = True
-                                elif opclass is _FP_DIV:
-                                    if fus._fp_div_busy_until <= cycle:
-                                        fus._fp_div_busy_until = cycle + 16
-                                        exec_stats.fp_div_ops += 1
-                                        latency = 16
-                                    else:
-                                        div_blocked = True
-                                if latency:
-                                    finish_issue(uop, cycle, latency)
-                                    took = True
-                        if took:
-                            if kept is None:
-                                kept = int_q[:index]
-                                kept_n = index
-                            issued_n += 1
-                        elif kept is not None:
-                            if kept_n != index:
-                                int_iq_stats.shifts += 1
-                                int_slot_writes[kept_n] += 1
-                            kept.append(uop)
-                            kept_n += 1
-                        index += 1
+                    kept, kept_n, div_blocked = select(
+                        int_q, alu_units, int_iq_stats, int_slot_writes,
+                        cycle)
                     if kept is not None:
                         iq_int._queue = int_q = kept
                         int_n = kept_n
-                        int_iq_stats.issues += issued_n
                     elif not div_blocked:
                         int_stale = True
 
@@ -848,83 +877,13 @@ class BoomCore:
                         # until a completion, dispatch, or store issue.
                         mem_stale = True
 
-                # ---- issue: fp queue ----
+                # ---- issue: fp queue (collapsing select) ----
                 if fp_n and not fp_stale:
-                    kept = None
-                    kept_n = 0
-                    issued_n = 0
-                    index = 0
-                    div_blocked = False
-                    for uop in fp_q:
-                        took = False
-                        if kept is None or issued_n < fp_units:
-                            ok = True
-                            for producer in uop.srcs:
-                                if producer.state != _COMPLETED \
-                                        or producer.complete_cycle > cycle:
-                                    ok = False
-                                    break
-                            if ok:
-                                # ExecutionUnits.can_accept + dispatch,
-                                # unrolled per opclass (same counters and
-                                # latencies as execute.LATENCY).
-                                opclass = uop.opclass
-                                latency = 0
-                                if opclass is _ALU or opclass is _SYSTEM:
-                                    exec_stats.alu_ops += 1
-                                    latency = 1
-                                elif opclass is _BRANCH \
-                                        or opclass is _JAL \
-                                        or opclass is _JALR:
-                                    exec_stats.branch_ops += 1
-                                    exec_stats.alu_ops += 1
-                                    latency = 1
-                                elif opclass is _MUL:
-                                    exec_stats.mul_ops += 1
-                                    latency = 3
-                                elif opclass is _FP_ALU:
-                                    exec_stats.fp_alu_ops += 1
-                                    latency = 3
-                                elif opclass is _FP_MUL:
-                                    exec_stats.fp_mul_ops += 1
-                                    latency = 4
-                                elif opclass is _FP_CVT:
-                                    exec_stats.fp_cvt_ops += 1
-                                    latency = 2
-                                elif opclass is _DIV:
-                                    if fus._div_busy_until <= cycle:
-                                        fus._div_busy_until = cycle + 13
-                                        exec_stats.div_ops += 1
-                                        exec_stats.div_busy_cycles += 13
-                                        latency = 13
-                                    else:
-                                        div_blocked = True
-                                elif opclass is _FP_DIV:
-                                    if fus._fp_div_busy_until <= cycle:
-                                        fus._fp_div_busy_until = cycle + 16
-                                        exec_stats.fp_div_ops += 1
-                                        latency = 16
-                                    else:
-                                        div_blocked = True
-                                if latency:
-                                    finish_issue(uop, cycle, latency)
-                                    took = True
-                        if took:
-                            if kept is None:
-                                kept = fp_q[:index]
-                                kept_n = index
-                            issued_n += 1
-                        elif kept is not None:
-                            if kept_n != index:
-                                fp_iq_stats.shifts += 1
-                                fp_slot_writes[kept_n] += 1
-                            kept.append(uop)
-                            kept_n += 1
-                        index += 1
+                    kept, kept_n, div_blocked = select(
+                        fp_q, fp_units, fp_iq_stats, fp_slot_writes, cycle)
                     if kept is not None:
                         iq_fp._queue = fp_q = kept
                         fp_n = kept_n
-                        fp_iq_stats.issues += issued_n
                     elif not div_blocked:
                         fp_stale = True
 
@@ -1116,10 +1075,10 @@ class BoomCore:
                 cycles_count += 1
                 countdown -= 1
                 if countdown == 0:
-                    countdown = _HEARTBEAT_STRIDE
+                    countdown = _OBSERVER_STRIDE
                     settle()
-                    heartbeat(retired_total - hb_start,
-                              cycle - hb_start_cycle)
+                    self._observe(observers, retired_total - start,
+                                  cycle - start_cycle)
                 if cycle > deadline:
                     raise SimulationError(
                         f"pipeline made no progress for "

@@ -1,4 +1,4 @@
-"""Collapsing issue queues.
+"""Issue queues: collapsing (BOOM's) and ring-shaped.
 
 BOOM's three distributed issue units (integer, memory, floating point)
 each use a *collapsing* queue: entries shift toward the head as older
@@ -6,6 +6,11 @@ entries issue, keeping the oldest-first priority encoder simple — at the
 cost of register writes for every shifted entry on every issue (Key
 Takeaway #5).  The model counts those shifts, per-slot writes, and
 per-slot per-cycle occupancy; the latter two generate Fig. 8.
+:class:`RingIssueQueue` is the non-collapsing alternative the takeaway
+proposes; ``BoomConfig.issue_queue_kind`` picks one, and
+:func:`make_issue_queue` builds it.  The core's fused loop inlines the
+collapsing select; ring-queue cores run the generic loop, which calls
+each queue's ``select``.
 """
 
 from __future__ import annotations

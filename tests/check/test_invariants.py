@@ -21,7 +21,7 @@ from tests.uarch.test_differential import generate_program
 def run_checked(source: str, config, budget: int | None = None):
     core = BoomCore(config, assemble(source))
     checker = CoreInvariantChecker(core)
-    core.run(budget, heartbeat=checker)
+    core.run(budget, observers=[checker])
     checker.check()
     return core, checker
 
@@ -51,7 +51,7 @@ def test_mid_flight_state_holds_invariants():
     # the settled-but-partial state must satisfy every law too.
     core = BoomCore(MEDIUM_BOOM, assemble(generate_program(11)))
     checker = CoreInvariantChecker(core)
-    core.run(300, heartbeat=checker)
+    core.run(300, observers=[checker])
     checker.check()
     assert not core.frontend.trace.state.exited
 
@@ -67,12 +67,14 @@ def test_checked_run_is_behavior_identical():
 
 
 def test_wrapped_heartbeat_still_called():
+    # An observer listed after the checker is called at every stride.
     calls = []
-    core = BoomCore(MEDIUM_BOOM, assemble(generate_program(2)))
-    checker = CoreInvariantChecker(
-        core, wrapped=lambda retired, cycles: calls.append((retired,
-                                                            cycles)))
-    core.run(heartbeat=checker)
+    core = BoomCore(MEDIUM_BOOM, assemble(
+        generate_program(2, body_ops=80, iterations=60)))
+    checker = CoreInvariantChecker(core)
+    core.run(observers=[checker, lambda retired, cycles: calls.append(
+        (retired, cycles))])
+    assert calls
     assert len(calls) == checker.checks_run
 
 
@@ -134,17 +136,17 @@ class TestCorruptionIsCaught:
         assert "lsu.ldq" in message
 
     def test_heartbeat_catches_corruption_mid_run(self):
-        # Corrupt from *inside* the run via a wrapped observer: the next
-        # heartbeat check (or the final one) must fail the run.
+        # Corrupt from *inside* the run via a later observer: the next
+        # stride's check (or the final one) must fail the run.
         core = BoomCore(MEDIUM_BOOM, assemble(
             generate_program(41, body_ops=80, iterations=60)))
 
         def corruptor(retired: int, cycles: int) -> None:
             core.rename.int_unit.free -= 1
 
-        checker = CoreInvariantChecker(core, wrapped=corruptor)
+        checker = CoreInvariantChecker(core)
         with pytest.raises(InvariantViolation):
-            core.run(heartbeat=checker)
+            core.run(observers=[checker, corruptor])
             checker.check()
 
     def test_violation_is_check_error(self):

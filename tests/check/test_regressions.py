@@ -54,7 +54,7 @@ class TestLazyFpRecovery:
         config = MEDIUM_BOOM.with_lazy_fp_snapshots()
         core = BoomCore(config, assemble(_INT_BRANCHY))
         checker = CoreInvariantChecker(core)
-        core.run(heartbeat=checker)
+        core.run(observers=[checker])
         checker.check()
 
     def test_eager_default_still_restores(self):

@@ -4,8 +4,9 @@ Two contracts are pinned here.  First, the recorder's own semantics:
 samples partition the run (window cycle counts sum to the core's total),
 the warmup→measure stats swap resets the delta baseline via object
 identity, phase boundaries are closed under the *old* phase tag,
-``finish`` emits its terminal sample exactly once, and merged timelines
-have a canonical order independent of worker scheduling.  Second — the
+``finish`` emits its terminal sample exactly once (even when a check
+fails mid-run), and timelines read back from a trace have a canonical
+order independent of worker scheduling.  Second — the
 reason the recorder may exist at all — observation-only: a sweep run
 with flight recording armed produces byte-identical stage artifacts to
 one run without it, on the serial and parallel paths alike.
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import CHECK_ENV
+from repro.check.invariants import CoreInvariantChecker
 from repro.checkpoint.checkpoint import Checkpoint
+from repro.errors import InvariantViolation
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SweepRunner
 from repro.goldens import GOLDEN_SCALE, GOLDEN_SEED
@@ -28,16 +32,17 @@ from repro.obs.flight import (
     FlightRecorder,
     _numeric_delta,
     flight_requested,
-    read_flight_file,
-    write_merged_flight,
+    flight_samples,
 )
 from repro.obs.session import latest_run_dir
+from repro.obs.tracer import Tracer, configure_tracer, reset_tracer
+from repro.sim.batch import simulate_checkpoint
 from repro.sim.executor import Executor
 from repro.uarch.config import MEDIUM_BOOM
 from repro.uarch.core import BoomCore
 from repro.workloads.suite import build_program
 
-# The window must span several 4096-cycle heartbeat strides so the
+# The window must span several 4096-cycle observer strides so the
 # recorder takes genuine periodic samples, not just boundary ones.
 WARMUP = 500
 WINDOW = 12_000
@@ -54,14 +59,21 @@ def sha_checkpoint():
     return program, checkpoint
 
 
-def _recorded_run(program, checkpoint, *, sink, wrapped=None):
+def _samples(events: list[dict]) -> list[dict]:
+    return [event["attrs"] for event in events
+            if event["type"] == "flight"]
+
+
+def _recorded_run(program, checkpoint, *, events, after=()):
+    """A recorded warmup + window, traced into ``events``."""
     core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
-    recorder = FlightRecorder(core, workload="sha", checkpoint=0,
-                              sink=sink, wrapped=wrapped)
-    core.run(WARMUP, heartbeat=recorder)
+    recorder = FlightRecorder(core, Tracer(sink=events), workload="sha",
+                              checkpoint=0)
+    observers = [recorder, *after]
+    core.run(WARMUP, observers)
     recorder.set_phase("measure")
     stats = core.begin_measurement()
-    core.run(WINDOW, heartbeat=recorder)
+    core.run(WINDOW, observers)
     recorder.finish()
     return core, recorder, stats
 
@@ -96,37 +108,40 @@ def test_numeric_delta_recurses_and_passes_through():
 
 def test_samples_partition_the_run(sha_checkpoint):
     program, checkpoint = sha_checkpoint
-    sink: list[dict] = []
-    core, recorder, _ = _recorded_run(program, checkpoint, sink=sink)
-    assert sink, "a multi-thousand-cycle run must produce samples"
-    assert sum(sample["cycles"] for sample in sink) == core.cycle
-    for sample in sink:
+    events: list[dict] = []
+    core, recorder, _ = _recorded_run(program, checkpoint, events=events)
+    samples = _samples(events)
+    assert samples, "a multi-thousand-cycle run must produce samples"
+    assert sum(sample["cycles"] for sample in samples) == core.cycle
+    for sample in samples:
         expected = (sample["retired"] / sample["cycles"]
                     if sample["cycles"] else 0.0)
         assert sample["ipc"] == expected
-    assert [sample["seq"] for sample in sink] == list(range(len(sink)))
+    assert [sample["seq"] for sample in samples] == list(range(len(samples)))
 
 
 def test_phase_boundary_and_measurement_swap(sha_checkpoint):
     program, checkpoint = sha_checkpoint
-    sink: list[dict] = []
-    core, _, stats = _recorded_run(program, checkpoint, sink=sink)
-    phases = [sample["phase"] for sample in sink]
+    events: list[dict] = []
+    core, _, stats = _recorded_run(program, checkpoint, events=events)
+    samples = _samples(events)
+    phases = [sample["phase"] for sample in samples]
     assert "warmup" in phases and "measure" in phases
     # phases are contiguous: all warmup samples precede all measure ones
     assert phases == sorted(phases, key=["warmup", "measure"].index)
     # the measure-phase windows must cover exactly the fresh stats
     # object's counters: begin_measurement() swapped the baseline
-    measure = [s for s in sink if s["phase"] == "measure"]
+    measure = [s for s in samples if s["phase"] == "measure"]
     assert sum(s["cycles"] for s in measure) == stats.to_dict()["cycles"]
     assert sum(s["retired"] for s in measure) == stats.to_dict()["retired"]
 
 
 def test_samples_carry_the_telemetry_sections(sha_checkpoint):
     program, checkpoint = sha_checkpoint
-    sink: list[dict] = []
-    _recorded_run(program, checkpoint, sink=sink)
-    busy = [s for s in sink if s["cycles"] > 0 and s["retired"] > 0]
+    events: list[dict] = []
+    _recorded_run(program, checkpoint, events=events)
+    samples = _samples(events)
+    busy = [s for s in samples if s["cycles"] > 0 and s["retired"] > 0]
     assert busy
     for sample in busy:
         assert set(sample["occupancy"]) == {"rob", "iq", "ldq", "stq",
@@ -143,62 +158,86 @@ def test_samples_carry_the_telemetry_sections(sha_checkpoint):
 
 def test_finish_emits_terminal_sample_exactly_once(sha_checkpoint):
     program, checkpoint = sha_checkpoint
-    sink: list[dict] = []
-    _, recorder, _ = _recorded_run(program, checkpoint, sink=sink)
-    finals = [sample for sample in sink if sample["final"]]
-    assert len(finals) == 1 and sink[-1]["final"]
-    count = len(sink)
+    events: list[dict] = []
+    _, recorder, _ = _recorded_run(program, checkpoint, events=events)
+    samples = _samples(events)
+    finals = [sample for sample in samples if sample["final"]]
+    assert len(finals) == 1 and samples[-1]["final"]
+    count = len(events)
     recorder.finish()
     recorder.finish()
-    assert len(sink) == count
+    assert len(events) == count
+
+
+def test_failed_check_still_leaves_the_final_sample(
+        sha_checkpoint, monkeypatch):
+    """A checkpoint whose check fails mid-run keeps its last window."""
+    program, checkpoint = sha_checkpoint
+    monkeypatch.setenv(CHECK_ENV, "1")
+    monkeypatch.setenv(FLIGHT_ENV, "1")
+
+    def failing_stride(self, retired, cycles):
+        raise InvariantViolation("test.mid_run", "forced",
+                                 cycle=self.core.cycle)
+
+    monkeypatch.setattr(CoreInvariantChecker, "__call__", failing_stride)
+    events: list[dict] = []
+    configure_tracer(sink=events)
+    try:
+        with pytest.raises(InvariantViolation):
+            simulate_checkpoint(MEDIUM_BOOM, program, checkpoint, WINDOW)
+    finally:
+        reset_tracer()
+    samples = _samples(events)
+    assert [sample["final"] for sample in samples].count(True) == 1
+    assert samples[-1]["final"] and samples[-1]["phase"] == "measure"
+    heartbeats = [event for event in events if event["type"] == "hb"]
+    assert heartbeats and heartbeats[-1]["attrs"].get("final")
 
 
 def test_wrapped_observer_still_sees_every_heartbeat(sha_checkpoint):
+    # An observer listed after the recorder is called at every stride.
     program, checkpoint = sha_checkpoint
     beats: list[tuple[int, int]] = []
-    _recorded_run(program, checkpoint, sink=[],
-                  wrapped=lambda retired, cycles: beats.append(
-                      (retired, cycles)))
+    _recorded_run(program, checkpoint, events=[],
+                  after=[lambda retired, cycles: beats.append(
+                      (retired, cycles))])
     assert beats
     assert all(cycles > 0 for _retired, cycles in beats)
 
 
 # ----------------------------------------------------------------------
-# torn-tolerant reading and canonical merge
+# reading samples back from a merged trace
 # ----------------------------------------------------------------------
 
-def test_read_flight_file_skips_torn_tail(tmp_path):
-    path = tmp_path / "flight-1.jsonl"
-    good = {"type": "flight", "seq": 0}
-    path.write_text(json.dumps(good) + "\n"
-                    + '{"type": "other"}\n'
-                    + '{"type": "flight", "seq": 1, "tor')
-    samples, skipped = read_flight_file(path)
-    assert samples == [good]
-    assert skipped == 2
-    assert read_flight_file(tmp_path / "absent.jsonl") == ([], 1)
+def test_flight_samples_canonical_order():
+    def event(pid, seq, workload="sha", config="MediumBOOM"):
+        return {"type": "flight", "pid": pid, "ts": 1.0, "uts": 1.0,
+                "attrs": {"type": "flight", "pid": pid, "seq": seq,
+                          "workload": workload, "config": config,
+                          "checkpoint": 0}}
 
-
-def test_write_merged_flight_canonical_order(tmp_path):
-    def sample(pid, seq, workload="sha", config="MediumBOOM"):
-        return {"type": "flight", "pid": pid, "seq": seq,
-                "workload": workload, "config": config, "checkpoint": 0}
-
-    # two "workers" whose files interleave out of order
-    (tmp_path / "flight-2.jsonl").write_text(
-        "\n".join(json.dumps(sample(2, seq)) for seq in (0, 1)) + "\n")
-    (tmp_path / "flight-1.jsonl").write_text(
-        json.dumps(sample(1, 0, workload="qsort")) + "\n")
-    merged = write_merged_flight(tmp_path)
-    assert merged is not None
-    doc = json.loads(merged.read_text())
+    # two "workers" whose samples interleave out of order, among spans
+    trace = {"skipped_lines": 1, "events": [
+        event(2, 1), {"type": "B", "name": "x", "pid": 1, "uts": 0.5},
+        event(2, 0), event(1, 0, workload="qsort")]}
+    doc = flight_samples(trace)
     order = [(s["workload"], s["pid"], s["seq"]) for s in doc["samples"]]
     assert order == [("qsort", 1, 0), ("sha", 2, 0), ("sha", 2, 1)]
-    assert doc["skipped_lines"] == 0
+    assert doc["skipped_lines"] == 1
 
 
-def test_write_merged_flight_empty_run_is_none(tmp_path):
-    assert write_merged_flight(tmp_path) is None
+def test_flight_samples_of_an_unrecorded_trace_are_empty():
+    assert flight_samples({"events": []})["samples"] == []
+
+
+def test_non_finite_sample_is_dropped(sha_checkpoint):
+    program, checkpoint = sha_checkpoint
+    events: list[dict] = []
+    core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
+    recorder = FlightRecorder(core, Tracer(sink=events), workload="sha")
+    recorder._emit({"type": "flight", "ipc": float("nan")})
+    assert _samples(events) == []
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +285,15 @@ def test_recording_is_byte_identical(tmp_path, monkeypatch,
                      monkeypatch=monkeypatch)
     assert results == plain_reference[0]
     assert _artifact_digests(tmp_path) == plain_reference[1]
-    # ...and the recording actually happened: the session merged a
-    # timeline with samples for every pair, warmup and measure phases.
+    # ...and the recording actually happened: the merged trace holds
+    # samples for every pair, warmup and measure phases, and the run
+    # directory holds nothing beside the trace files.
     run_dir = latest_run_dir(tmp_path)
     assert run_dir is not None
-    flight = json.loads((run_dir / "flight.json").read_text())
+    assert {path.name for path in run_dir.iterdir()
+            if not path.name.startswith("events-")} \
+        == {"trace.json", "metrics.json"}
+    flight = flight_samples(json.loads((run_dir / "trace.json").read_text()))
     assert flight["skipped_lines"] == 0
     pairs = {(s["workload"], s["config"]) for s in flight["samples"]}
     assert len(pairs) == 3  # sha on all three presets

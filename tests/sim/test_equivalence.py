@@ -307,27 +307,57 @@ def test_batched_ring_queue_shape_bit_identical():
 def test_flight_recorder_is_observation_only():
     """A recorded run retires bit-identical state on every preset.
 
-    The flight recorder rides the heartbeat slot; this pins that
-    sampling (which flushes IQ occupancy histograms mid-run and reads
-    the stats tree) never perturbs the simulation: cycle counts and the
-    full stat dictionaries match an unobserved run exactly.
+    The flight recorder is a core observer; this pins that sampling
+    (the loop flushes IQ occupancy histograms mid-run, the recorder
+    reads the stats tree) never perturbs the simulation: cycle counts
+    and the full stat dictionaries match an unobserved run exactly.
     """
     from repro.obs.flight import FlightRecorder
+    from repro.obs.tracer import Tracer
 
     program, checkpoint = _batch_checkpoint()
     for config in ALL_CONFIGS:
         plain = _measure(BoomCore(config, program,
                                   state=checkpoint.restore()))
         core = BoomCore(config, program, state=checkpoint.restore())
-        recorder = FlightRecorder(core, workload="sha", sink=[])
-        core.run(_BATCH_WARMUP, heartbeat=recorder)
+        recorder = FlightRecorder(core, Tracer(sink=[]), workload="sha")
+        core.run(_BATCH_WARMUP, [recorder])
         recorder.set_phase("measure")
         stats = core.begin_measurement()
-        core.run(_BATCH_WINDOW, heartbeat=recorder)
+        core.run(_BATCH_WINDOW, [recorder])
         recorder.finish()
         observed = (core.cycle, json.dumps(stats.to_dict(),
                                            sort_keys=True))
         assert observed == plain, config.name
+
+
+@pytest.mark.parametrize("workload", ["sha", "fft", "dijkstra"])
+def test_observers_see_the_same_state_on_both_loops(workload):
+    """At every stride an observer reads the same settled state from the
+    fused loop as from the generic loop, on every preset."""
+    program = build_program(workload, scale=0.3, seed=GOLDEN_SEED)
+    executor = Executor(program)
+    executor.run(max_instructions=1_500)
+    checkpoint = Checkpoint.capture(
+        executor.state, workload=workload, interval_index=0, weight=1.0,
+        warmup_instructions=_BATCH_WARMUP)
+    for config in ALL_CONFIGS:
+        runs = []
+        for retire_log in (None, []):  # a retire log selects the generic loop
+            core = BoomCore(config, program, state=checkpoint.restore())
+            core.retire_log = retire_log
+            records = []
+
+            def observe(retired, cycles, core=core, records=records):
+                records.append((retired, cycles, core.cycle, json.dumps(
+                    core.stats.to_dict(), sort_keys=True)))
+
+            core.run(_BATCH_WARMUP, [observe])
+            core.begin_measurement()
+            core.run(20_000, [observe])
+            runs.append(records)
+        assert len(runs[0]) >= 2, config.name
+        assert runs[0] == runs[1], config.name
 
 
 def test_batched_dse_sampled_point_bit_identical():

@@ -320,8 +320,8 @@ def test_owned_trace_keeps_a_bounded_window():
     """
     core = BoomCore(MEDIUM_BOOM, assemble(source))
     lengths = []
-    core.run(heartbeat=lambda retired, cycles: lengths.append(
-        len(core.frontend.trace.entries)))
+    core.run(observers=[lambda retired, cycles: lengths.append(
+        len(core.frontend.trace.entries))])
     lengths.append(len(core.frontend.trace.entries))
     assert core.retired_total > 32_000
     assert len(lengths) >= 3
