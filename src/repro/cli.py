@@ -192,9 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workloads=args.workloads, jobs=args.jobs, policy=policy,
         timeout=args.timeout,
         fail_fast=args.fail_fast, resume=args.resume,
-        trace=args.trace, progress=args.progress,
-        deadline=args.deadline, max_rss_mb=args.max_rss,
-        min_free_mb=args.min_free_mb)
+        trace=args.trace, progress=args.progress)
     if args.resume and runner.resumed_completed:
         print(f"resumed: {runner.resumed_completed} experiments already "
               f"complete from the interrupted run")
@@ -249,9 +247,6 @@ def _emit_chrome(text: str, output: str | None) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs.render import chrome_json, format_summary, format_tree
     from repro.obs.session import METRICS_NAME, resolve_run_dir
 
@@ -280,17 +275,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(metrics_path.read_text().rstrip())
         else:
             print("\n(no metrics snapshot recorded)")
-    if args.prom:
-        from repro.obs.metrics import snapshot_to_prometheus
-
-        metrics_path = run_dir / METRICS_NAME
-        if not metrics_path.exists():
-            print("no metrics snapshot recorded for this run; nothing "
-                  "to export", file=sys.stderr)
-            return 2
-        text = snapshot_to_prometheus(json.loads(metrics_path.read_text()))
-        Path(args.prom).write_text(text)
-        print(f"wrote Prometheus textfile {args.prom}", file=sys.stderr)
     return 0
 
 
@@ -763,18 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="live per-workload progress + ETA on stderr, tailing the "
              "simulator heartbeats (implies tracing)")
-    sweep_parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the whole sweep; leftover work is "
-             "recorded (kind 'deadline') and the sweep degrades (exit 3)")
-    sweep_parser.add_argument(
-        "--max-rss", type=float, default=None, metavar="MB",
-        help="per-worker resident-set ceiling; offenders are terminated "
-             "and their tasks retried within the attempt budget")
-    sweep_parser.add_argument(
-        "--min-free-mb", type=float, default=None, metavar="MB",
-        help="refuse to start tasks once free disk under the cache "
-             "falls below this floor (kind 'disk-full', exit 3)")
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     trace_parser = commands.add_parser(
@@ -794,10 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--metrics", action="store_true",
         help="also print the run's metrics snapshot")
-    trace_parser.add_argument(
-        "--prom", default=None, metavar="FILE",
-        help="export the run's metrics snapshot as a Prometheus "
-             "textfile (node-exporter textfile collector format)")
     trace_parser.set_defaults(handler=_cmd_trace)
 
     flight_parser = commands.add_parser(

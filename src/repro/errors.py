@@ -2,7 +2,8 @@
 
 Every error raised by this library derives from :class:`ReproError`, so
 callers can catch one type at a flow boundary.  Sub-hierarchies mirror the
-package layout (ISA, simulation, SimPoint, power, flow).
+package layout (ISA, simulation, SimPoint, power, checks, the sweep
+scheduler).
 
 The sweep's supervised scheduler additionally needs to know whether a
 failed task is worth *retrying*.  :func:`classify_failure` partitions
@@ -80,10 +81,6 @@ class ConfigError(ReproError):
 
 class PowerModelError(ReproError):
     """Structural power model was given inconsistent areas or activities."""
-
-
-class FlowError(ReproError):
-    """End-to-end experiment pipeline misuse (missing stage outputs, etc.)."""
 
 
 class CheckError(ReproError):
@@ -165,54 +162,8 @@ class LeaseTimeoutError(TransientError):
         super().__init__(f"gave up waiting {timeout:g}s for {what}")
 
 
-class ResourceError(ReproError):
-    """A resource guardrail refused to run (or continue) work.
-
-    Classified *permanent*: retrying a task on a full disk or past the
-    campaign deadline reproduces the refusal, so the scheduler records
-    it and degrades gracefully (exit 3) instead of burning retries.
-    """
-
-
-class DiskSpaceError(ResourceError):
-    """Free space under the cache fell below the configured reserve."""
-
-    def __init__(self, path: str, free_mb: float, floor_mb: float) -> None:
-        self.path = path
-        self.free_mb = free_mb
-        self.floor_mb = floor_mb
-        super().__init__(
-            f"{free_mb:.0f} MB free under {path} is below the "
-            f"{floor_mb:.0f} MB reserve floor")
-
-
-class MemoryBudgetError(ResourceError):
-    """A worker exceeded its per-task RSS ceiling and was terminated."""
-
-
-class DeadlineExceededError(ResourceError):
-    """The sweep's wall-clock budget ran out before all tasks were run."""
-
-
-class RecoveryError(ReproError):
-    """Crash recovery (``repro-cli recover``) hit unrepairable state."""
-
-
 class SchedulerError(ReproError):
     """Supervised sweep scheduler misuse or unrecoverable breakdown."""
-
-
-class TaskTimeoutError(SchedulerError):
-    """A scheduled task exceeded its per-task wall-clock budget."""
-
-    def __init__(self, key: str, timeout: float) -> None:
-        self.key = key
-        self.timeout = timeout
-        super().__init__(f"task {key!r} exceeded {timeout:g}s timeout")
-
-
-class SweepAborted(SchedulerError):
-    """The sweep stopped early (``--fail-fast`` after a permanent failure)."""
 
 
 class SweepInterrupted(SchedulerError):

@@ -51,10 +51,8 @@ from typing import Any, Callable
 from repro.errors import (
     PERMANENT,
     TRANSIENT,
-    DiskSpaceError,
     classify_failure,
 )
-from repro.flow.guardrails import ResourceGuard
 from repro.obs.logs import setup_worker_logging
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import (
@@ -192,7 +190,6 @@ class SupervisedScheduler:
                  policy: RetryPolicy | None = None,
                  timeout: float | None = None,
                  fail_fast: bool = False,
-                 guard: ResourceGuard | None = None,
                  executor_factory: Callable[[int], Any] | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -200,7 +197,6 @@ class SupervisedScheduler:
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = timeout
         self.fail_fast = fail_fast
-        self.guard = guard if (guard is not None and guard.active) else None
         self._executor_factory = (
             executor_factory if executor_factory is not None
             else _process_pool)
@@ -244,8 +240,6 @@ class SupervisedScheduler:
         outcome = ScheduleOutcome()
         if not tasks:
             return outcome
-        if self.guard is not None:
-            self.guard.start()
         queue: deque[Task] = deque(tasks)
         attempts: dict[str, int] = {task.key: 0 for task in tasks}
         inflight: dict[Future, Task] = {}
@@ -253,10 +247,6 @@ class SupervisedScheduler:
         pool = self._spawn()
         try:
             while queue or inflight:
-                if self.guard is not None and self.guard.expired():
-                    self._drain_deadline(inflight, deadlines, queue,
-                                         attempts, outcome)
-                    break
                 pool = self._fill(pool, queue, inflight, deadlines,
                                   attempts, outcome)
                 if not inflight:
@@ -264,8 +254,6 @@ class SupervisedScheduler:
                 done = self._wait(inflight, deadlines)
                 crashed = self._collect(done, inflight, deadlines, queue,
                                         attempts, outcome, on_result)
-                if not crashed and self.guard is not None:
-                    self._enforce_rss(pool)
                 if crashed:
                     pool = self._recover_crash(pool, inflight, deadlines,
                                                queue, attempts, outcome)
@@ -296,19 +284,6 @@ class SupervisedScheduler:
         tracer = get_tracer()
         while queue and len(inflight) < self.max_workers:
             task = queue.popleft()
-            if self.guard is not None:
-                try:
-                    self.guard.preflight_disk(task.key)
-                except DiskSpaceError as exc:
-                    # a full disk fails every write the same way: record
-                    # the task (exit-3 degradation) instead of letting a
-                    # worker tear artifacts against ENOSPC
-                    logger.warning("task %s refused: %s", task.key, exc)
-                    tracer.event("guard.disk_refused", key=task.key)
-                    outcome.failures.append(TaskRecord(
-                        key=task.key, kind="disk-full", error=str(exc),
-                        attempts=attempts[task.key]))
-                    continue
             try:
                 future = pool.submit(_run_task,
                                      (task.fn, task.payload, task.key))
@@ -336,15 +311,8 @@ class SupervisedScheduler:
 
     def _wait(self, inflight: dict[Future, Task],
               deadlines: dict[Future, float]) -> list[Future]:
-        candidates: list[float] = []
-        if deadlines:
-            candidates.append(
-                max(0.0, min(deadlines.values()) - self._clock()))
-        if self.guard is not None:
-            poll = self.guard.poll_interval()
-            if poll is not None:
-                candidates.append(poll)
-        wait_timeout = min(candidates) if candidates else None
+        wait_timeout = (max(0.0, min(deadlines.values()) - self._clock())
+                        if deadlines else None)
         done, _ = wait_futures(list(inflight), timeout=wait_timeout,
                                return_when=FIRST_COMPLETED)
         return list(done)
@@ -490,60 +458,6 @@ class SupervisedScheduler:
         get_tracer().event("pool.respawn", reason="timeout-recycle")
         get_metrics().counter("scheduler.respawns").inc()
         return self._spawn()
-
-    def _enforce_rss(self, pool: Any) -> None:
-        """Terminate workers over the RSS ceiling (the watchdog).
-
-        The kill surfaces as ``BrokenProcessPool`` on the victim's
-        future, so the established crash-recovery path — respawn,
-        re-enqueue, retry within budget — handles the aftermath; this
-        method only pulls the trigger.
-        """
-        processes = getattr(pool, "_processes", None)
-        if not processes:
-            return
-        for pid, rss in self.guard.rss_overages(list(processes)):
-            logger.warning("worker %d RSS %.0f MB exceeds %.0f MB "
-                           "ceiling; terminating", pid, rss,
-                           self.guard.max_rss_mb)
-            get_tracer().event("guard.rss_kill", pid=pid, rss_mb=rss,
-                               ceiling_mb=self.guard.max_rss_mb)
-            get_metrics().counter("guard.rss_kills").inc()
-            process = processes.get(pid)
-            if process is not None:
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-
-    def _drain_deadline(self, inflight: dict[Future, Task],
-                        deadlines: dict[Future, float], queue: deque[Task],
-                        attempts: dict[str, int],
-                        outcome: ScheduleOutcome) -> None:
-        """Wall-clock budget exhausted: abandon the rest, keep results.
-
-        Abandoned tasks are recorded under ``timeouts`` with kind
-        ``deadline`` so the manifest reports a degraded (exit 3) sweep
-        rather than a wedged one.
-        """
-        budget = self.guard.deadline
-        for task in list(queue) + list(inflight.values()):
-            outcome.timeouts.append(TaskRecord(
-                key=task.key, kind="deadline",
-                error=f"abandoned: {budget:g}s sweep deadline exceeded",
-                attempts=attempts[task.key]))
-        for future in inflight:
-            future.cancel()
-        get_tracer().event("guard.deadline", budget=budget,
-                           abandoned=len(queue) + len(inflight))
-        get_metrics().counter("guard.deadline_abandoned").inc(
-            len(queue) + len(inflight))
-        logger.warning("sweep deadline (%gs) exceeded; abandoned %d "
-                       "remaining tasks", budget,
-                       len(queue) + len(inflight))
-        queue.clear()
-        inflight.clear()
-        deadlines.clear()
 
     def _abort(self, inflight: dict[Future, Task],
                deadlines: dict[Future, float], queue: deque[Task],

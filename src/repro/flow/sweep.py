@@ -47,12 +47,10 @@ from typing import Iterable
 from repro.errors import (
     PERMANENT,
     TRANSIENT,
-    DiskSpaceError,
     SweepInterrupted,
     classify_failure,
 )
 from repro.flow.experiment import FlowSettings
-from repro.flow.guardrails import ResourceGuard
 from repro.flow.interrupt import InterruptGuard
 from repro.flow.results import ExperimentResult
 from repro.flow.scheduler import (
@@ -208,10 +206,7 @@ class SweepRunner:
                 fail_fast: bool = False,
                 resume: bool = False,
                 trace: bool = False,
-                progress: bool = False,
-                deadline: float | None = None,
-                max_rss_mb: float | None = None,
-                min_free_mb: float | None = None) \
+                progress: bool = False) \
             -> dict[tuple[str, str], ExperimentResult]:
         """The full study: every workload on every configuration.
 
@@ -245,16 +240,6 @@ class SweepRunner:
         ``progress=True`` additionally tails the heartbeats live and
         prints per-workload progress to stderr.  Tracing never alters
         artifacts or fingerprints; it requires a cache directory.
-
-        The three resource guardrails degrade a sweep gracefully
-        instead of wedging or corrupting it: ``deadline`` bounds the
-        whole campaign's wall clock (leftover work is recorded with
-        kind ``deadline``), ``max_rss_mb`` arms a watchdog that
-        terminates workers past the RSS ceiling (the task retries
-        within its budget), and ``min_free_mb`` refuses to start tasks
-        once free disk under the cache falls below the reserve floor
-        (kind ``disk-full``).  Any recorded guardrail event leaves the
-        manifest degraded, which ``repro-cli sweep`` turns into exit 3.
         """
         started = perf_counter()
         before = self.store.stats_snapshot()
@@ -276,10 +261,6 @@ class SweepRunner:
         self.resumed_completed = 0
         self.batch_degraded = {}
         pending_pairs = self._apply_resume(pairs, sweep_id, resume, outcome)
-        guard = ResourceGuard(
-            self.cache_dir, min_free_mb=min_free_mb,
-            max_rss_mb=max_rss_mb, deadline=deadline,
-            faults=self.store.faults).start()
         session, monitor = self._start_observability(trace, progress)
         self._state = {
             "sweep_id": sweep_id,
@@ -301,11 +282,10 @@ class SweepRunner:
                     self._run_parallel(pending_pairs, jobs, results,
                                        outcome, policy=policy,
                                        timeout=timeout,
-                                       fail_fast=fail_fast, guard=guard)
+                                       fail_fast=fail_fast)
                 else:
                     self._run_serial(pending_pairs, results, outcome,
-                                     policy=policy, fail_fast=fail_fast,
-                                     guard=guard)
+                                     policy=policy, fail_fast=fail_fast)
         except SweepInterrupted as exc:
             interrupted = exc
         except KeyboardInterrupt:
@@ -437,11 +417,10 @@ class SweepRunner:
     def _run_serial(self, pairs: list[tuple[str, BoomConfig]],
                     results: dict[tuple[str, str], ExperimentResult],
                     outcome: ScheduleOutcome, *, policy: RetryPolicy,
-                    fail_fast: bool,
-                    guard: ResourceGuard | None = None) -> None:
+                    fail_fast: bool) -> None:
         # each workload's uncached configs are primed as one batch just
-        # before its first uncached pair, so progress and the deadline
-        # guard advance workload by workload
+        # before its first uncached pair, so progress advances workload
+        # by workload
         unprimed: dict[str, list[BoomConfig]] = {}
         computed: set[str] = set()
         for workload, config in pairs:
@@ -450,23 +429,6 @@ class SweepRunner:
                 computed.add(_pair_key(workload, config))
         for index, (workload, config) in enumerate(pairs):
             key = _pair_key(workload, config)
-            if guard is not None and guard.expired():
-                for later_workload, later_config in pairs[index:]:
-                    outcome.timeouts.append(TaskRecord(
-                        key=_pair_key(later_workload, later_config),
-                        kind="deadline",
-                        error=f"abandoned: {guard.deadline:g}s sweep "
-                              f"deadline exceeded", attempts=0))
-                return
-            if guard is not None:
-                try:
-                    guard.preflight_disk(key)
-                except DiskSpaceError as exc:
-                    for later_workload, later_config in pairs[index:]:
-                        outcome.failures.append(TaskRecord(
-                            key=_pair_key(later_workload, later_config),
-                            kind="disk-full", error=str(exc), attempts=0))
-                    return
             attempts = 0
             while True:
                 attempts += 1
@@ -514,8 +476,7 @@ class SweepRunner:
     def _run_parallel(self, pairs: list[tuple[str, BoomConfig]], jobs: int,
                       results: dict[tuple[str, str], ExperimentResult],
                       outcome: ScheduleOutcome, *, policy: RetryPolicy,
-                      timeout: float | None, fail_fast: bool,
-                      guard: ResourceGuard | None = None) -> None:
+                      timeout: float | None, fail_fast: bool) -> None:
         pipeline = self.pipeline
         pending: list[tuple[str, BoomConfig]] = []
         for workload, config in pairs:
@@ -541,7 +502,7 @@ class SweepRunner:
 
         scheduler = SupervisedScheduler(
             max_workers=jobs, policy=policy, timeout=timeout,
-            fail_fast=fail_fast, guard=guard)
+            fail_fast=fail_fast)
 
         inline: dict[str, tuple] = {}
 
@@ -605,7 +566,7 @@ class SweepRunner:
             # experiment workers, so the wave is skipped.)
             batch_scheduler = SupervisedScheduler(
                 max_workers=jobs, policy=policy, timeout=timeout,
-                fail_fast=False, guard=guard)
+                fail_fast=False)
             batch_wave = batch_scheduler.run(
                 [Task(key=f"batch:{workload}:{index}", fn=_batch_worker,
                       payload=(workload, configs, self.settings,

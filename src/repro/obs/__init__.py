@@ -37,7 +37,6 @@ from .metrics import (
     MetricsRegistry,
     get_metrics,
     reset_metrics,
-    snapshot_to_prometheus,
 )
 from .progress import ProgressMonitor
 from .render import (
@@ -112,7 +111,6 @@ __all__ = [
     "resolve_run_dir",
     "setup_cli_logging",
     "setup_worker_logging",
-    "snapshot_to_prometheus",
     "sparkline",
     "stage_totals",
     "to_chrome",

@@ -22,7 +22,6 @@ Instruments:
 
 from __future__ import annotations
 
-import re
 import threading
 from typing import Any, Iterable
 
@@ -33,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "reset_metrics",
-    "snapshot_to_prometheus",
 ]
 
 # Bucket upper bounds (seconds or unitless); the final bucket is +inf.
@@ -189,77 +187,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """The registry in Prometheus text exposition format.
-
-        Written for the textfile-collector workflow: ``repro-cli trace
-        summary --prom node_exporter/repro.prom`` drops the file where a
-        node exporter scrapes it.  Works off :meth:`snapshot`, so merged
-        worker registries export exactly what ``metrics.json`` records.
-        """
-        return snapshot_to_prometheus(self.snapshot(), prefix=prefix)
-
-
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(prefix: str, name: str) -> str:
-    """Sanitize a dotted instrument name into a Prometheus metric name."""
-    flat = _PROM_NAME.sub("_", f"{prefix}_{name}" if prefix else name)
-    if flat and flat[0].isdigit():
-        flat = "_" + flat
-    return flat
-
-
-def _prom_value(value: float | int | None) -> str:
-    if value is None:
-        return "NaN"
-    if isinstance(value, float) and value != value:
-        return "NaN"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def snapshot_to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict as Prometheus text.
-
-    Counters map to ``counter``, gauges to two ``gauge`` series (value
-    and ``_high`` watermark), histograms to the standard cumulative
-    ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple.  Output is
-    sorted by metric name, ends with a newline, and contains only
-    ``# TYPE`` comments plus samples — parseable by any scraper.
-    """
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        payload = snapshot[name]
-        if not isinstance(payload, dict):
-            continue
-        kind = payload.get("kind")
-        metric = _prom_name(prefix, name)
-        if kind == "counter":
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_prom_value(payload.get('value', 0))}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_prom_value(payload.get('value', 0))}")
-            lines.append(f"# TYPE {metric}_high gauge")
-            lines.append(
-                f"{metric}_high {_prom_value(payload.get('high', 0))}")
-        elif kind == "histogram":
-            bounds = list(payload.get("bounds", ()))
-            buckets = list(payload.get("buckets", ()))
-            count = payload.get("count", 0)
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for bound, in_bucket in zip(bounds, buckets):
-                cumulative += in_bucket
-                lines.append(f'{metric}_bucket{{le="{_prom_value(bound)}"}}'
-                             f" {cumulative}")
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
-            lines.append(f"{metric}_sum "
-                         f"{_prom_value(payload.get('total', 0.0))}")
-            lines.append(f"{metric}_count {count}")
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 _GLOBAL = MetricsRegistry()

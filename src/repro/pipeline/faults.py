@@ -57,10 +57,6 @@ Fault kinds:
              with no commit, and a raised transient ``OSError`` —
              exercises both the corrupt-discard retry and the
              ``repro-cli recover`` quarantine pass.
-``disk-full``
-             at a ``guard.disk`` site, report the disk as full —
-             exercises the resource-guardrail degradation path
-             (:class:`repro.errors.DiskSpaceError`, exit 3).
 
 Specs are compact strings so they can ride inside the frozen
 :class:`~repro.flow.experiment.FlowSettings` and the ``REPRO_FAULTS``
@@ -98,7 +94,7 @@ __all__ = ["FaultSpec", "FaultInjector", "InjectedFailure",
            "parse_fault_spec", "FAULT_KINDS", "FAULTS_ENV", "FAULT_SEED_ENV"]
 
 FAULT_KINDS = ("crash", "hang", "io", "fail", "corrupt", "skew", "bend",
-               "lock-steal", "torn-commit", "disk-full")
+               "lock-steal", "torn-commit")
 
 FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SEED_ENV = "REPRO_FAULT_SEED"
@@ -310,10 +306,6 @@ class FaultInjector:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"injected": "torn commit', encoding="utf-8")
         return True
-
-    def disk_full(self, site: str, key: str) -> bool:
-        """Whether an injected ``disk-full`` fault fires at ``site``."""
-        return self.decide(site, key, kinds=("disk-full",)) is not None
 
     def corrupt_file(self, site: str, key: str, path: Path) -> bool:
         """Damage ``path`` if a ``corrupt``/``skew``/``bend`` fault fires.

@@ -25,10 +25,6 @@ class ComponentPower:
     def total_mw(self) -> float:
         return self.leakage_mw + self.internal_mw + self.switching_mw
 
-    @property
-    def dynamic_mw(self) -> float:
-        return self.internal_mw + self.switching_mw
-
     def __add__(self, other: "ComponentPower") -> "ComponentPower":
         return ComponentPower(self.leakage_mw + other.leakage_mw,
                               self.internal_mw + other.internal_mw,

@@ -63,24 +63,9 @@ class ArchState:
         state.x[2] = STACK_TOP  # sp
         return state
 
-    def read_x(self, index: int) -> int:
-        return self.x[index]
-
-    def write_x(self, index: int, value: int) -> None:
-        """Write an integer register; writes to ``x0`` are discarded."""
-        if index:
-            self.x[index] = value & MASK64
-
     def require_not_exited(self) -> None:
         if self.exited:
             raise SimulationError("hart has exited; cannot continue")
-
-    def copy_registers_from(self, other: "ArchState") -> None:
-        """Copy registers/pc/fcsr (not memory) from ``other``."""
-        self.x = list(other.x)
-        self.f = list(other.f)
-        self.pc = other.pc
-        self.fcsr = other.fcsr
 
     def __repr__(self) -> str:
         return (f"ArchState(pc=0x{self.pc:x}, retired={self.retired}, "

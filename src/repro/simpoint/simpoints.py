@@ -84,10 +84,6 @@ class SimPointSelection:
         """Total execution weight covered by ``points``."""
         return sum(point.weight for point in points)
 
-    @property
-    def num_top_points(self) -> int:
-        return len(self.top_points())
-
 
 def select_simpoints(profile: BBVProfile,
                      max_k: int = DEFAULT_MAX_K,

@@ -117,7 +117,3 @@ class L1Cache:
                 stats.writebacks += 1
         ways.append([line, is_write])
         return self.miss_penalty
-
-    def warm_reset_stats(self) -> None:
-        """Keep cache contents, zero the counters (measurement start)."""
-        self.stats = CacheStats()

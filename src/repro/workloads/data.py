@@ -8,7 +8,6 @@ platforms — the property the whole SimPoint flow depends on.
 
 from __future__ import annotations
 
-import struct
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,8 +83,3 @@ def byte_directive(blob: bytes, per_line: int = 16) -> str:
         rendered = ", ".join(str(b) for b in chunk)
         lines.append(f"    .byte {rendered}")
     return "\n".join(lines)
-
-
-def double_bits(value: float) -> int:
-    """IEEE-754 bit pattern of ``value`` as an unsigned 64-bit integer."""
-    return int.from_bytes(struct.pack("<d", value), "little")

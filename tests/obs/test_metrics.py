@@ -81,48 +81,3 @@ def test_global_registry_reset():
     reset_metrics()
     assert len(get_metrics()) == 0
 
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-
-def test_prometheus_export_counter_gauge_histogram():
-    from repro.obs.metrics import snapshot_to_prometheus
-
-    registry = MetricsRegistry()
-    registry.counter("sweep.retries").inc(3)
-    registry.gauge("pool.depth").set(2.0)
-    registry.gauge("pool.depth").set(1.0)
-    registry.histogram("stage.seconds").observe(0.05)   # ≤ 0.1 bucket
-    registry.histogram("stage.seconds").observe(0.4)    # ≤ 0.5 bucket
-    text = registry.to_prometheus()
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert "# TYPE repro_sweep_retries counter" in lines
-    assert "repro_sweep_retries 3.0" in lines or "repro_sweep_retries 3" in lines
-    assert "# TYPE repro_pool_depth gauge" in lines
-    assert "repro_pool_depth 1.0" in lines
-    assert "repro_pool_depth_high 2.0" in lines
-    # cumulative buckets over DEFAULT_BUCKETS: 1 sample ≤ 0.1, 2 ≤ 0.5
-    assert 'repro_stage_seconds_bucket{le="0.1"} 1' in lines
-    assert 'repro_stage_seconds_bucket{le="0.5"} 2' in lines
-    assert 'repro_stage_seconds_bucket{le="+Inf"} 2' in lines
-    assert "repro_stage_seconds_count 2" in lines
-    # module-level function renders a shipped snapshot identically
-    assert snapshot_to_prometheus(
-        json.loads(json.dumps(registry.snapshot()))) == text
-
-
-def test_prometheus_name_sanitization_and_empty_registry():
-    from repro.obs.metrics import snapshot_to_prometheus
-
-    registry = MetricsRegistry()
-    registry.counter("core.batched.cycles/s").inc()
-    text = registry.to_prometheus(prefix="")
-    assert "core_batched_cycles_s" in text
-    assert snapshot_to_prometheus({}) == ""
-    assert snapshot_to_prometheus({"junk": "not-a-dict"}) == ""
-    # a leading digit is not a legal Prometheus name start
-    assert snapshot_to_prometheus(
-        {"9lives": {"kind": "counter", "value": 1}},
-        prefix="").splitlines()[0] == "# TYPE _9lives counter"

@@ -41,6 +41,7 @@ def test_parse_full_spec():
     "site:io:x=1",                # unknown option
     "site:io:p=",                 # empty value
     "site:io:p=1.5",              # probability out of range
+    "guard.disk:disk-full",       # retired kind: a stale spec is rejected
 ])
 def test_parse_rejects_malformed_specs(bad):
     with pytest.raises(ValueError):
@@ -217,7 +218,7 @@ def test_from_settings_builds_state_dir(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# concurrency fault kinds (lock-steal, torn-commit, disk-full)
+# concurrency fault kinds (lock-steal, torn-commit)
 # ----------------------------------------------------------------------
 
 def test_plant_stale_lease_forges_dead_owner(tmp_path):
@@ -267,20 +268,3 @@ def test_torn_commit_leaves_recoverable_state(tmp_path):
     (pending,) = open_intents(read_journal(journal))
     assert pending.fingerprint == "fp"
 
-
-def test_disk_full_fault_fires_once():
-    injector = FaultInjector(parse_fault_spec("guard.disk:disk-full:n=1"))
-    assert injector.disk_full("guard.disk", "any")
-    assert not injector.disk_full("guard.disk", "any")
-
-
-def test_disk_full_fault_drives_guard():
-    from repro.errors import DiskSpaceError
-    from repro.flow.guardrails import ResourceGuard
-
-    injector = FaultInjector(parse_fault_spec("guard.disk:disk-full:n=1"))
-    guard = ResourceGuard("/tmp", faults=injector)
-    assert guard.active  # an injector alone arms the guard
-    with pytest.raises(DiskSpaceError):
-        guard.preflight_disk("k")
-    guard.preflight_disk("k")  # fault exhausted, disk genuinely fine

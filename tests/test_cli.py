@@ -284,22 +284,6 @@ def test_recover_check_only_audits_without_repair(capsys, tmp_path):
     assert (obs / "latest").exists()  # audit-only: nothing repaired
 
 
-def test_sweep_deadline_degrades_with_exit_3(capsys, tmp_path):
-    code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
-                 "sweep", "--deadline", "0"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "degraded" in captured.err
-
-
-def test_sweep_disk_floor_degrades_with_exit_3(capsys, tmp_path):
-    code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
-                 "sweep", "--min-free-mb", "1e12"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "degraded" in captured.err
-
-
 # ----------------------------------------------------------------------
 # observability: flight recording, accuracy envelopes, exports
 # ----------------------------------------------------------------------
@@ -335,18 +319,28 @@ def test_flight_without_run_errors(capsys, tmp_path):
     assert "no obs run" in captured.err
 
 
-def test_trace_prom_export(capsys, tmp_path):
+def test_trace_metrics_prints_the_snapshot(capsys, tmp_path):
+    from repro.obs.session import METRICS_NAME, resolve_run_dir
+
     code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
                  "--trace", "sweep"])
     capsys.readouterr()
     assert code == 0
-    prom = tmp_path / "metrics.prom"
+    metrics_path = resolve_run_dir(tmp_path, None) / METRICS_NAME
+    snapshot = json.loads(metrics_path.read_text())
+    assert "stage.detailed_sim.seconds" in snapshot
+
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
-                        "trace", "--prom", str(prom))
+                        "trace", "-f", "summary", "--metrics")
     assert code == 0
-    text = prom.read_text()
-    assert "# TYPE " in text
-    assert "repro_" in text
+    assert metrics_path.read_text().rstrip() in out
+    assert '"stage.detailed_sim.seconds"' in out
+
+    metrics_path.unlink()
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "trace", "-f", "summary", "--metrics")
+    assert code == 0
+    assert "(no metrics snapshot recorded)" in out
 
 
 def test_accuracy_update_then_evaluate(capsys, tmp_path):
