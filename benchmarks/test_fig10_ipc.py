@@ -6,17 +6,18 @@ on widths 2 / 3 / 4); IPC never exceeds the width; wider machines are
 never slower.
 """
 
-from repro.analysis.figures import fig10_ipc, format_per_benchmark
+from repro.analysis.figures import fig10_ipc
+from repro.flow.report import ReportInputs, SECTIONS
 from repro.workloads.suite import workload_names
 
 PAPER_SHA_IPC = {"MediumBOOM": 1.83, "LargeBOOM": 2.6, "MegaBOOM": 3.5}
 WIDTH = {"MediumBOOM": 2, "LargeBOOM": 3, "MegaBOOM": 4}
 
 
-def test_fig10_ipc(benchmark, sweep_results):
+def test_fig10_ipc(benchmark, runner, sweep_results):
     series = benchmark(fig10_ipc, sweep_results)
-    print("\n" + format_per_benchmark(
-        series, "=== Fig. 10: IPC per benchmark ===", "IPC"))
+    print("\n" + SECTIONS["fig10"](
+        ReportInputs(runner, results=sweep_results)))
     for config, ipcs in series.items():
         # sha is the suite maximum, tarfind the minimum (paper §IV-D).
         assert max(ipcs, key=ipcs.get) == "sha", config

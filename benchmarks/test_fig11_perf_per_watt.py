@@ -9,14 +9,14 @@ wins, and MediumBOOM's average advantage over MegaBOOM is large
 """
 
 from repro.analysis.efficiency import summarize
-from repro.analysis.figures import fig11_perf_per_watt, \
-    format_per_benchmark
+from repro.analysis.figures import fig11_perf_per_watt
+from repro.flow.report import ReportInputs, SECTIONS
 
 
-def test_fig11_perf_per_watt(benchmark, sweep_results):
+def test_fig11_perf_per_watt(benchmark, runner, sweep_results):
     series = benchmark(fig11_perf_per_watt, sweep_results)
-    print("\n" + format_per_benchmark(
-        series, "=== Fig. 11: performance per watt ===", "IPC/W"))
+    print("\n" + SECTIONS["fig11"](
+        ReportInputs(runner, results=sweep_results)))
     summary = summarize(sweep_results)
     print(summary.format())
     # MediumBOOM wins the clear majority (paper: 8/11; ours: 11/11).

@@ -9,18 +9,18 @@ trio; matmult drives the data cache.
 from statistics import mean
 
 from benchmarks.conftest import PAPER_COMPONENT_MW
-from repro.analysis.figures import component_power_series, \
-    format_component_power
+from repro.analysis.figures import component_power_series
+from repro.flow.report import ReportInputs, SECTIONS
 from repro.power.area import ANALYZED_COMPONENTS
 from repro.workloads.suite import workload_names
 
 CONFIG = "MegaBOOM"
 
 
-def test_fig7_mega_power(benchmark, sweep_results):
+def test_fig7_mega_power(benchmark, runner, sweep_results):
     series = benchmark(component_power_series, sweep_results, CONFIG)
-    print("\n" + format_component_power(
-        series, f"=== Fig. 7: per-component power, {CONFIG} ==="))
+    print("\n" + SECTIONS["fig5-7"](
+        ReportInputs(runner, results=sweep_results)))
     paper = PAPER_COMPONENT_MW[CONFIG]
     averages = {name: mean(series[w][name] for w in workload_names())
                 for name in ANALYZED_COMPONENTS}

@@ -6,12 +6,14 @@ leading slots — and dijkstra's total exceeds sha's despite its lower IPC
 (Key Takeaway #4).
 """
 
-from repro.analysis.figures import fig8_issue_slots, format_fig8
+from repro.analysis.figures import fig8_issue_slots
+from repro.flow.report import ReportInputs, SECTIONS
 
 
-def test_fig8_issue_slot_power(benchmark, sweep_results):
+def test_fig8_issue_slot_power(benchmark, runner, sweep_results):
     slots = benchmark(fig8_issue_slots, sweep_results)
-    print("\n" + format_fig8(slots))
+    print("\n" + SECTIONS["fig8"](
+        ReportInputs(runner, results=sweep_results)))
     dijkstra = slots["dijkstra"]
     sha = slots["sha"]
     assert len(dijkstra) == len(sha) == 40

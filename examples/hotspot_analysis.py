@@ -14,9 +14,9 @@ Run with ``--full`` for the Table II scale used by the benchmark harness.
 import sys
 from statistics import mean
 
-from repro.analysis import check_all, format_checks
 from repro.analysis.figures import COMPONENT_LABELS
 from repro.flow import FlowSettings, SweepRunner
+from repro.flow.report import ReportInputs, SECTIONS
 from repro.power.area import ANALYZED_COMPONENTS
 from repro.workloads.suite import workload_names
 
@@ -43,8 +43,8 @@ def main() -> None:
             print(f"{rank:>3}. {COMPONENT_LABELS[name]:<18}"
                   f"{power:7.3f} mW  {bar}")
 
-    print("\n=== key takeaway checks ===")
-    print(format_checks(check_all(results)))
+    print()
+    print(SECTIONS["takeaways"](ReportInputs(runner, results=results)))
 
 
 if __name__ == "__main__":

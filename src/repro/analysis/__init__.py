@@ -42,14 +42,8 @@ from repro.analysis.figures import (
     component_power_series,
     fig10_ipc,
     fig11_perf_per_watt,
-    fig5_medium,
-    fig6_large,
-    fig7_mega,
     fig8_issue_slots,
     fig9_component_share,
-    format_component_power,
-    format_fig8,
-    format_per_benchmark,
 )
 from repro.analysis.tables import (
     format_table_ii,
@@ -59,7 +53,6 @@ from repro.analysis.tables import (
 )
 from repro.analysis.takeaways import (
     check_all,
-    format_checks,
     TakeawayCheck,
 )
 
@@ -96,19 +89,12 @@ __all__ = [
     "component_power_series",
     "fig10_ipc",
     "fig11_perf_per_watt",
-    "fig5_medium",
-    "fig6_large",
-    "fig7_mega",
     "fig8_issue_slots",
     "fig9_component_share",
-    "format_component_power",
-    "format_fig8",
-    "format_per_benchmark",
     "format_table_ii",
     "table_i",
     "table_ii",
     "TableIIRow",
     "check_all",
-    "format_checks",
     "TakeawayCheck",
 ]

@@ -3,9 +3,9 @@
 Each ``fig*`` function takes the dictionary produced by
 :meth:`repro.flow.sweep.SweepRunner.run_all` — keyed by
 ``(workload, config name)`` — and returns the exact series the paper
-plots, plus a ``format_*`` helper that renders it as an aligned text
-table (this environment has no plotting stack; the series are the
-deliverable and are easy to plot downstream).
+plots.  The series are the deliverable and are easy to plot downstream;
+:mod:`repro.flow.report` renders them as the report's markdown
+sections.
 """
 
 from __future__ import annotations
@@ -49,41 +49,6 @@ def component_power_series(results: ResultMap, config_name: str) -> \
     return series
 
 
-def fig5_medium(results: ResultMap) -> dict[str, dict[str, float]]:
-    return component_power_series(results, "MediumBOOM")
-
-
-def fig6_large(results: ResultMap) -> dict[str, dict[str, float]]:
-    return component_power_series(results, "LargeBOOM")
-
-
-def fig7_mega(results: ResultMap) -> dict[str, dict[str, float]]:
-    return component_power_series(results, "MegaBOOM")
-
-
-def format_component_power(series: dict[str, dict[str, float]],
-                           title: str) -> str:
-    """Render a Fig. 5/6/7 series as a component-by-workload table."""
-    workloads = list(series)
-    if not workloads:
-        return f"{title}\n(no results for this configuration)"
-    lines = [title,
-             f"{'component (mW)':<18}" + "".join(f"{w[:8]:>9}"
-                                                 for w in workloads)]
-    for name in ANALYZED_COMPONENTS:
-        cells = "".join(f"{series[w][name]:>9.3f}" for w in workloads)
-        lines.append(f"{COMPONENT_LABELS[name]:<18}{cells}")
-    averages = {name: sum(series[w][name] for w in workloads)
-                / len(workloads) for name in ANALYZED_COMPONENTS}
-    lines.append(f"{'-- average --':<18}"
-                 + "".join(f"{'':>9}" for _ in workloads))
-    ranked = sorted(averages.items(), key=lambda kv: kv[1], reverse=True)
-    lines.append("ranking: " + " > ".join(
-        f"{COMPONENT_LABELS[name]} ({value:.2f})"
-        for name, value in ranked[:5]))
-    return "\n".join(lines)
-
-
 def fig8_issue_slots(results: ResultMap,
                      config_name: str = "MegaBOOM") -> \
         dict[str, list[float]]:
@@ -95,21 +60,6 @@ def fig8_issue_slots(results: ResultMap,
     return {workload: results[(workload, config_name)].int_issue_slot_mw()
             for workload in ("dijkstra", "sha")
             if (workload, config_name) in results}
-
-
-def format_fig8(slots: dict[str, list[float]]) -> str:
-    lines = ["Fig. 8: per-slot Int Issue Queue power (mW), MegaBOOM"]
-    workloads = [w for w in ("dijkstra", "sha") if w in slots]
-    if not workloads:
-        lines.append("(no results for dijkstra or sha)")
-        return "\n".join(lines)
-    lines.append(f"{'slot':>5}" + "".join(f"{w:>12}" for w in workloads))
-    for index in range(max(len(slots[w]) for w in workloads)):
-        cells = "".join(
-            f"{slots[w][index]:>12.4f}" if index < len(slots[w])
-            else f"{'-':>12}" for w in workloads)
-        lines.append(f"{index:>5}{cells}")
-    return "\n".join(lines)
 
 
 def fig9_component_share(results: ResultMap) -> dict[str, float]:
@@ -142,24 +92,3 @@ def fig11_perf_per_watt(results: ResultMap) -> dict[str, dict[str, float]]:
             w: results[(w, config_name)].perf_per_watt
             for w in _workloads(results, config_name)}
     return series
-
-
-def format_per_benchmark(series: dict[str, dict[str, float]],
-                         title: str, unit: str) -> str:
-    """Render Fig. 10/11-style (config x benchmark) series."""
-    configs = list(series)
-    # Union of workloads across configs: a degraded sweep can have a
-    # benchmark on one configuration but not another.
-    workloads: list[str] = []
-    for config in configs:
-        workloads.extend(w for w in series[config] if w not in workloads)
-    lines = [title,
-             f"{'benchmark':<14}" + "".join(f"{c[:10]:>12}"
-                                            for c in configs)]
-    for workload in workloads:
-        cells = "".join(
-            f"{series[c][workload]:>12.2f}" if workload in series[c]
-            else f"{'-':>12}" for c in configs)
-        lines.append(f"{workload:<14}{cells}")
-    lines.append(f"(values in {unit})")
-    return "\n".join(lines)

@@ -249,12 +249,3 @@ def check_all(results: ResultMap,
         check_takeaway_7(results, gshare_results),
         check_takeaway_8(results),
     ]
-
-
-def format_checks(checks: list[TakeawayCheck]) -> str:
-    lines = []
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"[{status}] Takeaway #{check.number}: {check.claim}")
-        lines.append(f"       {check.evidence}")
-    return "\n".join(lines)

@@ -2,12 +2,11 @@
 
 Usage (``python -m repro.cli`` or the ``repro-cli`` entry point)::
 
-    repro-cli table1
-    repro-cli table2 --scale 0.2
-    repro-cli run sha MegaBOOM --scale 1.0
-    repro-cli fig 10 --scale 1.0
-    repro-cli takeaways --gshare
-    repro-cli speedup
+    repro-cli --scale 1.0 run sha MegaBOOM
+    repro-cli --scale 1.0 report -o report.md
+    repro-cli report --section table1
+    repro-cli --scale 1.0 report --section fig10
+    repro-cli report --section takeaways --gshare
     repro-cli sweep --verbose --jobs 4
     repro-cli --check sweep
     repro-cli check dijkstra MediumBOOM
@@ -27,25 +26,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import (
-    check_all,
-    component_power_series,
-    fig10_ipc,
-    fig11_perf_per_watt,
-    fig8_issue_slots,
-    fig9_component_share,
-    format_checks,
-    format_component_power,
-    format_fig8,
-    format_per_benchmark,
-    format_table_ii,
-    summarize,
-    table_i,
-    table_ii,
-)
-from repro.flow import FlowSettings, speedup_report, SweepRunner
+from repro.analysis import summarize
+from repro.flow import FlowSettings, SweepRunner
+from repro.flow.report import SECTIONS
 from repro.obs.logs import setup_cli_logging
-from repro.uarch.config import ALL_CONFIGS, config_by_name
+from repro.uarch.config import config_by_name
 from repro.workloads.suite import workload_names
 
 
@@ -67,18 +52,6 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
     return SweepRunner(_settings(args), cache_dir=cache)
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    print(table_i())
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    rows = table_ii(runner.settings, store=runner.store)
-    print(format_table_ii(rows))
-    return 0
-
-
 def _maybe_trace_session(args: argparse.Namespace, runner: SweepRunner,
                          *, label: str):
     """Open a :class:`TraceSession` when tracing was requested."""
@@ -98,6 +71,7 @@ def _finish_trace_session(session) -> None:
     if session is None:
         return
     path = session.finish()
+    session.write_metrics()
     if path is not None:
         print(f"trace written to {path} (render with `repro-cli trace`)",
               file=sys.stderr)
@@ -121,57 +95,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for run in result.runs:
         print(f"    interval {run.interval_index}: weight={run.weight:.2f} "
               f"ipc={run.ipc:.2f} tile={run.report.tile_mw:.2f} mW")
-    return 0
-
-
-def _cmd_fig(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    results = runner.run_all(jobs=args.jobs, trace=args.trace)
-    number = args.number
-    if number in (5, 6, 7):
-        config = {5: "MediumBOOM", 6: "LargeBOOM", 7: "MegaBOOM"}[number]
-        series = component_power_series(results, config)
-        print(format_component_power(
-            series, f"Fig. {number}: per-component power, {config}"))
-    elif number == 8:
-        print(format_fig8(fig8_issue_slots(results)))
-    elif number == 9:
-        shares = fig9_component_share(results)
-        print("Fig. 9: analyzed-component share of tile power")
-        for config, share in shares.items():
-            print(f"  {config:<12} {share:.1%}")
-    elif number == 10:
-        print(format_per_benchmark(fig10_ipc(results),
-                                   "Fig. 10: IPC per benchmark", "IPC"))
-    elif number == 11:
-        print(format_per_benchmark(
-            fig11_perf_per_watt(results),
-            "Fig. 11: performance per watt", "IPC/W"))
-    else:
-        print(f"unknown figure {number}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_takeaways(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    results = runner.run_all(jobs=args.jobs, trace=args.trace)
-    gshare_results = None
-    if args.gshare:
-        gshare_configs = tuple(c.with_predictor("gshare")
-                               for c in ALL_CONFIGS)
-        gshare_results = runner.run_all(configs=gshare_configs,
-                                        jobs=args.jobs, trace=args.trace)
-    checks = check_all(results, gshare_results)
-    print(format_checks(checks))
-    return 0 if all(c.passed for c in checks) else 1
-
-
-def _cmd_speedup(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    results = [runner.run(w, config_by_name(args.config))
-               for w in workload_names()]
-    print(speedup_report(results).format_table())
     return 0
 
 
@@ -459,9 +382,20 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.flow.report import generate_report
+    from repro.flow.report import generate_report, ReportInputs
 
-    text = generate_report(_runner(args), include_gshare=args.gshare)
+    runner = _runner(args)
+    exit_code = 0
+    if args.section is None:
+        text = generate_report(runner, include_gshare=args.gshare,
+                               jobs=args.jobs, trace=args.trace)
+    else:
+        inputs = ReportInputs(runner, include_gshare=args.gshare,
+                              jobs=args.jobs, trace=args.trace)
+        text = SECTIONS[args.section](inputs)
+        if args.section == "takeaways" and \
+                not all(check.passed for check in inputs.checks):
+            exit_code = 1
     if args.output:
         from pathlib import Path
 
@@ -469,7 +403,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
     else:
         print(text)
-    return 0
+    return exit_code
 
 
 def _cmd_checkpoints(args: argparse.Namespace) -> int:
@@ -686,30 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "byte-identical to an unchecked run")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("table1", help="print Table I").set_defaults(
-        handler=_cmd_table1)
-    commands.add_parser("table2", help="measure Table II").set_defaults(
-        handler=_cmd_table2)
-
     run_parser = commands.add_parser("run", help="one experiment")
     run_parser.add_argument("workload", choices=workload_names())
     run_parser.add_argument("config")
     run_parser.set_defaults(handler=_cmd_run)
-
-    fig_parser = commands.add_parser("fig", help="print a figure's series")
-    fig_parser.add_argument("number", type=int, choices=range(5, 12))
-    fig_parser.set_defaults(handler=_cmd_fig)
-
-    takeaway_parser = commands.add_parser(
-        "takeaways", help="validate the 8 key takeaways")
-    takeaway_parser.add_argument("--gshare", action="store_true",
-                                 help="also run the gshare ablation")
-    takeaway_parser.set_defaults(handler=_cmd_takeaways)
-
-    speedup_parser = commands.add_parser(
-        "speedup", help="SimPoint simulation-time accounting")
-    speedup_parser.add_argument("--config", default="MegaBOOM")
-    speedup_parser.set_defaults(handler=_cmd_speedup)
 
     sweep_parser = commands.add_parser(
         "sweep", help="full study + efficiency summary")
@@ -833,7 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = commands.add_parser(
         "report", help="render the full study as a markdown report")
     report_parser.add_argument("--output", "-o", default=None)
-    report_parser.add_argument("--gshare", action="store_true")
+    report_parser.add_argument(
+        "--section", default=None, choices=tuple(SECTIONS),
+        help="render only this section, computing only what it reads "
+             "(takeaways exits 1 when a takeaway fails)")
+    report_parser.add_argument(
+        "--gshare", action="store_true",
+        help="also run the gshare ablation (read by the takeaways)")
     report_parser.set_defaults(handler=_cmd_report)
 
     checkpoint_parser = commands.add_parser(

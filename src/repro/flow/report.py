@@ -1,15 +1,20 @@
 """Study report generation: the whole evaluation as one markdown file.
 
-``repro-cli report`` (or :func:`generate_report`) runs the full sweep and
-renders every table and figure series, the takeaway checks, the speedup
-accounting, and the efficiency summary into a single self-contained
-markdown document — the reproducibility artifact a reader can diff
-against EXPERIMENTS.md.
+The report is an ordered list of named sections (:data:`SECTIONS`): the
+two tables, every figure series, the energy metrics, the speedup
+accounting, the takeaway checks, the efficiency summary and the cache
+accounting.  Each is rendered here and nowhere else.  ``repro-cli
+report`` (or :func:`generate_report`) renders all of them under a
+settings header — the reproducibility artifact a reader can diff against
+EXPERIMENTS.md; ``repro-cli report --section NAME`` renders one, and
+computes only the inputs that section reads.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from statistics import mean
+from typing import Callable
 
 from repro.analysis.efficiency import (
     energy_delay_product,
@@ -25,8 +30,10 @@ from repro.analysis.figures import (
     fig9_component_share,
     ResultMap,
 )
-from repro.analysis.tables import format_table_ii, table_i, table_ii
-from repro.analysis.takeaways import check_all
+from repro.analysis.tables import format_table_ii, table_i, table_ii, \
+    TableIIRow
+from repro.analysis.takeaways import check_all, TakeawayCheck
+from repro.flow.experiment import FlowSettings
 from repro.flow.speedup import speedup_report
 from repro.flow.sweep import SweepRunner
 from repro.pipeline.manifest import RunManifest
@@ -34,6 +41,55 @@ from repro.power.area import ANALYZED_COMPONENTS
 from repro.workloads.suite import workload_names
 
 _CONFIGS = ("MediumBOOM", "LargeBOOM", "MegaBOOM")
+
+
+class ReportInputs:
+    """What the sections read, each computed from ``runner`` on first use.
+
+    ``results`` is the preset sweep; ``gshare_results`` the gshare
+    ablation sweep (``None`` unless ``include_gshare``); ``table_ii_rows``
+    the measured Table II, which reads the sweep's stored profiles.
+    Pass ``results`` to render from a sweep already in hand.
+    """
+
+    def __init__(self, runner: SweepRunner, *, include_gshare: bool = False,
+                 jobs: int = 1, trace: bool = False,
+                 results: ResultMap | None = None) -> None:
+        self.runner = runner
+        self.include_gshare = include_gshare
+        self.jobs = jobs
+        self.trace = trace
+        if results is not None:
+            self.results = results
+
+    @cached_property
+    def results(self) -> ResultMap:
+        return self.runner.run_all(jobs=self.jobs, trace=self.trace)
+
+    @cached_property
+    def gshare_results(self) -> ResultMap | None:
+        if not self.include_gshare:
+            return None
+        from repro.uarch.config import ALL_CONFIGS
+
+        return self.runner.run_all(
+            configs=tuple(c.with_predictor("gshare") for c in ALL_CONFIGS),
+            jobs=self.jobs, trace=self.trace)
+
+    @cached_property
+    def table_ii_rows(self) -> list[TableIIRow]:
+        return table_ii(self.runner.settings, store=self.runner.store)
+
+    @cached_property
+    def checks(self) -> list[TakeawayCheck]:
+        return check_all(self.results, self.gshare_results)
+
+    def load_all(self) -> None:
+        """Compute every input, in the order the full report reads them:
+        the sweeps first, then Table II from their stored profiles."""
+        self.results
+        self.gshare_results
+        self.table_ii_rows
 
 
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -48,7 +104,35 @@ def _mean_or_none(values: list[float]) -> float | None:
     return mean(values) if values else None
 
 
-def _component_section(results: ResultMap) -> str:
+def _section(heading: str, *body: str) -> str:
+    return "\n".join([f"## {heading}\n", *body])
+
+
+def _per_benchmark_table(series: dict[str, dict[str, float]],
+                         fmt: str = "{:.2f}") -> str:
+    headers = ["Benchmark", *_CONFIGS]
+    rows = []
+    for workload in workload_names():
+        rows.append([workload,
+                     *(fmt.format(series[config][workload])
+                       if workload in series.get(config, {}) else "-"
+                       for config in _CONFIGS)])
+    return _markdown_table(headers, rows)
+
+
+def _table1(inputs: ReportInputs) -> str:
+    return _section("Table I — configurations",
+                    "```\n" + table_i() + "\n```\n")
+
+
+def _table2(inputs: ReportInputs) -> str:
+    return _section("Table II — workloads and SimPoints",
+                    "```\n" + format_table_ii(inputs.table_ii_rows)
+                    + "\n```\n")
+
+
+def _component_power(inputs: ReportInputs) -> str:
+    results = inputs.results
     headers = ["Component (mW)", *_CONFIGS]
     rows = []
     # component_power_series only emits workloads actually present for
@@ -69,75 +153,46 @@ def _component_section(results: ResultMap) -> str:
                                if (w, config) in results])
         tile.append(f"**{total:.1f}**" if total is not None else "-")
     rows.append(tile)
-    return _markdown_table(headers, rows)
+    return _section("Figs. 5-7 — per-component power (suite averages)",
+                    _markdown_table(headers, rows) + "\n")
 
 
-def _per_benchmark_section(series: dict[str, dict[str, float]],
-                           fmt: str = "{:.2f}") -> str:
-    headers = ["Benchmark", *_CONFIGS]
-    rows = []
-    for workload in workload_names():
-        rows.append([workload,
-                     *(fmt.format(series[config][workload])
-                       if workload in series.get(config, {}) else "-"
-                       for config in _CONFIGS)])
-    return _markdown_table(headers, rows)
-
-
-def generate_report(runner: SweepRunner,
-                    include_gshare: bool = False) -> str:
-    """Run the study through ``runner`` and render the markdown report."""
-    results = runner.run_all()
-    gshare_results = None
-    if include_gshare:
-        from repro.uarch.config import ALL_CONFIGS
-
-        gshare_results = runner.run_all(
-            configs=tuple(c.with_predictor("gshare") for c in ALL_CONFIGS))
-
-    sections = ["# Study report",
-                f"\nSettings: scale {runner.settings.scale:g}, seed "
-                f"{runner.settings.seed}, warm-up "
-                f"{runner.settings.scaled_warmup()} instructions.\n"]
-
-    sections.append("## Table I — configurations\n")
-    sections.append("```\n" + table_i() + "\n```\n")
-
-    sections.append("## Table II — workloads and SimPoints\n")
-    sections.append("```\n"
-                    + format_table_ii(table_ii(runner.settings,
-                                              store=runner.store))
-                    + "\n```\n")
-
-    sections.append("## Figs. 5-7 — per-component power (suite averages)\n")
-    sections.append(_component_section(results) + "\n")
-
-    sections.append("## Fig. 8 — integer IQ per-slot power, MegaBOOM\n")
+def _fig8(inputs: ReportInputs) -> str:
+    results = inputs.results
     slots = fig8_issue_slots(results)
     if "dijkstra" in slots and "sha" in slots:
-        sections.append(
-            f"dijkstra: {sum(slots['dijkstra']):.2f} mW across "
-            f"{len(slots['dijkstra'])} slots; sha: {sum(slots['sha']):.2f} "
-            f"mW (IPC {results[('dijkstra', 'MegaBOOM')].ipc:.2f} vs "
-            f"{results[('sha', 'MegaBOOM')].ipc:.2f}).\n")
+        body = (f"dijkstra: {sum(slots['dijkstra']):.2f} mW across "
+                f"{len(slots['dijkstra'])} slots; sha: "
+                f"{sum(slots['sha']):.2f} mW (IPC "
+                f"{results[('dijkstra', 'MegaBOOM')].ipc:.2f} vs "
+                f"{results[('sha', 'MegaBOOM')].ipc:.2f}).\n")
     else:
-        sections.append("(dijkstra/sha results missing for MegaBOOM)\n")
+        body = "(dijkstra/sha results missing for MegaBOOM)\n"
+    return _section("Fig. 8 — integer IQ per-slot power, MegaBOOM", body)
 
-    sections.append("## Fig. 9 — analyzed-component share\n")
-    shares = fig9_component_share(results)
-    sections.append(_markdown_table(
+
+def _fig9(inputs: ReportInputs) -> str:
+    shares = fig9_component_share(inputs.results)
+    return _section("Fig. 9 — analyzed-component share", _markdown_table(
         ["Config", "Share"],
         [[config, f"{share:.1%}"] for config, share in shares.items()])
         + "\n")
 
-    sections.append("## Fig. 10 — IPC\n")
-    sections.append(_per_benchmark_section(fig10_ipc(results)) + "\n")
 
-    sections.append("## Fig. 11 — performance per watt (IPC/W)\n")
-    sections.append(_per_benchmark_section(fig11_perf_per_watt(results),
-                                           "{:.1f}") + "\n")
+def _fig10(inputs: ReportInputs) -> str:
+    return _section("Fig. 10 — IPC",
+                    _per_benchmark_table(fig10_ipc(inputs.results)) + "\n")
 
-    sections.append("## Energy metrics (suite averages)\n")
+
+def _fig11(inputs: ReportInputs) -> str:
+    return _section("Fig. 11 — performance per watt (IPC/W)",
+                    _per_benchmark_table(
+                        fig11_perf_per_watt(inputs.results), "{:.1f}")
+                    + "\n")
+
+
+def _energy(inputs: ReportInputs) -> str:
+    results = inputs.results
     rows = []
     for config in _CONFIGS:
         config_results = [results[(w, config)] for w in workload_names()
@@ -153,29 +208,75 @@ def generate_report(runner: SweepRunner,
         rows.append([config,
                      f"{epi:.1f}" if epi is not None else "-",
                      f"{edp:.2f}" if edp is not None else "-"])
-    sections.append(_markdown_table(
+    return _section("Energy metrics (suite averages)", _markdown_table(
         ["Config", "pJ/instr", "EDP (pJ*ns)"], rows) + "\n")
 
-    sections.append("## SimPoint speedup\n")
+
+def _speedup(inputs: ReportInputs) -> str:
+    results = inputs.results
     speedup = speedup_report([results[(w, "MegaBOOM")]
                               for w in workload_names()
                               if (w, "MegaBOOM") in results])
-    sections.append("```\n" + speedup.format_table() + "\n```\n")
+    return _section("SimPoint speedup",
+                    "```\n" + speedup.format_table() + "\n```\n")
 
-    sections.append("## Key takeaways\n")
-    for check in check_all(results, gshare_results):
+
+def _takeaways(inputs: ReportInputs) -> str:
+    items = []
+    for check in inputs.checks:
         status = "PASS" if check.passed else "FAIL"
-        sections.append(f"* **[{status}] #{check.number}** {check.claim}  "
-                        f"\n  {check.evidence}")
+        items.append(f"* **[{status}] #{check.number}** {check.claim}  "
+                     f"\n  {check.evidence}")
+    return _section("Key takeaways", *items, "")
 
-    sections.append("\n## Efficiency summary\n")
-    sections.append("```\n" + summarize(results).format() + "\n```")
 
-    sections.append("\n## Pipeline cache\n")
-    sections.append(
+def _efficiency(inputs: ReportInputs) -> str:
+    return _section("Efficiency summary",
+                    "```\n" + summarize(inputs.results).format() + "\n```\n")
+
+
+def _cache(inputs: ReportInputs) -> str:
+    # The accounting covers everything the full report reads, so this
+    # section loads all of it even when rendered alone.
+    inputs.load_all()
+    cumulative = RunManifest(stages=inputs.runner.store.stats_snapshot())
+    return _section(
+        "Pipeline cache",
         "Per-stage execution and artifact-cache accounting for the "
         "sweeps behind this report (see DESIGN.md, \"Pipeline stages & "
-        "artifact cache\").\n")
-    cumulative = RunManifest(stages=runner.store.stats_snapshot())
-    sections.append("```\n" + cumulative.format() + "\n```")
-    return "\n".join(sections)
+        "artifact cache\").\n",
+        "```\n" + cumulative.format() + "\n```")
+
+
+#: The report's sections, in report order.
+SECTIONS: dict[str, Callable[[ReportInputs], str]] = {
+    "table1": _table1,
+    "table2": _table2,
+    "fig5-7": _component_power,
+    "fig8": _fig8,
+    "fig9": _fig9,
+    "fig10": _fig10,
+    "fig11": _fig11,
+    "energy": _energy,
+    "speedup": _speedup,
+    "takeaways": _takeaways,
+    "efficiency": _efficiency,
+    "cache": _cache,
+}
+
+
+def header(settings: FlowSettings) -> str:
+    """The report's title and operating point, above the sections."""
+    return (f"# Study report\n\nSettings: scale {settings.scale:g}, seed "
+            f"{settings.seed}, warm-up {settings.scaled_warmup()} "
+            f"instructions.\n")
+
+
+def generate_report(runner: SweepRunner, include_gshare: bool = False, *,
+                    jobs: int = 1, trace: bool = False) -> str:
+    """Run the study through ``runner`` and render the markdown report."""
+    inputs = ReportInputs(runner, include_gshare=include_gshare,
+                          jobs=jobs, trace=trace)
+    inputs.load_all()
+    return "\n".join([header(runner.settings),
+                      *(render(inputs) for render in SECTIONS.values())])

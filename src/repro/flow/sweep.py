@@ -301,6 +301,8 @@ class SweepRunner:
             timeouts=outcome.timeouts, retries=outcome.retries,
             tasks=outcome.executions, trace=trace_path)
         manifest.metrics = self._metrics_snapshot(manifest, session)
+        if session is not None:
+            session.write_metrics(manifest.metrics)
         self.last_manifest = manifest
         self._state["failures"] = [record.to_dict()
                                    for record in outcome.failures]

@@ -6,9 +6,10 @@ tracer to write there and exports ``REPRO_OBS_DIR``/``REPRO_OBS_TRACE``
 so that pool workers forked afterwards pick the directory up via
 :func:`repro.obs.tracer.ensure_process_tracer`.  Finishing it restores
 the environment, closes the parent tracer, merges every per-process
-event file into ``trace.json``, snapshots the metrics registry, and
-refreshes the ``latest`` pointer that ``repro-cli trace`` resolves by
-default.
+event file into ``trace.json``, and refreshes the ``latest`` pointer
+that ``repro-cli trace`` resolves by default.  The run's metrics
+snapshot is written afterwards, once, by :meth:`TraceSession.write_metrics`
+— a sweep first enriches it with aggregates read from the merged trace.
 
 The run directory lives beside — never inside — the content-addressed
 stage directories, and nothing recorded here participates in any
@@ -114,7 +115,6 @@ class TraceSession:
             self.trace_path = write_merged_trace(self.run_dir)
         except OSError:
             self.trace_path = None
-        self._write_metrics()
         self._point_latest()
         return self.trace_path
 
@@ -123,19 +123,20 @@ class TraceSession:
 
     def __exit__(self, *_exc) -> None:
         self.finish()
+        self.write_metrics()
 
     # ------------------------------------------------------------------
 
     def tracer(self):
         return get_tracer()
 
-    def metrics_snapshot(self) -> dict:
-        return get_metrics().snapshot()
-
-    def _write_metrics(self) -> None:
+    def write_metrics(self, snapshot: dict | None = None) -> None:
+        """Write ``metrics.json``: ``snapshot``, else the registry's."""
+        if snapshot is None:
+            snapshot = get_metrics().snapshot()
         try:
             (self.run_dir / METRICS_NAME).write_text(
-                json.dumps(self.metrics_snapshot(), indent=2, default=str))
+                json.dumps(snapshot, indent=2, default=str))
         except OSError:
             pass
 

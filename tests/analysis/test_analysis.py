@@ -14,12 +14,9 @@ from repro.analysis.figures import (
     fig11_perf_per_watt,
     fig8_issue_slots,
     fig9_component_share,
-    format_component_power,
-    format_fig8,
-    format_per_benchmark,
 )
 from repro.analysis.tables import format_table_ii, table_i, table_ii
-from repro.analysis.takeaways import check_all, format_checks
+from repro.analysis.takeaways import check_all
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SweepRunner
 from repro.power.area import ANALYZED_COMPONENTS
@@ -84,12 +81,6 @@ class TestFigures:
                 assert ipc[config][workload] > 0
                 assert ppw[config][workload] > 0
 
-    def test_formatters_render(self, results):
-        series = component_power_series(results, "MediumBOOM")
-        assert "Branch Predictor" in format_component_power(series, "t")
-        assert "slot" in format_fig8(fig8_issue_slots(results))
-        assert "sha" in format_per_benchmark(fig10_ipc(results), "t", "IPC")
-
 
 class TestTakeaways:
     def test_checks_return_eight(self, results):
@@ -97,11 +88,6 @@ class TestTakeaways:
         assert [c.number for c in checks] == list(range(1, 9))
         for check in checks:
             assert check.evidence
-
-    def test_format_checks(self, results):
-        text = format_checks(check_all(results))
-        assert "Takeaway #1" in text
-        assert "PASS" in text or "FAIL" in text
 
 
 class TestEfficiency:

@@ -7,8 +7,9 @@ from repro.analysis.efficiency import (
     energy_delay_squared,
     energy_per_instruction_pj,
 )
+from repro.flow import report
 from repro.flow.experiment import FlowSettings
-from repro.flow.report import generate_report
+from repro.flow.report import generate_report, ReportInputs, SECTIONS
 from repro.flow.sweep import SweepRunner
 from tests.test_imports import heavy_modules_after
 
@@ -64,6 +65,54 @@ def test_warm_report_loads_neither_numpy_nor_the_pool(report_cache):
         "assert runner.last_manifest.hit_rate == 1.0",
         str(cache))
     assert loaded == set()
+
+
+def _recorded_report(runner, monkeypatch):
+    """``generate_report`` with every section's output recorded."""
+    recorded = []
+
+    def recording(name, render):
+        def wrapper(inputs):
+            recorded.append((name, render(inputs)))
+            return recorded[-1][1]
+        return wrapper
+
+    monkeypatch.setattr(report, "SECTIONS", {
+        name: recording(name, render) for name, render in SECTIONS.items()})
+    return generate_report(runner), recorded
+
+
+@pytest.mark.parametrize("warmth", ["cold", "warm"])
+def test_report_is_the_header_plus_every_section(
+        warmth, report_cache, tmp_path, monkeypatch):
+    """No text lives outside a section, whether the sweep executes or
+    is served from the cache."""
+    cache = tmp_path if warmth == "cold" else report_cache[0]
+    runner = SweepRunner(SETTINGS, cache_dir=cache)
+    text, recorded = _recorded_report(runner, monkeypatch)
+    assert [name for name, _ in recorded] == list(SECTIONS)
+    assert text == "\n".join([report.header(SETTINGS),
+                              *(section for _, section in recorded)])
+    if warmth == "cold":
+        assert runner.store.stats()["detailed_sim"].executions > 0
+
+
+def test_sections_render_from_a_sweep_in_hand(report_cache):
+    """The benchmarks' path: sections rendered from results already
+    computed, each a verbatim slice of the report, heading first."""
+    cache, text = report_cache
+    runner = SweepRunner(SETTINGS, cache_dir=cache)
+    inputs = ReportInputs(runner, results=runner.run_all())
+    rendered = {name: render(inputs) for name, render in SECTIONS.items()
+                if name != "cache"}
+    for name, section in rendered.items():
+        assert section.startswith("## "), name
+        assert section in text, name
+    assert "Branch Predictor" in rendered["fig5-7"]
+    assert "slots; sha:" in rendered["fig8"]
+    assert "| sha |" in rendered["fig10"]
+    assert "**[PASS] #1**" in rendered["takeaways"] or \
+        "**[FAIL] #1**" in rendered["takeaways"]
 
 
 def test_report_contains_every_section(report_text):

@@ -129,3 +129,20 @@ def test_manifest_round_trips_tasks_and_metrics(tmp_path):
         {t.key for t in runner.last_manifest.tasks}
     assert reloaded.metrics == runner.last_manifest.metrics
     assert reloaded.trace == runner.last_manifest.trace
+
+
+def test_metrics_file_equals_the_manifest_metrics_on_every_sweep(tmp_path):
+    """``metrics.json`` is written after the run-level gauges are added,
+    so a second sweep in the same process writes its own values."""
+    runner = SweepRunner(SETTINGS, cache_dir=tmp_path)
+    for expected_hit_rate in (None, 1.0):
+        runner.run_all(workloads=["qsort"], trace=True)
+        manifest = runner.last_manifest
+        metrics_path = os.path.join(os.path.dirname(manifest.trace),
+                                    "metrics.json")
+        with open(metrics_path) as handle:
+            written = json.load(handle)
+        assert written == json.loads(json.dumps(manifest.metrics))
+        assert written["cache.hit_rate"]["value"] == manifest.hit_rate
+        if expected_hit_rate is not None:
+            assert manifest.hit_rate == expected_hit_rate

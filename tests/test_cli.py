@@ -13,16 +13,37 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_table1(capsys):
-    code, out = run_cli(capsys, "table1")
+@pytest.fixture(scope="module")
+def full_report(tmp_path_factory):
+    """A scale-0.05 cache and the full report rendered into it."""
+    cache = tmp_path_factory.mktemp("report_cache")
+    path = cache / "report.md"
+    assert main(["--scale", "0.05", "--cache-dir", str(cache),
+                 "report", "-o", str(path)]) == 0
+    return cache, path.read_text()
+
+
+def run_section(capsys, full_report, name, *flags):
+    """``report --section name`` on the report's cache; its output (less
+    print's newline) must be a verbatim slice of the full report."""
+    cache, full = full_report
+    code, out = run_cli(capsys, "--scale", "0.05", "--cache-dir",
+                        str(cache), *flags, "report", "--section", name)
+    text = out.removesuffix("\n")
+    assert text.startswith("## ")
+    assert text in full
+    return code, text
+
+
+def test_table1(capsys, full_report):
+    code, out = run_section(capsys, full_report, "table1")
     assert code == 0
     assert "MegaBOOM" in out
     assert "Decode width" in out
 
 
-def test_table2_small_scale(capsys, tmp_path):
-    code, out = run_cli(capsys, "--scale", "0.05",
-                        "--cache-dir", str(tmp_path), "table2")
+def test_table2_small_scale(capsys, full_report):
+    code, out = run_section(capsys, full_report, "table2")
     assert code == 0
     assert "sha" in out
     assert "tarfind" in out
@@ -37,26 +58,97 @@ def test_run_experiment(capsys, tmp_path):
     assert "Tile power:" in out
 
 
-def test_fig10(capsys, tmp_path):
-    code, out = run_cli(capsys, "--scale", "0.05",
-                        "--cache-dir", str(tmp_path), "fig", "10")
+def test_fig10(capsys, full_report):
+    code, out = run_section(capsys, full_report, "fig10")
     assert code == 0
     assert "Fig. 10" in out
     assert "sha" in out
 
 
-def test_fig9(capsys, tmp_path):
-    code, out = run_cli(capsys, "--scale", "0.05",
-                        "--cache-dir", str(tmp_path), "fig", "9")
+def test_fig9(capsys, full_report):
+    code, out = run_section(capsys, full_report, "fig9")
     assert code == 0
     assert "MediumBOOM" in out
 
 
-def test_speedup(capsys, tmp_path):
-    code, out = run_cli(capsys, "--scale", "0.05",
-                        "--cache-dir", str(tmp_path), "speedup")
+def test_speedup(capsys, full_report):
+    code, out = run_section(capsys, full_report, "speedup")
     assert code == 0
     assert "TOTAL" in out
+
+
+def test_section_table1_executes_no_stage(capsys, tmp_path, monkeypatch):
+    from repro.flow.sweep import SweepRunner
+    from repro.pipeline import stages
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report --section table1 ran a stage")
+
+    monkeypatch.setattr(SweepRunner, "run_all", forbidden)
+    monkeypatch.setattr(stages, "compute_profile", forbidden)
+    code, out = run_cli(capsys, "--scale", "0.05", "--cache-dir",
+                        str(tmp_path), "report", "--section", "table1")
+    assert code == 0
+    assert out.startswith("## Table I")
+    assert ArtifactStore(tmp_path).artifact_counts() == {}
+
+
+def test_section_takeaways_exits_one_on_a_failed_takeaway(
+        capsys, full_report, monkeypatch):
+    from repro.analysis.takeaways import TakeawayCheck
+    from repro.flow import report
+
+    monkeypatch.setattr(report, "check_all", lambda results, gshare: [
+        TakeawayCheck(1, "holds", True, "fine"),
+        TakeawayCheck(2, "does not hold", False, "broken")])
+    cache = str(full_report[0])
+    code, full = run_cli(capsys, "--scale", "0.05", "--cache-dir", cache,
+                         "report")
+    assert code == 0
+    assert "[FAIL] #2" in full
+    code, out = run_cli(capsys, "--scale", "0.05", "--cache-dir", cache,
+                        "report", "--section", "takeaways")
+    assert code == 1
+    assert out in full
+
+
+def test_report_passes_jobs_and_trace_to_the_sweep(capsys, tmp_path,
+                                                   monkeypatch):
+    from repro.flow.sweep import SweepRunner
+
+    calls = []
+
+    def record(self, *args, **kwargs):
+        calls.append(kwargs)
+        return {}
+
+    monkeypatch.setattr(SweepRunner, "run_all", record)
+    code = main(["--jobs", "2", "--trace", "--cache-dir", str(tmp_path),
+                 "report", "--section", "takeaways", "--gshare"])
+    capsys.readouterr()
+    assert code == 1  # no results: every takeaway fails
+    assert [(call["jobs"], call["trace"]) for call in calls] == \
+        [(2, True), (2, True)]
+
+
+def test_trace_report_section_records_a_run(capsys, tmp_path):
+    from repro.obs.session import resolve_run_dir
+
+    code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
+                 "--trace", "report", "--section", "fig10"])
+    capsys.readouterr()
+    assert code == 0
+    run_dir = resolve_run_dir(tmp_path, None)
+    assert run_dir is not None
+    assert (run_dir / "trace.json").exists()
+
+
+def test_removed_subcommands_are_usage_errors():
+    for argv in (["table1"], ["table2"], ["fig", "10"], ["takeaways"],
+                 ["speedup"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_sweep_summary(capsys, tmp_path):
@@ -329,6 +421,7 @@ def test_trace_metrics_prints_the_snapshot(capsys, tmp_path):
     metrics_path = resolve_run_dir(tmp_path, None) / METRICS_NAME
     snapshot = json.loads(metrics_path.read_text())
     assert "stage.detailed_sim.seconds" in snapshot
+    assert "cache.hit_rate" in snapshot
 
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "trace", "-f", "summary", "--metrics")

@@ -49,7 +49,7 @@ def test_hotspot_analysis(capsys):
     run_example("hotspot_analysis.py")
     out = capsys.readouterr().out
     assert "hotspot ranking" in out
-    assert "Takeaway" in out
+    assert "## Key takeaways" in out
 
 
 @pytest.mark.slow
