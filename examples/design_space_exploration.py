@@ -8,13 +8,15 @@ does it two ways:
    #1/#7/#8 knobs), evaluated point by point;
 2. a generated design-space lattice around MediumBOOM
    (`repro.uarch.space`) swept to an energy-efficiency Pareto frontier
-   (`repro.flow.run_dse`).
+   (`repro.flow.dse.run_dse`).
 """
 
 import dataclasses
 from statistics import mean
 
-from repro.flow import FlowSettings, SweepRunner, run_dse
+from repro.flow.dse import run_dse
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.uarch.config import LARGE_BOOM, MEGA_BOOM
 from repro.uarch.space import SpaceSpec
 

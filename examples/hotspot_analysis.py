@@ -15,7 +15,8 @@ import sys
 from statistics import mean
 
 from repro.analysis.figures import COMPONENT_LABELS
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.flow.report import ReportInputs, SECTIONS
 from repro.power.area import ANALYZED_COMPONENTS
 from repro.workloads.suite import workload_names

@@ -7,7 +7,7 @@ profiling, SimPoint selection, checkpointing, detailed simulation on
 MediumBOOM, and power estimation.
 """
 
-from repro.flow import run_experiment
+from repro.flow.experiment import run_experiment
 from repro.isa.assembler import assemble
 from repro.sim.executor import Executor
 from repro.uarch.config import MEDIUM_BOOM

@@ -6,7 +6,7 @@ the SimPoint pipeline, and renders the phase timeline as ASCII — the same
 data Fig. 4 of the paper feeds into checkpoint generation.
 """
 
-from repro.flow import FlowSettings, profile_and_select
+from repro.flow.experiment import FlowSettings, profile_and_select
 
 SCALE = 0.5
 SETTINGS = FlowSettings(scale=SCALE)

@@ -42,7 +42,8 @@ from repro.analysis.accuracy import (
     load_envelopes,
     write_envelope,
 )
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.obs.flight import FLIGHT_ENV, flight_samples
 from repro.obs.session import latest_run_dir
 

@@ -30,7 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.uarch.config import ALL_CONFIGS
 
 #: pinned gate parameters — changing any of them invalidates the goldens

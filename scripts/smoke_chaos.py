@@ -36,7 +36,8 @@ import time
 from pathlib import Path
 
 from repro.check.storage import validate_storage
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.pipeline.artifacts import INTERNAL_DIRS
 from repro.pipeline.journal import recover_cache
 
@@ -44,7 +45,8 @@ from repro.pipeline.journal import recover_cache
 #: whole pool down at once — exactly the operator's kill -9
 _CHILD = """
 import sys
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 
 runner = SweepRunner(FlowSettings(scale=float(sys.argv[2])),
                      cache_dir=sys.argv[1])

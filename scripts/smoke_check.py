@@ -33,9 +33,10 @@ from repro.check import set_checks_enabled
 from repro.check.differential import diff_core_against_reference
 from repro.check.invariants import CoreInvariantChecker
 from repro.check.runner import run_check
-from repro.checkpoint import Checkpoint
+from repro.checkpoint.checkpoint import Checkpoint
 from repro.errors import InvariantViolation
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.pipeline.stages import RESULT_STAGE
 from repro.sim.executor import Executor
 from repro.uarch.config import MEDIUM_BOOM

@@ -25,7 +25,8 @@ import argparse
 import sys
 import tempfile
 
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.pipeline.stages import RESULT_STAGE
 
 

@@ -22,8 +22,9 @@ import argparse
 import sys
 import tempfile
 
-from repro.flow import FlowSettings, SweepRunner
-from repro.pipeline import STAGE_ORDER, WORKLOAD_STAGES
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
+from repro.pipeline.stages import STAGE_ORDER, WORKLOAD_STAGES
 from repro.pipeline.stages import DETAILED_STAGE
 from repro.workloads.suite import workload_names
 

@@ -28,7 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.flow import FlowSettings, SweepRunner
+from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.obs.render import to_chrome
 from repro.pipeline.artifacts import INTERNAL_DIRS
 from repro.pipeline.stages import (

@@ -10,7 +10,7 @@ regenerates every table and figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro.flow import run_experiment
+    from repro.flow.experiment import run_experiment
     from repro.uarch.config import MEDIUM_BOOM
 
     result = run_experiment("sha", MEDIUM_BOOM)

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from repro.analysis.efficiency import energy_per_instruction_pj
 from repro.analysis.figures import ResultMap
 from repro.power.area import ANALYZED_COMPONENTS, area_proxy
-from repro.uarch.config import BoomConfig, config_id
+from repro.uarch.config import BoomConfig, config_id, PRESET_CONFIGS
 from repro.uarch.space import DesignSpace
 from repro.workloads.suite import workload_names
 
@@ -105,8 +105,6 @@ def summarize_space(results: ResultMap, configs: Sequence[BoomConfig],
         workloads = [w for w in workload_names() if w in swept]
     points: list[DesignPoint] = []
     skipped: list[str] = []
-    from repro.uarch.config import PRESET_CONFIGS
-
     preset_names = {config.name for config in PRESET_CONFIGS}
     for config in configs:
         rows = [results.get((workload, config.name))

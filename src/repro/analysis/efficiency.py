@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 
 from repro.analysis.figures import ResultMap
+from repro.uarch.config import CLOCK_HZ
 from repro.workloads.suite import workload_names
 
 _CONFIGS = ("MediumBOOM", "LargeBOOM", "MegaBOOM")
@@ -31,8 +32,6 @@ def energy_per_instruction_pj(result) -> float | None:
     result retired nothing (``ipc == 0``) — energy per instruction is
     undefined, and ``None`` survives strict JSON where ``inf`` cannot.
     """
-    from repro.uarch.config import CLOCK_HZ
-
     if result.ipc == 0.0:
         return None
     watts = result.tile_mw * 1e-3
@@ -47,8 +46,6 @@ def energy_delay_product(result) -> float | None:
     metric under which mid-size designs typically shine.  ``None`` when
     undefined (``ipc == 0``).
     """
-    from repro.uarch.config import CLOCK_HZ
-
     if result.ipc == 0.0:
         return None
     energy_pj = energy_per_instruction_pj(result)
@@ -61,8 +58,6 @@ def energy_delay_squared(result) -> float | None:
 
     ``None`` when undefined (``ipc == 0``).
     """
-    from repro.uarch.config import CLOCK_HZ
-
     if result.ipc == 0.0:
         return None
     delay_ns = 1e9 / (result.ipc * CLOCK_HZ)

@@ -26,6 +26,9 @@ self-consistent (DESIGN.md §10):
     Consistency audit of the cache's concurrency metadata — intent
     journals, work-claim leases, stray scratch files, sweep state and
     the ``obs/latest`` pointer (``repro-cli recover --check``).
+
+The package root holds only the ``REPRO_CHECK`` switch; import the
+tools from their submodules.
 """
 
 from __future__ import annotations
@@ -52,26 +55,3 @@ def set_checks_enabled(enabled: bool) -> None:
     else:
         os.environ.pop(CHECK_ENV, None)
 
-
-from repro.check.differential import DifferentialReport, run_differential
-from repro.check.invariants import CoreInvariantChecker
-from repro.check.storage import StorageReport, validate_storage
-from repro.check.validators import (
-    require_valid_result,
-    validate_report,
-    validate_result,
-)
-
-__all__ = [
-    "CHECK_ENV",
-    "CoreInvariantChecker",
-    "DifferentialReport",
-    "StorageReport",
-    "checks_enabled",
-    "require_valid_result",
-    "run_differential",
-    "set_checks_enabled",
-    "validate_report",
-    "validate_result",
-    "validate_storage",
-]

@@ -1,26 +1,6 @@
-"""Architectural checkpointing at SimPoint boundaries (Spike analogue)."""
+"""Architectural checkpointing at SimPoint boundaries (Spike analogue).
 
-from repro.checkpoint.checkpoint import Checkpoint
-from repro.checkpoint.creator import (
-    checkpoint_starts,
-    create_checkpoints,
-    DEFAULT_WARMUP,
-)
-from repro.checkpoint.loader import resume_functional, verify_checkpoint
-from repro.checkpoint.store import (
-    describe_store,
-    load_checkpoints,
-    save_checkpoints,
-)
-
-__all__ = [
-    "describe_store",
-    "load_checkpoints",
-    "save_checkpoints",
-    "Checkpoint",
-    "checkpoint_starts",
-    "create_checkpoints",
-    "DEFAULT_WARMUP",
-    "resume_functional",
-    "verify_checkpoint",
-]
+Import from the submodules (``repro.checkpoint.creator``,
+``repro.checkpoint.store`` and friends); the package root re-exports
+nothing.
+"""

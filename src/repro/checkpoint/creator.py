@@ -14,9 +14,11 @@ from repro.checkpoint.checkpoint import Checkpoint
 from repro.isa.program import Program
 from repro.obs.tracer import get_tracer
 from repro.sim.executor import Executor
-from repro.simpoint.simpoints import SimPoint, SimPointSelection
-
-DEFAULT_WARMUP = 2000
+from repro.simpoint.simpoints import (
+    DEFAULT_WARMUP,
+    SimPoint,
+    SimPointSelection,
+)
 
 
 def checkpoint_starts(points: list[SimPoint], interval_size: int,

@@ -26,9 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import summarize
-from repro.flow import FlowSettings, SweepRunner
+from repro.analysis.efficiency import summarize
+from repro.flow.experiment import FlowSettings
 from repro.flow.report import SECTIONS
+from repro.flow.sweep import SweepRunner
 from repro.obs.logs import setup_cli_logging
 from repro.uarch.config import config_by_name
 from repro.workloads.suite import workload_names
@@ -304,7 +305,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.flow.sweep import MANIFEST_NAME
-    from repro.pipeline import ArtifactStore, RunManifest, STAGE_ORDER
+    from repro.pipeline.artifacts import ArtifactStore
+    from repro.pipeline.manifest import RunManifest
+    from repro.pipeline.stages import STAGE_ORDER
 
     store = ArtifactStore(args.cache_dir)
     if args.action == "stats":
@@ -407,12 +410,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoints(args: argparse.Namespace) -> int:
-    from repro.checkpoint import (
-        create_checkpoints,
-        describe_store,
-        save_checkpoints,
-    )
-    from repro.flow import profile_and_select
+    from repro.checkpoint.creator import create_checkpoints
+    from repro.checkpoint.store import describe_store, save_checkpoints
+    from repro.flow.experiment import profile_and_select
     from repro.workloads.suite import build_program
 
     settings = FlowSettings(scale=args.scale, seed=args.seed)

@@ -14,8 +14,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-from typing import TYPE_CHECKING
-
+from repro.analysis.dse import (
+    DesignPoint,
+    format_frontier,
+    format_sensitivity,
+    frontier_document,
+    pareto_frontier,
+    sensitivity_table,
+    summarize_space,
+)
 from repro.flow.experiment import FlowSettings
 from repro.flow.results import ExperimentResult
 from repro.flow.scheduler import RetryPolicy
@@ -30,14 +37,7 @@ from repro.uarch.space import (
     spec_to_dict,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.dse import DesignPoint
-
 __all__ = ["DseOutcome", "run_dse"]
-
-# repro.analysis imports repro.flow.results, so the analysis.dse imports
-# here are deferred into the functions that need them — the same cycle
-# break as repro.flow.report.
 
 
 @dataclass
@@ -65,8 +65,6 @@ class DseOutcome:
 
     def document(self) -> dict:
         """The strict-JSON frontier artifact."""
-        from repro.analysis.dse import frontier_document
-
         return frontier_document(
             self.points, self.frontier, self.dominated,
             skipped=self.skipped, sensitivity=self.sensitivity,
@@ -76,8 +74,6 @@ class DseOutcome:
 
     def format(self) -> str:
         """Human-readable frontier + sensitivity report."""
-        from repro.analysis.dse import format_frontier, format_sensitivity
-
         parts = [format_frontier(self.points, self.frontier,
                                  skipped=self.skipped),
                  "", format_sensitivity(self.sensitivity, self.spec.base)]
@@ -110,12 +106,6 @@ def run_dse(spec: SpaceSpec,
     the sweep starts — the end-to-end benchmark (``perf/repeat.py``)
     uses it to read the run's manifest.
     """
-    from repro.analysis.dse import (
-        pareto_frontier,
-        sensitivity_table,
-        summarize_space,
-    )
-
     space = DesignSpace.around(spec.base)
     if configs is None:
         configs = generate_points(spec, space=space)

@@ -19,7 +19,7 @@ cache").
 
 Example::
 
-    from repro.flow import run_experiment
+    from repro.flow.experiment import run_experiment
     from repro.uarch.config import MEDIUM_BOOM
 
     result = run_experiment("sha", MEDIUM_BOOM, scale=0.2)
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.checkpoint.creator import DEFAULT_WARMUP
 from repro.flow.results import ExperimentResult
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.faults import FaultInjector
@@ -42,7 +41,7 @@ from repro.pipeline.stages import (
     simulate_raw_runs,
 )
 from repro.profiling.bbv import BBVProfile
-from repro.simpoint.simpoints import SimPointSelection
+from repro.simpoint.simpoints import DEFAULT_WARMUP, SimPointSelection
 from repro.uarch.config import BoomConfig
 from repro.workloads.suite import build_program
 

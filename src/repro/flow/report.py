@@ -38,6 +38,7 @@ from repro.flow.speedup import speedup_report
 from repro.flow.sweep import SweepRunner
 from repro.pipeline.manifest import RunManifest
 from repro.power.area import ANALYZED_COMPONENTS
+from repro.uarch.config import ALL_CONFIGS
 from repro.workloads.suite import workload_names
 
 _CONFIGS = ("MediumBOOM", "LargeBOOM", "MegaBOOM")
@@ -70,8 +71,6 @@ class ReportInputs:
     def gshare_results(self) -> ResultMap | None:
         if not self.include_gshare:
             return None
-        from repro.uarch.config import ALL_CONFIGS
-
         return self.runner.run_all(
             configs=tuple(c.with_predictor("gshare") for c in ALL_CONFIGS),
             jobs=self.jobs, trace=self.trace)

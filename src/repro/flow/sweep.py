@@ -42,7 +42,7 @@ import json
 import logging
 from pathlib import Path
 from time import perf_counter, sleep as _sleep
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import (
     PERMANENT,
@@ -59,9 +59,7 @@ from repro.flow.scheduler import (
     SupervisedScheduler,
     Task,
 )
-from repro.obs.metrics import get_metrics
-from repro.obs.progress import ProgressMonitor
-from repro.obs.render import worker_utilization
+from repro.obs.metrics import get_metrics, reset_metrics
 from repro.obs.session import TraceSession
 from repro.obs.tracer import tracing_requested
 from repro.pipeline.artifacts import (
@@ -72,9 +70,16 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.faults import FaultInjector
 from repro.pipeline.locking import FileLock, owner_token, release_held
 from repro.pipeline.manifest import RunManifest, TaskRecord
-from repro.pipeline.stages import ExperimentPipeline, RESULT_STAGE
+from repro.pipeline.stages import (
+    ExperimentPipeline,
+    RESULT_STAGE,
+    import_compute_stack,
+)
 from repro.uarch.config import ALL_CONFIGS, BoomConfig
 from repro.workloads.suite import workload_names
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressMonitor
 
 __all__ = ["DEFAULT_CACHE_DIR", "MODEL_VERSION", "SweepRunner",
            "MANIFEST_NAME", "SWEEP_STATE_NAME"]
@@ -243,6 +248,9 @@ class SweepRunner:
         """
         started = perf_counter()
         before = self.store.stats_snapshot()
+        # the registry counts this sweep alone: its snapshot becomes the
+        # manifest's (and the trace's) metrics
+        reset_metrics()
         policy = policy if policy is not None else RetryPolicy()
         configs = tuple(configs)
         names = [config.name for config in configs]
@@ -351,6 +359,8 @@ class SweepRunner:
         session = TraceSession(self.cache_dir, label="sweep").start()
         monitor = None
         if progress:
+            from repro.obs.progress import ProgressMonitor
+
             monitor = ProgressMonitor(session.run_dir).start()
         return session, monitor
 
@@ -372,6 +382,8 @@ class SweepRunner:
         registry.gauge("sweep.batch_degraded").set(
             float(len(self.batch_degraded)))
         if session is not None and session.trace_path is not None:
+            from repro.obs.render import worker_utilization
+
             try:
                 trace = json.loads(session.trace_path.read_text())
                 for pid, fraction in worker_utilization(trace).items():
@@ -491,6 +503,8 @@ class SweepRunner:
                 pending.append((workload, config))
         if not pending:
             return
+        # loaded once here, the stack is shared by every forked worker
+        import_compute_stack()
 
         root = str(self.cache_dir) if self.cache_dir is not None else None
         seen: set[str] = set()

@@ -1,42 +1,5 @@
-"""RV64IM+FD instruction set: registers, encodings, assembler, programs."""
+"""RV64IM+FD instruction set: registers, encodings, assembler, programs.
 
-from repro.isa.assembler import Assembler, assemble
-from repro.isa.encoding import decode, encode
-from repro.isa.instructions import Instruction, OpClass, OpSpec, spec_for
-from repro.isa.program import (
-    DATA_BASE,
-    HEAP_BASE,
-    Program,
-    STACK_TOP,
-    TEXT_BASE,
-)
-from repro.isa.registers import (
-    freg_index,
-    freg_name,
-    NUM_FREGS,
-    NUM_XREGS,
-    xreg_index,
-    xreg_name,
-)
-
-__all__ = [
-    "Assembler",
-    "assemble",
-    "decode",
-    "encode",
-    "Instruction",
-    "OpClass",
-    "OpSpec",
-    "spec_for",
-    "DATA_BASE",
-    "HEAP_BASE",
-    "Program",
-    "STACK_TOP",
-    "TEXT_BASE",
-    "freg_index",
-    "freg_name",
-    "NUM_FREGS",
-    "NUM_XREGS",
-    "xreg_index",
-    "xreg_name",
-]
+Import from the submodules (``repro.isa.assembler``,
+``repro.isa.program`` and friends); the package root re-exports nothing.
+"""

@@ -95,10 +95,10 @@ class FlightRecorder:
     def __init__(self, core, tracer, *, workload: str = "?",
                  checkpoint: int | None = None,
                  phase: str = "warmup") -> None:
-        # Deferred imports: obs is imported by the pipeline layer at
-        # startup, while these pull in the uarch/power/analysis stack —
-        # recorder construction happens at simulation time, never at
-        # package import.
+        # Deferred imports: the CLI reads FLIGHT_ENV and stored samples
+        # from this module without simulating, while these pull in the
+        # uarch/power/analysis stack — a recorder is only built at
+        # simulation time.
         from repro.analysis.cpi_stack import cpi_stack
         from repro.power.model import PowerModel
         from repro.uarch.stats import CoreStats

@@ -19,6 +19,7 @@ artifacts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -41,6 +42,10 @@ __all__ = ["OBS_DIR_NAME", "TraceSession", "latest_run_dir", "resolve_run_dir"]
 OBS_DIR_NAME = "obs"
 LATEST_NAME = "latest"
 METRICS_NAME = "metrics.json"
+
+#: numbers the sessions of one process, so two started within the same
+#: second get distinct run directories
+_SEQUENCE = itertools.count()
 
 
 def obs_root(cache_root: Path | str) -> Path:
@@ -78,7 +83,7 @@ class TraceSession:
 
     def __init__(self, cache_root: Path | str, *, label: str = "run") -> None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        self.run_id = f"{stamp}-{label}-{os.getpid()}"
+        self.run_id = f"{stamp}-{label}-{os.getpid()}-{next(_SEQUENCE)}"
         self.run_dir = obs_root(cache_root) / self.run_id
         self.trace_path: Path | None = None
         self._saved_env: dict[str, str | None] = {}

@@ -1,76 +1,6 @@
-"""Staged experiment pipeline with content-addressed artifact caching."""
+"""Staged experiment pipeline with content-addressed artifact caching.
 
-from repro.pipeline.artifacts import (
-    ARTIFACT_FORMAT,
-    ArtifactStore,
-    MODEL_VERSION,
-    StageStats,
-    atomic_write_text,
-)
-from repro.pipeline.faults import (
-    FaultInjector,
-    FaultSpec,
-    InjectedFailure,
-    parse_fault_spec,
-)
-from repro.pipeline.journal import (
-    IntentJournal,
-    JournalRecord,
-    RecoveryReport,
-    recover_cache,
-)
-from repro.pipeline.locking import (
-    FileLock,
-    Lease,
-    WorkClaims,
-    boot_id,
-    owner_token,
-    process_alive,
-)
-from repro.pipeline.manifest import RunManifest, TaskRecord
-from repro.pipeline.stages import (
-    CHECKPOINT_STAGE,
-    DETAILED_STAGE,
-    ExperimentPipeline,
-    PAPER_COUNTERPART,
-    POWER_STAGE,
-    PROFILE_STAGE,
-    RESULT_STAGE,
-    SELECTION_STAGE,
-    STAGE_ORDER,
-    WORKLOAD_STAGES,
-)
-
-__all__ = [
-    "ARTIFACT_FORMAT",
-    "ArtifactStore",
-    "MODEL_VERSION",
-    "StageStats",
-    "atomic_write_text",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFailure",
-    "parse_fault_spec",
-    "FileLock",
-    "IntentJournal",
-    "JournalRecord",
-    "Lease",
-    "RecoveryReport",
-    "WorkClaims",
-    "boot_id",
-    "owner_token",
-    "process_alive",
-    "recover_cache",
-    "RunManifest",
-    "TaskRecord",
-    "ExperimentPipeline",
-    "PROFILE_STAGE",
-    "SELECTION_STAGE",
-    "CHECKPOINT_STAGE",
-    "DETAILED_STAGE",
-    "POWER_STAGE",
-    "RESULT_STAGE",
-    "STAGE_ORDER",
-    "WORKLOAD_STAGES",
-    "PAPER_COUNTERPART",
-]
+Import from the submodules (``repro.pipeline.stages``,
+``repro.pipeline.artifacts`` and friends); the package root re-exports
+nothing.
+"""

@@ -24,42 +24,34 @@ fingerprint chains the fingerprints of its inputs, so changing any
 upstream parameter (scale, seed, interval, BIC threshold, max_k,
 coverage, warm-up, config, predictor, or the model version) changes
 every downstream address and can never serve a stale artifact.  The
-pipeline memoizes each fingerprint, and decoding a stored artifact needs
-no numpy: only computing a selection clusters.
+pipeline memoizes each fingerprint, and decoding a stored profile,
+selection or result needs neither numpy (only computing a selection
+clusters) nor the simulators (:data:`COMPUTE_MODULES`).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.check.validators import require_valid_result
-from repro.checkpoint.checkpoint import Checkpoint
-from repro.checkpoint.creator import create_checkpoints
-from repro.checkpoint.store import load_checkpoints, save_checkpoints
 from repro.errors import CorruptArtifactError
+from repro.flow.results import ExperimentResult, SimPointRun
 from repro.pipeline.artifacts import ArtifactStore, MODEL_VERSION
+from repro.profiling.bbv import BBVProfile, BBVProfiler
 # simulate_checkpoint is re-exported: stage 4's per-checkpoint entry point
 from repro.sim.batch import simulate_checkpoint, simulate_raw_runs_batched
-
-# NOTE: repro.flow.results is imported lazily inside the functions that
-# need it.  Importing it at module level would execute repro.flow's
-# package __init__, which imports repro.flow.experiment, which imports
-# this module — a cycle whenever repro.pipeline is imported first.
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.flow.results import ExperimentResult, SimPointRun
-from repro.power.model import PowerModel
-from repro.profiling.bbv import BBVProfile, BBVProfiler
 from repro.simpoint.simpoints import (
     SimPoint,
     SimPointSelection,
     select_simpoints,
 )
 from repro.uarch.config import BoomConfig
-from repro.uarch.stats import CoreStats
 from repro.workloads.suite import build_program, get_workload
+
+if TYPE_CHECKING:
+    from repro.checkpoint.checkpoint import Checkpoint
 
 PROFILE_STAGE = "bbv_profile"
 SELECTION_STAGE = "simpoint_selection"
@@ -85,6 +77,32 @@ PAPER_COUNTERPART = {
     POWER_STAGE: "Cadence Joules",
     RESULT_STAGE: "study record",
 }
+
+
+#: the modules that compute stages and read the checkpoints they replay;
+#: a warm run, which reads only results and profiles, needs none of them
+COMPUTE_MODULES = (
+    "repro.isa.assembler",
+    "repro.sim.executor",
+    "repro.obs.heartbeat",
+    "repro.checkpoint.creator",
+    "repro.checkpoint.store",
+    "repro.uarch.core",
+    "repro.check.invariants",
+    "repro.obs.flight",
+    "repro.power.model",
+)
+
+
+def import_compute_stack() -> None:
+    """Import :data:`COMPUTE_MODULES`, all at once.
+
+    A warm run never calls this.  A run with work to compute calls it
+    before it allocates: the same modules imported one by one, as each
+    stage first ran, raised ``dse_cold`` peak RSS from 43.3 to 44.7 MB.
+    """
+    for name in COMPUTE_MODULES:
+        importlib.import_module(name)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +212,8 @@ def compute_checkpoints(workload: str, settings,
                         selection: SimPointSelection,
                         program=None) -> list[Checkpoint]:
     """Stage 3: one functional pass snapshotting every SimPoint start."""
+    from repro.checkpoint.creator import create_checkpoints
+
     if program is None:
         program = build_program(workload, scale=settings.scale,
                                 seed=settings.seed)
@@ -220,7 +240,8 @@ def simulate_raw_runs(config: BoomConfig, program,
 def power_runs_from_raw(raw: list[dict], config: BoomConfig,
                         workload: str) -> list[SimPointRun]:
     """Stage 5: convert measured activity to per-point power reports."""
-    from repro.flow.results import SimPointRun
+    from repro.power.model import PowerModel
+    from repro.uarch.stats import CoreStats
 
     model = PowerModel(config)
     runs: list[SimPointRun] = []
@@ -242,8 +263,6 @@ def assemble_result(workload: str, config: BoomConfig, settings,
                     selection: SimPointSelection,
                     runs: list[SimPointRun]) -> ExperimentResult:
     """Stage 6: the SimPoint-weighted study record for one pair."""
-    from repro.flow.results import ExperimentResult
-
     result = ExperimentResult(
         workload=workload, config_name=config.name, scale=settings.scale,
         total_instructions=selection.total_instructions,
@@ -282,9 +301,14 @@ class ExperimentPipeline:
         self._fingerprints: dict[tuple, str] = {}
 
     def program(self, workload: str):
-        """The assembled :class:`Program` for ``workload`` (memoized)."""
+        """The assembled :class:`Program` for ``workload`` (memoized).
+
+        Only a stage that computes asks for a program, so the first call
+        also imports the compute stack, before anything is simulated.
+        """
         program = self._programs.get(workload)
         if program is None:
+            import_compute_stack()
             settings = self.settings
             program = build_program(workload, scale=settings.scale,
                                     seed=settings.seed)
@@ -372,6 +396,8 @@ class ExperimentPipeline:
             label=workload)
 
     def checkpoints(self, workload: str) -> list[Checkpoint]:
+        from repro.checkpoint.store import load_checkpoints, save_checkpoints
+
         return self.store.fetch_dir(
             CHECKPOINT_STAGE, self.checkpoint_fingerprint(workload),
             compute=lambda: compute_checkpoints(
@@ -394,8 +420,6 @@ class ExperimentPipeline:
 
     def power_runs(self, workload: str,
                    config: BoomConfig) -> list[SimPointRun]:
-        from repro.flow.results import SimPointRun
-
         return self.store.fetch_json(
             POWER_STAGE, self.power_fingerprint(workload, config),
             compute=lambda: power_runs_from_raw(
@@ -407,8 +431,6 @@ class ExperimentPipeline:
             label=f"{workload}/{config.name}")
 
     def result(self, workload: str, config: BoomConfig) -> ExperimentResult:
-        from repro.flow.results import ExperimentResult
-
         def compute() -> ExperimentResult:
             result = assemble_result(
                 workload, config, self.settings,
@@ -489,8 +511,6 @@ class ExperimentPipeline:
     def peek_result(self, workload: str,
                     config: BoomConfig) -> ExperimentResult | None:
         """Cache-only result lookup (no computation, no miss counted)."""
-        from repro.flow.results import ExperimentResult
-
         def decode(payload: Any) -> ExperimentResult:
             result = ExperimentResult.from_dict(payload)
             require_valid_result(result, boundary="load")

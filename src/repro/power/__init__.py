@@ -1,24 +1,5 @@
-"""Structural RTL-style power estimation (Cadence Joules analogue)."""
+"""Structural RTL-style power estimation (Cadence Joules analogue).
 
-from repro.power.area import (
-    ANALYZED_COMPONENTS,
-    component_areas,
-    ComponentArea,
-    REST_OF_TILE,
-)
-from repro.power.model import COMPONENT_ENERGY_SCALE, PowerModel
-from repro.power.report import ComponentPower, PowerReport
-from repro.power.technology import ASAP7, TechnologyCard
-
-__all__ = [
-    "ANALYZED_COMPONENTS",
-    "component_areas",
-    "ComponentArea",
-    "REST_OF_TILE",
-    "COMPONENT_ENERGY_SCALE",
-    "PowerModel",
-    "ComponentPower",
-    "PowerReport",
-    "ASAP7",
-    "TechnologyCard",
-]
+Import from the submodules (``repro.power.model``, ``repro.power.area``
+and friends); the package root re-exports nothing.
+"""

@@ -1,12 +1,5 @@
-"""Profiling: basic-block discovery and BBV collection (gem5 analogue)."""
+"""Profiling: basic-block discovery and BBV collection (gem5 analogue).
 
-from repro.profiling.basic_blocks import BasicBlock, block_map, discover_blocks
-from repro.profiling.bbv import BBVProfile, BBVProfiler
-
-__all__ = [
-    "BasicBlock",
-    "block_map",
-    "discover_blocks",
-    "BBVProfile",
-    "BBVProfiler",
-]
+Import from the submodules (``repro.profiling.bbv``,
+``repro.profiling.basic_blocks``); the package root re-exports nothing.
+"""

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimPointError
-from repro.isa.program import Program
-from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
 from repro.obs.tracer import get_tracer
-from repro.sim.executor import Executor
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from repro.isa.program import Program
 
 
 @dataclass
@@ -117,6 +116,9 @@ class BBVProfiler:
     def profile(self, program: Program,
                 max_instructions: int | None = None) -> BBVProfile:
         """Run ``program`` to completion and return its BBV profile."""
+        from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
+        from repro.sim.executor import Executor
+
         interval_size = self.interval_size
         block_ids: dict[tuple[int, int], int] = {}
         blocks: list[tuple[int, int]] = []

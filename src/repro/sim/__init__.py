@@ -1,23 +1,6 @@
-"""Functional simulation: memory, architectural state, executor, syscalls."""
+"""Functional simulation: memory, architectural state, executor, syscalls.
 
-from repro.sim.executor import Executor
-from repro.sim.memory import Memory, PAGE_SIZE
-from repro.sim.state import ArchState, MASK64, to_signed, to_unsigned
-from repro.sim.syscalls import SYS_EXIT, SYS_PRINT_INT, SYS_WRITE
-from repro.sim.tracing import RetireTrace, TraceEntry, diff_traces
-
-__all__ = [
-    "Executor",
-    "Memory",
-    "PAGE_SIZE",
-    "ArchState",
-    "MASK64",
-    "to_signed",
-    "to_unsigned",
-    "SYS_EXIT",
-    "SYS_PRINT_INT",
-    "SYS_WRITE",
-    "RetireTrace",
-    "TraceEntry",
-    "diff_traces",
-]
+Import from the submodules (``repro.sim.executor``, ``repro.sim.batch``
+and friends); the package root re-exports nothing, so code that only
+reads a result never loads the executor.
+"""

@@ -27,17 +27,15 @@ falls back to per-config batches on any batch fault (see
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.check import checks_enabled
-from repro.check.invariants import CoreInvariantChecker
-from repro.checkpoint.checkpoint import Checkpoint
-from repro.obs.flight import FlightRecorder
-from repro.obs.heartbeat import HeartbeatEmitter
 from repro.obs.tracer import get_tracer
 from repro.uarch.config import BoomConfig
-from repro.uarch.core import BoomCore
-from repro.uarch.ftrace import FetchTrace
+
+if TYPE_CHECKING:
+    from repro.checkpoint.checkpoint import Checkpoint
+    from repro.uarch.ftrace import FetchTrace
 
 __all__ = ["simulate_checkpoint", "simulate_raw_runs_batched"]
 
@@ -51,6 +49,11 @@ def simulate_checkpoint(config: BoomConfig, program,
     ``trace`` — the oracle fetch stream shared by every config of a
     batch — or, without one, a private trace of ``checkpoint``.
     """
+    from repro.check.invariants import CoreInvariantChecker
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.heartbeat import HeartbeatEmitter
+    from repro.uarch.core import BoomCore
+
     tracer = get_tracer()
     emitter = None
     if tracer.enabled:
@@ -115,6 +118,8 @@ def simulate_raw_runs_batched(configs: Iterable[BoomConfig], program,
     Returns ``{config.name: raw records}`` where each record list is
     exactly what a batch of that config alone would have produced.
     """
+    from repro.uarch.ftrace import FetchTrace
+
     configs = tuple(configs)
     names = [config.name for config in configs]
     if len(set(names)) != len(names):

@@ -36,6 +36,9 @@ DEFAULT_COVERAGE = 0.9
 DEFAULT_BIC_THRESHOLD = 0.9
 #: random-projection width (:mod:`.projection`)
 DEFAULT_DIMENSIONS = 15
+#: instructions replayed un-measured before each simulation point: the
+#: paper's 2M warm-up at the 1:1000 reproduction scale
+DEFAULT_WARMUP = 2000
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,6 @@
-"""The BOOM-like out-of-order cycle model in three configurations."""
+"""The BOOM-like out-of-order cycle model in three configurations.
 
-from repro.uarch.config import (
-    ALL_CONFIGS,
-    BoomConfig,
-    CacheParams,
-    CLOCK_HZ,
-    config_by_name,
-    LARGE_BOOM,
-    MEDIUM_BOOM,
-    MEGA_BOOM,
-    PredictorParams,
-    SMALL_BOOM,
-)
-from repro.uarch.core import BoomCore
-from repro.uarch.stats import CoreStats
-
-__all__ = [
-    "ALL_CONFIGS",
-    "BoomConfig",
-    "CacheParams",
-    "CLOCK_HZ",
-    "config_by_name",
-    "LARGE_BOOM",
-    "MEDIUM_BOOM",
-    "MEGA_BOOM",
-    "PredictorParams",
-    "SMALL_BOOM",
-    "BoomCore",
-    "CoreStats",
-]
+Import from the submodules (``repro.uarch.config``, ``repro.uarch.core``
+and friends); the package root re-exports nothing, so reading a
+configuration does not load the cycle model.
+"""

@@ -1,19 +1,5 @@
-"""Workloads: the eleven Table II benchmarks as assembly generators."""
+"""Workloads: the eleven Table II benchmarks as assembly generators.
 
-from repro.workloads.suite import (
-    build_program,
-    get_workload,
-    register_workload,
-    REPRODUCTION_SCALE,
-    workload_names,
-    WorkloadSpec,
-)
-
-__all__ = [
-    "build_program",
-    "get_workload",
-    "register_workload",
-    "REPRODUCTION_SCALE",
-    "workload_names",
-    "WorkloadSpec",
-]
+Import from ``repro.workloads.suite``; the package root re-exports
+nothing.
+"""

@@ -13,7 +13,7 @@ for tests.  All workloads self-check and exit with code 0 on success.
 
 Example::
 
-    from repro.workloads import build_program, workload_names
+    from repro.workloads.suite import build_program, workload_names
 
     for name in workload_names():
         program = build_program(name, scale=0.05)
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
-from repro.isa.assembler import assemble
-from repro.isa.program import Program
+
+if TYPE_CHECKING:
+    from repro.isa.program import Program
 
 #: The paper runs everything at 1M-instruction SimPoint intervals (2M for
 #: patricia and tarfind); we scale all dynamic counts by 1:1000.
@@ -101,6 +102,8 @@ def build_program(name: str, scale: float = 1.0, seed: int = 7) -> Program:
     the same :class:`Program` object, which the simulators treat as
     immutable.
     """
+    from repro.isa.assembler import assemble
+
     spec = get_workload(name)
     source = spec.builder(scale, seed)
     return assemble(source, name=f"{name}@{scale:g}")

@@ -6,7 +6,7 @@ from repro.check.differential import (
     diff_core_against_reference,
     run_differential,
 )
-from repro.checkpoint import Checkpoint
+from repro.checkpoint.checkpoint import Checkpoint
 from repro.errors import DifferentialMismatch
 from repro.isa.assembler import assemble
 from repro.sim.executor import Executor

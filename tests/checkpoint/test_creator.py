@@ -11,7 +11,7 @@ from repro.checkpoint.loader import resume_functional, verify_checkpoint
 from repro.errors import CheckpointError
 from repro.profiling.bbv import BBVProfiler
 from repro.simpoint.simpoints import select_simpoints, SimPoint
-from repro.workloads import build_program, get_workload
+from repro.workloads.suite import build_program, get_workload
 
 SCALE = 0.2
 

@@ -11,7 +11,7 @@ from repro.flow import report
 from repro.flow.experiment import FlowSettings
 from repro.flow.report import generate_report, ReportInputs, SECTIONS
 from repro.flow.sweep import SweepRunner
-from tests.test_imports import heavy_modules_after
+from tests.test_imports import COMPUTE, HEAVY, heavy_modules_after
 
 
 SETTINGS = FlowSettings(scale=0.06)
@@ -51,8 +51,9 @@ def test_warm_report_never_reprofiles(report_cache, monkeypatch):
 
 
 def test_warm_report_loads_neither_numpy_nor_the_pool(report_cache):
-    """Regenerating the report from stored artifacts never clusters and
-    never fans out, so it must not pay for numpy or multiprocessing."""
+    """Regenerating the report from stored artifacts never clusters,
+    never fans out and never simulates, so it must not pay for numpy,
+    multiprocessing or the compute stack."""
     cache, _ = report_cache
     loaded = heavy_modules_after(
         "import sys\n"
@@ -63,7 +64,7 @@ def test_warm_report_loads_neither_numpy_nor_the_pool(report_cache):
         " cache_dir=sys.argv[1])\n"
         "generate_report(runner)\n"
         "assert runner.last_manifest.hit_rate == 1.0",
-        str(cache))
+        str(cache), watch=HEAVY + COMPUTE)
     assert loaded == set()
 
 

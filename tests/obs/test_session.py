@@ -146,3 +146,37 @@ def test_metrics_file_equals_the_manifest_metrics_on_every_sweep(tmp_path):
         assert written["cache.hit_rate"]["value"] == manifest.hit_rate
         if expected_hit_rate is not None:
             assert manifest.hit_rate == expected_hit_rate
+
+
+def test_sweeps_started_in_one_second_get_their_own_run_dirs(
+        tmp_path, monkeypatch):
+    from repro.obs import session
+
+    monkeypatch.setattr(session.time, "strftime",
+                        lambda fmt: "20260101-000000")
+    runner = SweepRunner(FlowSettings(scale=0.05), cache_dir=tmp_path)
+    traces = set()
+    for _ in range(2):
+        runner.run_all(configs=(MEDIUM_BOOM,), workloads=["qsort"],
+                       trace=True)
+        traces.add(runner.last_manifest.trace)
+    run_dirs = [path for path in (tmp_path / OBS_DIR_NAME).iterdir()
+                if path.is_dir()]
+    assert len(run_dirs) == 2 and len(traces) == 2
+    for run_dir in run_dirs:
+        assert (run_dir / "trace.json").exists()
+        assert (run_dir / "metrics.json").exists()
+
+
+def test_a_warm_sweep_reports_only_its_own_metrics(tmp_path):
+    runner = SweepRunner(FlowSettings(scale=0.05), cache_dir=tmp_path)
+    counts = []
+    for _ in range(2):
+        runner.run_all(configs=(MEDIUM_BOOM,), workloads=["qsort"],
+                       trace=True)
+        metrics = runner.last_manifest.metrics
+        counts.append(tuple(metrics.get(name, {}).get("value", 0)
+                            for name in ("artifact.miss", "artifact.write")))
+    cold, warm = counts
+    assert cold[0] > 0 and cold[1] > 0
+    assert warm == (0, 0)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline import ArtifactStore, STAGE_ORDER
+from repro.pipeline.artifacts import ArtifactStore
+from repro.pipeline.stages import STAGE_ORDER
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,16 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.flow.experiment import FlowSettings
-from repro.pipeline import (
+from repro.pipeline.artifacts import (
     ArtifactStore,
+    MODEL_VERSION,
+    canonical_fingerprint,
+)
+from repro.pipeline.stages import (
     ExperimentPipeline,
     PAPER_COUNTERPART,
     STAGE_ORDER,
     WORKLOAD_STAGES,
-)
-from repro.pipeline.artifacts import MODEL_VERSION, canonical_fingerprint
-from repro.pipeline.stages import (
     profile_from_dict,
     profile_to_dict,
     selection_from_dict,

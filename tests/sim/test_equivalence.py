@@ -40,7 +40,6 @@ from repro.goldens import (
 )
 from repro.isa.assembler import assemble
 from repro.pipeline.stages import profile_to_dict
-from repro.profiling import bbv
 from repro.profiling.bbv import BBVProfiler
 from repro.sim import batch
 from repro.sim.executor import _MAX_BLOCK, Executor, _blocks_for
@@ -194,7 +193,7 @@ def test_capped_superblocks_match_reference_fixture():
 def test_capped_superblocks_match_reference_bbv(monkeypatch):
     profiler = BBVProfiler(97)
     superblock = profile_to_dict(profiler.profile(_straight_line_program()))
-    monkeypatch.setattr(bbv, "Executor",
+    monkeypatch.setattr("repro.sim.executor.Executor",
                         lambda program: Executor(program,
                                                  dispatch="reference"))
     reference = profile_to_dict(profiler.profile(_straight_line_program()))
@@ -392,8 +391,8 @@ def test_batched_trace_stops_near_its_furthest_consumer(monkeypatch):
             super().__init__(*args, **kwargs)
             cores.append(self)
 
-    monkeypatch.setattr(batch, "FetchTrace", RecordingTrace)
-    monkeypatch.setattr(batch, "BoomCore", RecordingCore)
+    monkeypatch.setattr("repro.uarch.ftrace.FetchTrace", RecordingTrace)
+    monkeypatch.setattr("repro.uarch.core.BoomCore", RecordingCore)
     program, first = _batch_checkpoint()
     executor = Executor(program, state=first.restore())
     executor.run(max_instructions=4_000)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pipeline import ArtifactStore
+from repro.pipeline.artifacts import ArtifactStore
 
 
 def run_cli(capsys, *argv):

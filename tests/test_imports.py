@@ -1,8 +1,11 @@
-"""Import-cost contract: numpy and the process pool load only where used.
+"""Import-cost contract: heavy modules load only where they are used.
 
 numpy serves SimPoint clustering and BBV matrices, the process pool
-serves ``jobs > 1``.  Entry points and warm runs need neither.  pytest
-has already imported numpy, so every check runs in a fresh interpreter.
+serves ``jobs > 1``, and the compute stack — the detailed core, the
+functional executor, checkpointing, runtime invariants and the DSE —
+serves runs that compute.  Entry points and warm runs need none of
+them.  pytest has already imported numpy and the whole package, so
+every check runs in a fresh interpreter.
 """
 
 import os
@@ -22,26 +25,42 @@ from repro.pipeline.stages import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy", "multiprocessing")
+COMPUTE = ("repro.uarch.core", "repro.sim.executor",
+           "repro.checkpoint.creator", "repro.check.invariants",
+           "repro.flow.dse")
 
 
-def heavy_modules_after(code: str, *argv: str) -> set[str]:
-    """The :data:`HEAVY` modules a fresh interpreter holds after ``code``.
+def last_line_of(code: str, *argv: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter.
 
     ``argv`` reaches ``code`` as ``sys.argv[1:]``.
     """
-    probe = (code + "\nimport sys\n"
-             f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    return set(done.stdout.splitlines()[-1].split())
+    return done.stdout.splitlines()[-1]
+
+
+def heavy_modules_after(code: str, *argv: str,
+                        watch: tuple[str, ...] = HEAVY) -> set[str]:
+    """The ``watch`` modules a fresh interpreter holds after ``code``."""
+    return set(last_line_of(
+        code + "\nimport sys\n"
+        f"print(' '.join(m for m in {watch!r} if m in sys.modules))",
+        *argv).split())
 
 
 @pytest.mark.parametrize("module", ["repro.cli", "repro.flow.sweep",
                                     "repro.flow.report", "repro.flow.dse"])
 def test_entry_points_load_neither_numpy_nor_the_pool(module):
     assert heavy_modules_after(f"import {module}") == set()
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.flow.sweep",
+                                    "repro.flow.report"])
+def test_entry_points_load_no_compute_stack(module):
+    assert heavy_modules_after(f"import {module}", watch=COMPUTE) == set()
 
 
 def test_selection_types_import_without_numpy():
@@ -60,6 +79,40 @@ def test_cold_selection_loads_numpy():
         " settings)\n"
         "assert selection.points and selection.chosen_k >= 1")
     assert loaded == {"numpy"}
+
+
+def test_cold_profile_loads_the_executor():
+    loaded = heavy_modules_after(
+        "from repro.flow.experiment import FlowSettings\n"
+        "from repro.pipeline.stages import compute_profile\n"
+        "profile = compute_profile('sha', FlowSettings(scale=0.05))\n"
+        "assert profile.total_instructions > 0", watch=COMPUTE)
+    assert loaded == {"repro.sim.executor"}
+
+
+def test_cold_sweep_imports_its_stack_before_it_computes(tmp_path):
+    """Every compute module loads in one place, before the first stage
+    runs: afterwards a cold sweep imports only numpy's clustering."""
+    late = last_line_of(
+        "import sys\n"
+        "from repro.flow.experiment import FlowSettings\n"
+        "from repro.flow.sweep import SweepRunner\n"
+        "from repro.pipeline import stages\n"
+        "from repro.uarch.config import MEDIUM_BOOM\n"
+        "stacked = []\n"
+        "def recording(load=stages.import_compute_stack):\n"
+        "    load()\n"
+        "    stacked.extend(sys.modules)\n"
+        "stages.import_compute_stack = recording\n"
+        "runner = SweepRunner(FlowSettings(scale=0.05),"
+        " cache_dir=sys.argv[1])\n"
+        "runner.run_all(configs=(MEDIUM_BOOM,), workloads=['sha'])\n"
+        "assert stacked and runner.last_manifest.total_executions\n"
+        "print(' '.join(sorted(m for m in set(sys.modules) - set(stacked)"
+        " if m.startswith('repro.'))))", str(tmp_path))
+    assert set(late.split()) == {"repro.simpoint.bic",
+                                 "repro.simpoint.kmeans",
+                                 "repro.simpoint.projection"}
 
 
 def test_computed_and_round_tripped_selections_hold_tuple_labels():

@@ -10,7 +10,9 @@ from statistics import mean
 
 import pytest
 
-from repro.analysis import check_all, fig9_component_share, summarize
+from repro.analysis.efficiency import summarize
+from repro.analysis.figures import fig9_component_share
+from repro.analysis.takeaways import check_all
 from repro.flow.experiment import FlowSettings
 from repro.flow.speedup import speedup_report
 from repro.flow.sweep import SweepRunner

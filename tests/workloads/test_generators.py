@@ -9,7 +9,7 @@ the Table II scale.
 import pytest
 
 from repro.sim.executor import Executor
-from repro.workloads import build_program, get_workload, workload_names
+from repro.workloads.suite import build_program, get_workload, workload_names
 
 SMALL = 0.03
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.workloads import (
+from repro.workloads.suite import (
     build_program,
     get_workload,
     REPRODUCTION_SCALE,
