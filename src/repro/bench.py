@@ -13,8 +13,8 @@ Metrics (all flat floats under ``metrics``):
 * ``functional.<mode>.instr_per_s`` — functional-executor retire rate,
   per dispatch mode (``superblock`` fast path vs the ``reference``
   per-instruction loop used by the equivalence tests);
-* ``profiled.instr_per_s`` — retire rate with the BBV control hook
-  installed (the gem5-probe analogue);
+* ``profiled.instr_per_s`` — retire rate of ``BBVProfiler.profile``,
+  the flow's BBV profiling pass (the gem5-probe analogue);
 * ``core.<config>.cycles_per_s`` / ``core.<config>.instr_per_s`` —
   detailed-core simulation rate over a measured window;
 * ``core.batched.cycles_per_s`` — aggregate detailed-core rate when one
@@ -179,21 +179,17 @@ def measure_functional(limits: BenchLimits,
 
 def measure_profiled(limits: BenchLimits,
                      metrics: dict[str, float]) -> None:
-    """BBV-profiling throughput: the control-hook path of the executor."""
-    from repro.workloads.suite import build_program
+    """BBV-profiling throughput, timed on the path the flow runs."""
+    from repro.profiling.bbv import BBVProfiler
+    from repro.workloads.suite import build_program, get_workload
 
     program = build_program("sha", scale=1.0, seed=17)
+    profiler = BBVProfiler(get_workload("sha").interval_for_scale(1.0))
 
     def run() -> int:
-        executor = _make_executor(program, "superblock")
-        counts = [0]
-
-        def hook(start: int, end: int) -> None:
-            counts[0] += ((end - start) >> 2) + 1
-
-        return executor.run(
-            max_instructions=limits.profiled_instructions,
-            control_hook=hook)
+        return profiler.profile(
+            program, max_instructions=limits.profiled_instructions
+        ).total_instructions
 
     elapsed, retired = _best(limits.repeats, run)
     metrics["profiled.instr_per_s"] = retired / elapsed

@@ -95,7 +95,16 @@ def _parse_int(token: str, line: int) -> int:
 
 
 def _split_operands(rest: str) -> list[str]:
-    """Split an operand string on commas that are outside parentheses."""
+    """Split an operand string on commas that are outside parentheses.
+
+    Each operand is stripped; an empty operand between commas is kept,
+    an empty one after the last comma is dropped.
+    """
+    if "(" not in rest and ")" not in rest:
+        operands = [operand.strip() for operand in rest.split(",")]
+        if not operands[-1]:
+            operands.pop()
+        return operands
     operands: list[str] = []
     depth = 0
     current = []

@@ -1,8 +1,7 @@
 """Throughput heartbeats sampled from inside long simulation loops.
 
-A :class:`HeartbeatEmitter` is handed (as an optional callback) to the
-functional executor's control hook and, as one of its observers, to the
-detailed core's run loop.
+A :class:`HeartbeatEmitter` is fed by the BBV profiler at each interval
+close and, as one of its observers, by the detailed core's run loop.
 Call sites invoke it with their current progress counter; the emitter
 rate-limits on wall time, computes the instantaneous rate, and emits a
 ``hb`` trace event.  It strictly observes — it never changes loop
@@ -19,7 +18,7 @@ from typing import Any, Callable
 
 from .tracer import NULL_TRACER, NullTracer, Tracer, heartbeat_interval
 
-__all__ = ["HeartbeatEmitter", "wrap_control_hook"]
+__all__ = ["HeartbeatEmitter"]
 
 
 class HeartbeatEmitter:
@@ -104,29 +103,3 @@ class HeartbeatEmitter:
         attrs.update(self.attrs)
         attrs.update(extra)
         self.tracer.heartbeat(self.name, **attrs)
-
-
-def wrap_control_hook(hook: Callable[[int, int], None] | None,
-                      emitter: "HeartbeatEmitter | None"):
-    """Compose a functional-executor control hook with a heartbeat.
-
-    The returned hook forwards ``(start_pc, end_pc)`` to the original
-    hook unchanged — block boundaries and ordering are untouched — and
-    feeds the cumulative instruction count (4-byte RISC-V encoding, the
-    same block-length arithmetic the BBV profiler uses) to the emitter.
-    With no emitter the original hook is returned as-is, so the traced
-    and untraced executor runs are operation-for-operation identical.
-    """
-    if emitter is None:
-        return hook
-    progress = [0]
-    if hook is None:
-        def traced(start_pc: int, end_pc: int) -> None:
-            progress[0] += ((end_pc - start_pc) >> 2) + 1
-            emitter(progress[0])
-    else:
-        def traced(start_pc: int, end_pc: int) -> None:
-            hook(start_pc, end_pc)
-            progress[0] += ((end_pc - start_pc) >> 2) + 1
-            emitter(progress[0])
-    return traced

@@ -5,11 +5,15 @@ dynamic instruction stream) by how many instructions it spent in each
 dynamic basic block.  The SimPoint algorithm clusters these vectors to
 find program phases (paper Fig. 4, step 1).
 
-:class:`BBVProfiler` drives the functional executor with a control hook:
-each executed control-flow instruction closes a dynamic block, which is
-credited (weighted by its instruction count) to the current interval.
-Intervals close as soon as their instruction budget fills, exactly like
-gem5's SimPoint probe.
+:class:`BBVProfiler` runs the functional executor with a
+:class:`~repro.sim.executor.BlockCounts`: each executed control-flow
+instruction closes a dynamic block, which is credited (weighted by its
+instruction count) to the current interval.  Intervals close as soon as
+their instruction budget fills, exactly like gem5's SimPoint probe — and,
+as in gem5, the counting happens inside the CPU model: the superblock
+dispatch loop updates the interval vector and tests the boundary inline,
+with no per-block callback.  The profiler then numbers the blocks in
+first-seen order.
 
 Example::
 
@@ -116,55 +120,50 @@ class BBVProfiler:
     def profile(self, program: Program,
                 max_instructions: int | None = None) -> BBVProfile:
         """Run ``program`` to completion and return its BBV profile."""
-        from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
-        from repro.sim.executor import Executor
+        from repro.obs.heartbeat import HeartbeatEmitter
+        from repro.sim.executor import BlockCounts, Executor, block_of
 
-        interval_size = self.interval_size
-        block_ids: dict[tuple[int, int], int] = {}
-        blocks: list[tuple[int, int]] = []
-        vectors: list[dict[int, int]] = []
-        lengths: list[int] = []
-        current: dict[int, int] = {}
-        filled = 0
-
-        def hook(start_pc: int, end_pc: int) -> None:
-            nonlocal filled, current
-            key = (start_pc, end_pc)
-            block_id = block_ids.get(key)
-            if block_id is None:
-                block_id = len(blocks)
-                block_ids[key] = block_id
-                blocks.append(key)
-            length = ((end_pc - start_pc) >> 2) + 1
-            current[block_id] = current.get(block_id, 0) + length
-            filled += length
-            if filled >= interval_size:
-                vectors.append(current)
-                lengths.append(filled)
-                current = {}
-                filled = 0
-
+        counts = BlockCounts(self.interval_size)
         executor = Executor(program)
-        run_hook = hook
         emitter = None
         tracer = get_tracer()
         if tracer.enabled:
-            # wrap (never replace) the profiling hook: block boundaries
-            # and interval contents are untouched, so the traced profile
-            # is byte-identical to the untraced one
+            # sample progress at interval closes: block boundaries and
+            # interval contents are untouched, so the traced profile is
+            # byte-identical to the untraced one
             emitter = HeartbeatEmitter(tracer, "functional.instr",
                                        units="instructions",
                                        workload=program.name)
-            run_hook = wrap_control_hook(hook, emitter)
-        executor.run(max_instructions=max_instructions,
-                     control_hook=run_hook)
+            progress = [0]
+
+            def on_interval() -> None:
+                progress[0] += counts.lengths[-1]
+                emitter(progress[0])
+
+            counts.on_interval = on_interval
+        executor.run(max_instructions=max_instructions, counts=counts)
         if emitter is not None:
             emitter.finish(executor.state.retired)
-        if filled:
-            vectors.append(current)
-            lengths.append(filled)
-        total = executor.state.retired
-        return BBVProfile(interval_size=interval_size, vectors=vectors,
+        vectors = counts.vectors
+        lengths = counts.lengths
+        if counts.filled:
+            vectors.append(counts.current)
+            lengths.append(counts.filled)
+        # Number the blocks in first-seen order, which the counts'
+        # insertion order records: the intervals in order, each in
+        # first-seen order.  Each vector is rekeyed in place.
+        block_ids: dict[int, int] = {}
+        blocks: list[tuple[int, int]] = []
+        for index, raw in enumerate(vectors):
+            vector = {}
+            for key, weight in raw.items():
+                block_id = block_ids.get(key)
+                if block_id is None:
+                    block_id = block_ids[key] = len(blocks)
+                    blocks.append(block_of(key))
+                vector[block_id] = weight
+            vectors[index] = vector
+        return BBVProfile(interval_size=self.interval_size, vectors=vectors,
                           interval_lengths=lengths, blocks=blocks,
-                          total_instructions=total,
+                          total_instructions=executor.state.retired,
                           program_name=program.name)

@@ -4,9 +4,12 @@ The executor runs a pre-decoded :class:`~repro.isa.program.Program` against
 an :class:`~repro.sim.state.ArchState` at interpreter speed.  It serves
 three roles in the experimental flow (paper Fig. 4):
 
-1. **profiling** — with a ``control_hook`` installed it reports every
-   dynamic basic block so :mod:`repro.profiling` can build the basic-block
-   vectors gem5 produces in the paper's flow;
+1. **profiling** — ``run(counts=BlockCounts(interval))`` counts every
+   dynamic basic block into per-interval vectors inside the dispatch
+   loop, the way gem5's SimPoint probe counts inside the CPU model;
+   :mod:`repro.profiling.bbv` turns the counts into basic-block vectors.
+   A ``control_hook`` receives the same dynamic block stream as raw
+   ``(start_pc, end_pc)`` pairs instead;
 2. **checkpoint creation** — ``run(max_instructions=N)`` retires exactly
    ``N`` instructions so checkpoints land on precise SimPoint boundaries;
 3. **reference execution** — workload self-checks compare detailed-core
@@ -17,14 +20,23 @@ Two dispatch strategies are available (``dispatch=`` constructor arg):
 ``superblock`` (default)
     Each static basic block (split into pieces of at most ``_MAX_BLOCK``
     straight-line instructions) is lazily translated — once, at first
-    entry — into a fused handler function, so the fetch -> decode ->
+    entry — into one fused Python function, so the fetch -> decode ->
     dict-lookup cycle and the per-instruction loop overhead are paid per
     *block* instead of per dynamic instruction (the same trick binary
-    translators play, minus the codegen).  Retire counts,
-    ``control_hook`` semantics, and exception behavior are bit-identical
-    to the reference loop; the equivalence suite in
-    ``tests/sim/test_equivalence.py`` pins both to golden fixtures
-    captured from the pre-optimization implementation.
+    translators play).  ALU, branch, load/store, FP add/sub/mul and
+    unsigned divide ops compile to specialized source; a load or store
+    reads or writes its page with one ``struct`` call and falls back to
+    the instruction's semantics handler (and so to :class:`Memory`) when
+    the access crosses a page, touches a page for the first time, or
+    lies outside the memory's direct page range.  Blocks are looked up
+    by entry pc in a per-program dict; each record caches the id and
+    length of the dynamic block it closes when entered at that block's
+    start, so the profiling loop updates the interval vector and tests
+    the interval boundary inline.  Retire counts, the dynamic block
+    stream, and exception behavior are bit-identical to the reference
+    loop; ``tests/sim/test_equivalence.py`` pins both to golden fixtures
+    captured from the pre-optimization implementation, and
+    ``tests/sim/test_superblock_fuzz.py`` diffs them on random programs.
 
 ``reference``
     The original per-instruction loop, kept as the semantic baseline the
@@ -43,11 +55,14 @@ Example::
 
 from __future__ import annotations
 
+import re
+import struct
 import weakref
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.isa.program import Program, TEXT_BASE
+from repro.sim.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.sim.semantics import _sext32, semantics_for
 from repro.sim.state import MASK64, ArchState, to_signed
 
@@ -65,10 +80,69 @@ _DEFAULT_FUEL = 1 << 62
 #: functional pass's memory high-water mark.
 _MAX_BLOCK = 64
 
-#: superblock tuple layout: (block_fn, total_count, has_ecall,
-#: term_is_control, end_pc); ``block_fn(state)`` executes the whole block
-#: and returns the next pc (never ``None``)
+#: superblock record, keyed by entry pc: (block_fn, total, has_ecall,
+#: closes, end_pc, key, length).  ``block_fn(state)`` executes the whole
+#: block and returns the next pc (never ``None``); ``closes`` is set when
+#: a control-flow terminator ends the dynamic block; ``key``/``length``
+#: are that dynamic block's :func:`block_key` and instruction count when
+#: it starts at the entry pc.
 _Block = tuple
+
+
+def block_key(start_pc: int, end_pc: int) -> int:
+    """Integer id of the dynamic block ``start_pc .. end_pc`` (inclusive).
+
+    Text-segment pcs fit in 32 bits, so the pair packs into one small
+    int — a cheaper dict key than the tuple.
+    """
+    return (start_pc << 32) | end_pc
+
+
+def block_of(key: int) -> tuple[int, int]:
+    """The ``(start_pc, end_pc)`` pair :func:`block_key` packed."""
+    return key >> 32, key & 0xFFFFFFFF
+
+
+class BlockCounts:
+    """Per-interval dynamic-block counts, the raw form of a BBV profile.
+
+    Each closed dynamic block adds its instruction count to the current
+    interval's vector (``block_key -> instructions``, in first-seen
+    order); an interval closes as soon as it holds ``interval_size``
+    instructions, and ``on_interval()`` (if given) is called after each
+    close.  The superblock loop performs this update inline; the
+    reference loop and budget tails call :meth:`close`.  Counts carry
+    over between :meth:`Executor.run` calls; the trailing partial
+    interval stays in ``current``/``filled``.
+    """
+
+    __slots__ = ("interval_size", "vectors", "lengths", "current",
+                 "filled", "on_interval")
+
+    def __init__(self, interval_size: int,
+                 on_interval: Callable[[], None] | None = None) -> None:
+        self.interval_size = interval_size
+        self.vectors: list[dict[int, int]] = []
+        self.lengths: list[int] = []
+        self.current: dict[int, int] = {}
+        self.filled = 0
+        self.on_interval = on_interval
+
+    def close(self, start_pc: int, end_pc: int) -> None:
+        """Count one dynamic block (a :data:`ControlHook`)."""
+        key = block_key(start_pc, end_pc)
+        length = ((end_pc - start_pc) >> 2) + 1
+        current = self.current
+        current[key] = current.get(key, 0) + length
+        self.filled += length
+        if self.filled >= self.interval_size:
+            self.vectors.append(current)
+            self.lengths.append(self.filled)
+            self.current = {}
+            self.filled = 0
+            if self.on_interval is not None:
+                self.on_interval()
+
 
 #: per-program superblock caches, shared by every executor bound to the
 #: same Program object (the sweep builds many executors per program —
@@ -76,14 +150,14 @@ _Block = tuple
 #: paid once, not per executor).  Keyed by id() because the Program
 #: dataclass is unhashable; a weakref finalizer evicts the entry when the
 #: program dies so a recycled id can never serve stale blocks.
-_BLOCK_CACHES: dict[int, list] = {}
+_BLOCK_CACHES: dict[int, dict[int, _Block]] = {}
 
 
-def _blocks_for(program: Program) -> list:
+def _blocks_for(program: Program) -> dict[int, _Block]:
     key = id(program)
     cache = _BLOCK_CACHES.get(key)
     if cache is None:
-        cache = [None] * len(program.instructions)
+        cache = {}
         _BLOCK_CACHES[key] = cache
         weakref.finalize(program, _BLOCK_CACHES.pop, key, None)
     return cache
@@ -91,8 +165,8 @@ def _blocks_for(program: Program) -> list:
 
 #: expression templates for x-register-writing ops: each must replicate
 #: its semantics.py handler exactly, with register indices and immediates
-#: folded in as constants (``_x`` is ``state.x``, ``_mem`` is
-#: ``state.memory``, ``_M``/``_sg``/``_sx`` are MASK64/to_signed/_sext32)
+#: folded in as constants (``_x`` is ``state.x``, ``_M``/``_sg``/``_sx``
+#: are MASK64/to_signed/_sext32)
 _XW_TEMPLATES: dict[str, Callable[[int, int, int], str]] = {
     "add": lambda r1, r2, imm: f"(_x[{r1}] + _x[{r2}]) & _M",
     "sub": lambda r1, r2, imm: f"(_x[{r1}] - _x[{r2}]) & _M",
@@ -121,22 +195,95 @@ _XW_TEMPLATES: dict[str, Callable[[int, int, int], str]] = {
     "srliw": lambda r1, r2, imm:
         f"_sx((_x[{r1}] & 4294967295) >> {imm})",
     "mul": lambda r1, r2, imm: f"(_x[{r1}] * _x[{r2}]) & _M",
-    "ld": lambda r1, r2, imm: f"_mem.load((_x[{r1}] + {imm}) & _M, 8)",
-    "lwu": lambda r1, r2, imm: f"_mem.load((_x[{r1}] + {imm}) & _M, 4)",
-    "lw": lambda r1, r2, imm:
-        f"_sx(_mem.load((_x[{r1}] + {imm}) & _M, 4))",
-    "lbu": lambda r1, r2, imm: f"_mem.load((_x[{r1}] + {imm}) & _M, 1)",
-    "lhu": lambda r1, r2, imm: f"_mem.load((_x[{r1}] + {imm}) & _M, 2)",
+    "divu": lambda r1, r2, imm:
+        f"_M if _x[{r2}] == 0 else _x[{r1}] // _x[{r2}]",
+    "remu": lambda r1, r2, imm:
+        f"_x[{r1}] if _x[{r2}] == 0 else _x[{r1}] % _x[{r2}]",
 }
 
-_STORE_WIDTHS = {"sd": 8, "sw": 4, "sh": 2, "sb": 1}
+#: f-register-writing ops (``_f`` is ``state.f``); f0 is a real register,
+#: so these write even when rd == 0
+_FW_TEMPLATES: dict[str, Callable[[int, int], str]] = {
+    "fadd.d": lambda r1, r2: f"_f[{r1}] + _f[{r2}]",
+    "fsub.d": lambda r1, r2: f"_f[{r1}] - _f[{r2}]",
+    "fmul.d": lambda r1, r2: f"_f[{r1}] * _f[{r2}]",
+}
+
+#: memory ops compiled to a direct page access (``_d`` is the memory's
+#: direct page list, ``_a`` the effective address): mnemonic -> statement
+#: over the page ``{p}`` and offset ``{o}``, calling a ``struct``
+#: accessor from :data:`_CONSTANTS` (a single byte is a plain index).
+#: Loads that sign-extend mask into the unsigned 64-bit domain; stores
+#: mask their value as ``Memory.store`` does.
+_MEM_TEMPLATES: dict[str, str] = {
+    "ld": "_x[{rd}] = _uq({p}, {o})[0]",
+    "lwu": "_x[{rd}] = _ui({p}, {o})[0]",
+    "lw": "_x[{rd}] = _si({p}, {o})[0] & _M",
+    "lhu": "_x[{rd}] = _uh({p}, {o})[0]",
+    "lh": "_x[{rd}] = _sh({p}, {o})[0] & _M",
+    "lbu": "_x[{rd}] = {p}[{o}]",
+    "lb": "_x[{rd}] = _sb({p}, {o})[0] & _M",
+    "fld": "_f[{rd}] = _ud({p}, {o})[0]",
+    "sd": "_pq({p}, {o}, _x[{rs2}])",
+    "sw": "_pi({p}, {o}, _x[{rs2}] & 4294967295)",
+    "sh": "_ph({p}, {o}, _x[{rs2}] & 65535)",
+    "sb": "{p}[{o}] = _x[{rs2}] & 255",
+    "fsd": "_pd({p}, {o}, _f[{rs2}])",
+}
+
+#: loads whose handler is a no-op for rd == x0 (fld writes f0)
+_X_LOADS = frozenset(m for m, template in _MEM_TEMPLATES.items()
+                     if template.startswith("_x["))
+
+#: what a direct page access raises when it must take the slow path:
+#: page number past the direct range (IndexError), untouched page
+#: (TypeError on ``None``), access crossing the page end (struct.error)
+_MISS = (IndexError, TypeError, struct.error)
+
+#: names the generated source may reference, bound as default arguments
+_CONSTANTS = {
+    "_M": MASK64, "_sg": to_signed, "_sx": _sext32, "_MISS": _MISS,
+    "_uq": struct.Struct("<Q").unpack_from,
+    "_ui": struct.Struct("<I").unpack_from,
+    "_si": struct.Struct("<i").unpack_from,
+    "_uh": struct.Struct("<H").unpack_from,
+    "_sh": struct.Struct("<h").unpack_from,
+    "_sb": struct.Struct("<b").unpack_from,
+    "_ud": struct.Struct("<d").unpack_from,
+    "_pq": struct.Struct("<Q").pack_into,
+    "_pi": struct.Struct("<I").pack_into,
+    "_ph": struct.Struct("<H").pack_into,
+    "_pd": struct.Struct("<d").pack_into,
+}
+
+#: state views the generated source may reference, loaded once per call
+_VIEWS = (("_x", "_s.x"), ("_f", "_s.f"), ("_d", "_s.memory.direct"))
 
 #: unsigned branch comparison operators (signed ones go through ``_sg``)
 _BRANCH_OPS = {"beq": "==", "bne": "!=", "bltu": "<", "bgeu": ">="}
 _SIGNED_BRANCH_OPS = {"blt": "<", "bge": ">="}
 
 
-def _inline_body_lines(instr) -> list[str] | None:
+def _mem_lines(instr, fallback: str) -> list[str]:
+    """Inline source for a load or store with a direct page access.
+
+    ``fallback`` calls the instruction's semantics handler, which goes
+    through :class:`Memory` for the slow cases (see :data:`_MISS`).
+    """
+    statement = _MEM_TEMPLATES[instr.mnemonic].format(
+        rd=instr.rd, rs2=instr.rs2,
+        p=f"_d[_a >> {PAGE_SHIFT}]", o=f"_a & {PAGE_SIZE - 1}")
+    # x registers always hold values in [0, 2**64): no mask for imm == 0
+    address = (f"_x[{instr.rs1}]" if not instr.imm
+               else f"(_x[{instr.rs1}] + {instr.imm}) & _M")
+    return [f"    _a = {address}",
+            "    try:",
+            f"        {statement}",
+            "    except _MISS:",
+            f"        {fallback}"]
+
+
+def _inline_body_lines(instr, fallback: str) -> list[str] | None:
     """Inline source for a straight-line instruction, or ``None``."""
     m = instr.mnemonic
     template = _XW_TEMPLATES.get(m)
@@ -145,19 +292,13 @@ def _inline_body_lines(instr) -> list[str] | None:
             return []  # the handler is a no-op for rd == x0
         return [f"    _x[{instr.rd}] = "
                 f"{template(instr.rs1, instr.rs2, instr.imm)}"]
-    width = _STORE_WIDTHS.get(m)
-    if width is not None:
-        return [f"    _mem.store((_x[{instr.rs1}] + {instr.imm}) & _M, "
-                f"_x[{instr.rs2}], {width})"]
-    if m in ("lb", "lh"):
-        if not instr.rd:
+    template = _FW_TEMPLATES.get(m)
+    if template is not None:
+        return [f"    _f[{instr.rd}] = {template(instr.rs1, instr.rs2)}"]
+    if m in _MEM_TEMPLATES:
+        if m in _X_LOADS and not instr.rd:
             return []
-        width, bound, bias = (1, 0x80, 0x100) if m == "lb" \
-            else (2, 0x8000, 0x10000)
-        return [f"    _v = _mem.load((_x[{instr.rs1}] + {instr.imm}) "
-                f"& _M, {width})",
-                f"    _x[{instr.rd}] = "
-                f"(_v - {bias} if _v >= {bound} else _v) & _M"]
+        return _mem_lines(instr, fallback)
     return None
 
 
@@ -210,14 +351,15 @@ def _fuse_block(body: list, term, fall_pc: int) -> Callable:
     binds = []
     lines = []
     for k, (fn, instr) in enumerate(body):
-        inline = _inline_body_lines(instr)
+        call = f"_h{k}(_s, _i{k})"
+        inline = _inline_body_lines(instr, call)
         if inline is None:
-            namespace[f"_f{k}"] = fn
+            inline = [f"    {call}"]
+        if any(call in line for line in inline):
+            namespace[f"_h{k}"] = fn
             namespace[f"_i{k}"] = instr
-            binds.append(f"_f{k}=_f{k}, _i{k}=_i{k}")
-            lines.append(f"    _f{k}(_s, _i{k})")
-        else:
-            lines.extend(inline)
+            binds.append(f"_h{k}=_h{k}, _i{k}=_i{k}")
+        lines.extend(inline)
     namespace["_fall"] = fall_pc
     binds.append("_fall=_fall")
     if term is not None:
@@ -233,20 +375,13 @@ def _fuse_block(body: list, term, fall_pc: int) -> Callable:
             lines.extend(inline)
     else:
         lines.append("    return _fall")
-    text = "\n".join(lines)
-    prologue = []
-    for probe, setup, value in (("_x[", "    _x = _s.x", None),
-                                ("_mem.", "    _mem = _s.memory", None),
-                                ("_M", None, MASK64),
-                                ("_sg(", None, to_signed),
-                                ("_sx(", None, _sext32)):
-        if probe in text:
-            if setup is not None:
-                prologue.append(setup)
-            else:
-                name = probe.rstrip("(")
-                namespace[name] = value
-                binds.append(f"{name}={name}")
+    names = set(re.findall(r"\b_\w+", "\n".join(lines)))
+    prologue = [f"    {name} = {view}" for name, view in _VIEWS
+                if name in names]
+    for name, value in _CONSTANTS.items():
+        if name in names:
+            namespace[name] = value
+            binds.append(f"{name}={name}")
     source = (f"def _block(_s, {', '.join(binds)}):\n"
               + "\n".join(prologue + lines) + "\n")
     exec(source, namespace)
@@ -269,36 +404,41 @@ class Executor:
         self._ops = [(semantics_for(instr), instr,
                       instr.opclass.is_control)
                      for instr in program.instructions]
-        # Lazily-built superblock cache, keyed by entry instruction index
-        # and shared across executors of the same program.
-        self._blocks: list[_Block | None] = _blocks_for(program)
+        # Lazily-built superblock cache, keyed by entry pc and shared
+        # across executors of the same program.
+        self._blocks: dict[int, _Block] = _blocks_for(program)
 
     def run(self, max_instructions: Optional[int] = None,
-            control_hook: Optional[ControlHook] = None) -> int:
+            control_hook: Optional[ControlHook] = None,
+            counts: Optional[BlockCounts] = None) -> int:
         """Execute until exit or until ``max_instructions`` retire.
 
         Returns the number of instructions retired by this call.  With a
         ``control_hook``, the hook fires once per executed control-flow
         instruction with the dynamic basic block it terminates; the final
         partial block (ended by exit or by the instruction budget) is also
-        reported.
+        reported.  With ``counts``, the same dynamic blocks are counted
+        into it instead (the BBV profiling pass); give one or the other.
         """
         state = self.state
         state.require_not_exited()
+        if control_hook is not None and counts is not None:
+            raise ValueError("pass control_hook or counts, not both")
+        fuel = max_instructions if max_instructions is not None \
+            else _DEFAULT_FUEL
+        close = counts.close if counts is not None else control_hook
         if self.dispatch == "reference":
-            if control_hook is None:
-                return self._run_plain(max_instructions)
-            return self._run_profiled(max_instructions, control_hook)
-        if control_hook is None:
-            return self._run_super_plain(max_instructions)
-        return self._run_super_profiled(max_instructions, control_hook)
+            return self._run_reference(fuel, close, state.pc)
+        if close is None:
+            return self._run_super_plain(fuel)
+        return self._run_super_profiled(fuel, close, counts)
 
     # ------------------------------------------------------------------
     # superblock dispatch
     # ------------------------------------------------------------------
 
-    def _build_block(self, index: int) -> _Block:
-        """Translate the static basic block entered at ``index``.
+    def _build_block(self, pc: int) -> _Block:
+        """Translate the static basic block entered at ``pc``.
 
         A block extends from the entry to the first control-flow
         instruction or ``ecall`` (the only handler that can set
@@ -306,13 +446,17 @@ class Executor:
         straight-line instructions, whichever comes first.  The cap
         bounds compile memory; a capped block has no terminator, so like
         one ended by the text segment it falls through without closing
-        the dynamic block, and retire counts and the ``control_hook``
-        stream are unchanged.  Entries at different offsets into the same
+        the dynamic block, and retire counts and the dynamic block stream
+        are unchanged.  Entries at different offsets into the same
         straight-line run get their own (overlapping) blocks, so any
-        resume pc works.
+        resume pc works.  This miss path is where a pc outside the text
+        segment is caught.
         """
         ops = self._ops
         count = len(ops)
+        index = (pc - TEXT_BASE) >> 2
+        if not 0 <= index < count:
+            raise SimulationError(f"pc left text segment: 0x{pc:x}")
         body = []
         term = None
         i = index
@@ -326,53 +470,30 @@ class Executor:
             body.append((fn, instr))
             i += 1
         if term is not None:
-            term_control = term[2]
-            has_ecall = not term_control
+            closes = term[2]
             end_pc = term[1].pc
             total = len(body) + 1
         else:
-            term_control = False
-            has_ecall = False
+            closes = False
             end_pc = TEXT_BASE + ((i - 1) << 2)
             total = len(body)
-        block_fn = _fuse_block(body, term, end_pc + 4)
-        block = (block_fn, total, has_ecall, term_control, end_pc)
-        self._blocks[index] = block
+        block = (_fuse_block(body, term, end_pc + 4), total,
+                 term is not None and not closes, closes, end_pc,
+                 block_key(pc, end_pc), ((end_pc - pc) >> 2) + 1)
+        self._blocks[pc] = block
         return block
 
-    def _run_super_plain(self, max_instructions: Optional[int]) -> int:
+    def _run_super_plain(self, fuel: int) -> int:
         state = self.state
         blocks = self._blocks
-        count = len(self._ops)
         pc = state.pc
-        fuel = max_instructions if max_instructions is not None \
-            else _DEFAULT_FUEL
         retired = 0
         while fuel > 0:
-            index = (pc - TEXT_BASE) >> 2
-            if not 0 <= index < count:
-                raise SimulationError(f"pc left text segment: 0x{pc:x}")
-            block = blocks[index]
+            block = blocks.get(pc)
             if block is None:
-                block = self._build_block(index)
+                block = self._build_block(pc)
             total = block[1]
             if total > fuel:
-                # The budget ends inside this block: finish with the
-                # per-instruction loop so the retire count lands exactly.
-                ops = self._ops
-                while fuel > 0:
-                    index = (pc - TEXT_BASE) >> 2
-                    if not 0 <= index < count:
-                        raise SimulationError(
-                            f"pc left text segment: 0x{pc:x}")
-                    fn, instr, _ = ops[index]
-                    next_pc = fn(state, instr)
-                    retired += 1
-                    fuel -= 1
-                    if state.exited:
-                        pc += 4
-                        break
-                    pc = next_pc if next_pc is not None else pc + 4
                 break
             pc = block[0](state)
             retired += total
@@ -383,111 +504,106 @@ class Executor:
                 break
         state.pc = pc
         state.retired += retired
+        if fuel > 0 and not state.exited:
+            # The budget ends inside this block: finish with the
+            # per-instruction loop so the retire count lands exactly.
+            retired += self._run_reference(fuel, None, pc)
         return retired
 
-    def _run_super_profiled(self, max_instructions: Optional[int],
-                            control_hook: ControlHook) -> int:
+    def _run_super_profiled(self, fuel: int, close: ControlHook,
+                            counts: Optional[BlockCounts]) -> int:
+        """The superblock loop that reports dynamic blocks.
+
+        With ``counts`` the vector update and the interval-boundary test
+        run inline (``close`` is ``counts.close`` and serves only the
+        per-instruction tail); otherwise every block goes to ``close``.
+        """
         state = self.state
         blocks = self._blocks
-        ops = self._ops
-        count = len(ops)
         pc = state.pc
-        fuel = max_instructions if max_instructions is not None \
-            else _DEFAULT_FUEL
         retired = 0
         # The *dynamic* block start: unlike a superblock entry, a dynamic
         # block only closes at control flow — an ecall (not a control op)
-        # ends a superblock but leaves the dynamic block open, and a
-        # budget-bounded resume re-enters mid-block.
+        # and a capped block end a superblock but leave the dynamic block
+        # open, and a budget-bounded resume re-enters mid-block.
         block_start = pc
         last_pc = pc
+        inline = counts is not None
+        if inline:
+            interval = counts.interval_size
+            vectors = counts.vectors
+            lengths = counts.lengths
+            current = counts.current
+            filled = counts.filled
+            on_interval = counts.on_interval
         while fuel > 0:
-            index = (pc - TEXT_BASE) >> 2
-            if not 0 <= index < count:
-                raise SimulationError(f"pc left text segment: 0x{pc:x}")
-            block = blocks[index]
+            entry = pc
+            block = blocks.get(pc)
             if block is None:
-                block = self._build_block(index)
-            block_fn, total, has_ecall, term_control, end_pc = block
+                block = self._build_block(pc)
+            block_fn, total, has_ecall, closes, end_pc, key, length = block
             if total > fuel:
-                # Budget ends inside this block: per-instruction tail.
-                while fuel > 0:
-                    index = (pc - TEXT_BASE) >> 2
-                    if not 0 <= index < count:
-                        raise SimulationError(
-                            f"pc left text segment: 0x{pc:x}")
-                    fn, instr, is_control = ops[index]
-                    next_pc = fn(state, instr)
-                    retired += 1
-                    fuel -= 1
-                    last_pc = pc
-                    if state.exited:
-                        pc += 4
-                        break
-                    if is_control:
-                        control_hook(block_start, last_pc)
-                        pc = next_pc if next_pc is not None else pc + 4
-                        block_start = pc
-                    else:
-                        pc = next_pc if next_pc is not None else pc + 4
                 break
             pc = block_fn(state)
             retired += total
             fuel -= total
             last_pc = end_pc
-            if term_control:
-                control_hook(block_start, end_pc)
+            if closes:
+                if inline:
+                    if block_start != entry:
+                        # the block began before this superblock (after
+                        # a capped piece or an ecall): block_key, inlined
+                        key = (block_start << 32) | end_pc
+                        length = ((end_pc - block_start) >> 2) + 1
+                    current[key] = current.get(key, 0) + length
+                    filled += length
+                    if filled >= interval:
+                        vectors.append(current)
+                        lengths.append(filled)
+                        current = {}
+                        filled = 0
+                        if on_interval is not None:
+                            on_interval()
+                else:
+                    close(block_start, end_pc)
                 block_start = pc
             elif has_ecall and state.exited:
                 # An exit does not close the dynamic block here: the
                 # trailing-close below reports it, like the reference.
                 break
-        if retired and (state.exited or pc != block_start):
-            # Close the trailing partial block (exit / fuel exhausted).
-            if last_pc >= block_start:
-                control_hook(block_start, last_pc)
+        if inline:
+            counts.current = current
+            counts.filled = filled
         state.pc = pc
         state.retired += retired
+        if fuel > 0 and not state.exited:
+            # Budget ends inside this block: the per-instruction loop
+            # continues the open dynamic block and closes it.
+            return retired + self._run_reference(fuel, close, block_start)
+        if retired and (state.exited or pc != block_start) \
+                and last_pc >= block_start:
+            # Close the trailing partial block (exit / fuel exhausted).
+            close(block_start, last_pc)
         return retired
 
     # ------------------------------------------------------------------
     # reference dispatch (the semantic baseline)
     # ------------------------------------------------------------------
 
-    def _run_plain(self, max_instructions: Optional[int]) -> int:
-        state = self.state
-        ops = self._ops
-        count = len(ops)
-        pc = state.pc
-        fuel = max_instructions if max_instructions is not None \
-            else _DEFAULT_FUEL
-        retired = 0
-        while fuel > 0:
-            index = (pc - TEXT_BASE) >> 2
-            if not 0 <= index < count:
-                raise SimulationError(f"pc left text segment: 0x{pc:x}")
-            fn, instr, _ = ops[index]
-            next_pc = fn(state, instr)
-            retired += 1
-            fuel -= 1
-            if state.exited:
-                pc += 4
-                break
-            pc = next_pc if next_pc is not None else pc + 4
-        state.pc = pc
-        state.retired += retired
-        return retired
+    def _run_reference(self, fuel: int, close: Optional[ControlHook],
+                       block_start: int) -> int:
+        """One instruction per iteration from ``state.pc``.
 
-    def _run_profiled(self, max_instructions: Optional[int],
-                      control_hook: ControlHook) -> int:
+        ``block_start`` is where the open dynamic block began (``state.pc``
+        unless this continues a superblock run); with ``close`` set, each
+        control-flow instruction and the trailing partial block are
+        reported to it.
+        """
         state = self.state
         ops = self._ops
         count = len(ops)
         pc = state.pc
-        fuel = max_instructions if max_instructions is not None \
-            else _DEFAULT_FUEL
         retired = 0
-        block_start = pc
         last_pc = pc
         while fuel > 0:
             index = (pc - TEXT_BASE) >> 2
@@ -501,16 +617,15 @@ class Executor:
             if state.exited:
                 pc += 4
                 break
-            if is_control:
-                control_hook(block_start, last_pc)
-                pc = next_pc if next_pc is not None else pc + 4
+            pc = next_pc if next_pc is not None else pc + 4
+            if is_control and close is not None:
+                close(block_start, last_pc)
                 block_start = pc
-            else:
-                pc = next_pc if next_pc is not None else pc + 4
-        if retired and (state.exited or pc != block_start):
+        if close is not None and retired \
+                and (state.exited or pc != block_start) \
+                and last_pc >= block_start:
             # Close the trailing partial block (exit / fuel exhausted).
-            if last_pc >= block_start:
-                control_hook(block_start, last_pc)
+            close(block_start, last_pc)
         state.pc = pc
         state.retired += retired
         return retired

@@ -9,6 +9,8 @@ exactly the touched pages.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import MemoryFault
 
 PAGE_SHIFT = 12
@@ -20,21 +22,32 @@ _PAGE_MASK = PAGE_SIZE - 1
 #: scalar fast path is a list index instead of a dict probe
 _DIRECT_PAGES = 1 << 13
 
+#: little-endian scalar accessors by width in bytes
+_UNPACK = {width: struct.Struct(code).unpack_from
+           for width, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+_PACK = {width: struct.Struct(code).pack_into
+         for width, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+_F64 = struct.Struct("<d")
+
 
 class Memory:
     """Sparse paged memory with little-endian scalar accessors.
 
     The dict of pages remains the single source of truth (snapshots,
-    clones and page counts all walk it); ``_direct`` is a read-through
+    clones and page counts all walk it); ``direct`` is a read-through
     acceleration structure for the low address range the executor's
-    loads and stores almost always hit.
+    loads and stores almost always hit.  It holds the same ``bytearray``
+    objects as the dict (``None`` for an untouched page), so a direct
+    write is a write to the page; the executor's compiled superblocks
+    index it themselves and call :meth:`load`/:meth:`store` only for an
+    untouched page, a page-crossing access or an address past its end.
     """
 
-    __slots__ = ("_pages", "_direct")
+    __slots__ = ("_pages", "direct")
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
-        self._direct: list[bytearray | None] = [None] * _DIRECT_PAGES
+        self.direct: list[bytearray | None] = [None] * _DIRECT_PAGES
 
     # ------------------------------------------------------------------
     # bulk operations
@@ -73,35 +86,37 @@ class Memory:
     # ------------------------------------------------------------------
 
     def load(self, address: int, width: int) -> int:
-        """Load ``width`` bytes at ``address`` as an unsigned integer."""
+        """Load ``width`` (1, 2, 4 or 8) bytes at ``address``, unsigned."""
         page_offset = address & _PAGE_MASK
         if page_offset + width <= PAGE_SIZE:
-            number = address >> PAGE_SHIFT
-            if 0 <= number < _DIRECT_PAGES:
-                page = self._direct[number]
-            else:
-                page = self._pages.get(number)
-            if page is None:
-                page = self._page(address)
-            return int.from_bytes(page[page_offset:page_offset + width],
-                                  "little")
+            return _UNPACK[width](self._scalar_page(address),
+                                  page_offset)[0]
         return int.from_bytes(self.read_bytes(address, width), "little")
 
     def store(self, address: int, value: int, width: int) -> None:
-        """Store the low ``width`` bytes of ``value`` at ``address``."""
+        """Store the low ``width`` (1, 2, 4 or 8) bytes of ``value``."""
+        value &= (1 << (8 * width)) - 1
         page_offset = address & _PAGE_MASK
-        data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
         if page_offset + width <= PAGE_SIZE:
-            number = address >> PAGE_SHIFT
-            if 0 <= number < _DIRECT_PAGES:
-                page = self._direct[number]
-            else:
-                page = self._pages.get(number)
-            if page is None:
-                page = self._page(address)
-            page[page_offset:page_offset + width] = data
+            _PACK[width](self._scalar_page(address), page_offset, value)
         else:
-            self.write_bytes(address, data)
+            self.write_bytes(address, value.to_bytes(width, "little"))
+
+    def load_f64(self, address: int) -> float:
+        """Load the IEEE binary64 value at ``address``, bit for bit."""
+        page_offset = address & _PAGE_MASK
+        if page_offset + 8 <= PAGE_SIZE:
+            return _F64.unpack_from(self._scalar_page(address),
+                                    page_offset)[0]
+        return _F64.unpack(self.read_bytes(address, 8))[0]
+
+    def store_f64(self, address: int, value: float) -> None:
+        """Store ``value`` as IEEE binary64 at ``address``, bit for bit."""
+        page_offset = address & _PAGE_MASK
+        if page_offset + 8 <= PAGE_SIZE:
+            _F64.pack_into(self._scalar_page(address), page_offset, value)
+        else:
+            self.write_bytes(address, _F64.pack(value))
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -136,7 +151,16 @@ class Memory:
         for number, page in self._pages.items():
             if 0 <= number < _DIRECT_PAGES:
                 direct[number] = page
-        self._direct = direct
+        self.direct = direct
+
+    def _scalar_page(self, address: int) -> bytearray:
+        """The page holding ``address``, allocated on first touch."""
+        number = address >> PAGE_SHIFT
+        if 0 <= number < _DIRECT_PAGES:
+            page = self.direct[number]
+        else:
+            page = self._pages.get(number)
+        return page if page is not None else self._page(address)
 
     def _page(self, address: int) -> bytearray:
         if address < 0:
@@ -147,5 +171,5 @@ class Memory:
             page = bytearray(PAGE_SIZE)
             self._pages[number] = page
             if number < _DIRECT_PAGES:
-                self._direct[number] = page
+                self.direct[number] = page
         return page

@@ -492,15 +492,12 @@ def _fence(s: ArchState, i: Instruction) -> None:
 
 @_register("fld")
 def _fld(s: ArchState, i: Instruction) -> None:
-    bits = s.memory.load((s.x[i.rs1] + i.imm) & MASK64, 8)
-    s.f[i.rd] = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+    s.f[i.rd] = s.memory.load_f64((s.x[i.rs1] + i.imm) & MASK64)
 
 
 @_register("fsd")
 def _fsd(s: ArchState, i: Instruction) -> None:
-    bits = struct.pack("<d", s.f[i.rs2])
-    s.memory.store((s.x[i.rs1] + i.imm) & MASK64,
-                   int.from_bytes(bits, "little"), 8)
+    s.memory.store_f64((s.x[i.rs1] + i.imm) & MASK64, s.f[i.rs2])
 
 
 @_register("fadd.d")

@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
+from repro.obs.heartbeat import HeartbeatEmitter
 from repro.obs.logs import (
     WorkerLogMerger,
     get_logger,
@@ -53,25 +53,6 @@ def test_heartbeat_finish_bypasses_rate_limit():
     assert beats[0]["attrs"]["value"] == 42
     assert beats[0]["attrs"]["final"] is True
     assert beats[0]["attrs"]["outcome"] == "done"
-
-
-def test_wrap_control_hook_preserves_original_calls():
-    emitter, sink, clock = _sink_emitter(interval=0.0)
-    calls = []
-    wrapped = wrap_control_hook(lambda s, e: calls.append((s, e)), emitter)
-    clock.now = 1.0
-    wrapped(0x1000, 0x100C)  # 4 instructions
-    assert calls == [(0x1000, 0x100C)]
-    beats = [r for r in sink if r["type"] == "hb"]
-    assert beats[-1]["attrs"]["value"] == 4
-
-
-def test_wrap_control_hook_identity_without_emitter():
-    def hook(s, e):
-        pass
-
-    assert wrap_control_hook(hook, None) is hook
-    assert wrap_control_hook(None, None) is None
 
 
 def test_verbosity_levels():

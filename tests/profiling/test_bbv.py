@@ -89,3 +89,24 @@ def test_profile_total_matches_plain_execution():
     plain.run_to_completion()
     profile = BBVProfiler(interval_size=50).profile(assemble(TWO_PHASE))
     assert profile.total_instructions == plain.state.retired
+
+
+def test_traced_profile_equals_untraced(monkeypatch):
+    """Tracing samples heartbeats at interval closes and changes nothing."""
+    from repro.obs.tracer import configure_tracer, reset_tracer
+    from repro.pipeline.stages import profile_to_dict
+
+    untraced = BBVProfiler(interval_size=50).profile(assemble(TWO_PHASE))
+    monkeypatch.setenv("REPRO_TRACE_HEARTBEAT", "1e-9")
+    sink: list = []
+    configure_tracer(sink=sink)
+    try:
+        traced = BBVProfiler(interval_size=50).profile(assemble(TWO_PHASE))
+    finally:
+        reset_tracer()
+    assert profile_to_dict(traced) == profile_to_dict(untraced)
+    values = [record["attrs"]["value"] for record in sink
+              if record["type"] == "hb"]
+    assert len(values) > 2
+    assert values == sorted(values)
+    assert values[-1] == traced.total_instructions

@@ -166,11 +166,10 @@ def test_straight_line_run_is_capped():
     executor = Executor(program)
     executor.run_to_completion()
     assert executor.state.exit_code == executor.state.x[10]
-    totals = [block[1] for block in _blocks_for(program)
-              if block is not None]
+    totals = [block[1] for block in _blocks_for(program).values()]
     assert max(totals) <= _MAX_BLOCK + 1
     # The loop body really was split: the entry block is one full cap.
-    assert _blocks_for(program)[0][1] == _MAX_BLOCK
+    assert _blocks_for(program)[program.entry][1] == _MAX_BLOCK
 
 
 def test_capped_superblocks_match_reference_fixture():
@@ -231,8 +230,7 @@ def test_suite_superblocks_respect_the_cap(workload):
     BBVProfiler(
         get_workload(workload).interval_for_scale(GOLDEN_SCALE)
     ).profile(program)
-    totals = [block[1] for block in _blocks_for(program)
-              if block is not None]
+    totals = [block[1] for block in _blocks_for(program).values()]
     assert totals
     assert max(totals) <= _MAX_BLOCK + 1
 
