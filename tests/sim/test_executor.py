@@ -211,3 +211,44 @@ def test_profiled_and_plain_execution_agree():
     profiled.run(control_hook=lambda s, e: None)
     assert plain.state.x == profiled.state.x
     assert plain.state.retired == profiled.state.retired
+
+
+def test_compiled_memory_ops_take_the_direct_path(monkeypatch):
+    """On a touched page a compiled load or store never reaches its
+    handler; a first-touch or page-crossing access does."""
+    from repro.sim import semantics
+
+    calls = []
+    for mnemonic in ("ld", "lw", "lbu", "sd", "sw", "sb", "fld", "fsd"):
+        handler = semantics.SEMANTICS[mnemonic]
+
+        def counted(s, i, handler=handler):
+            calls.append(i.mnemonic)
+            return handler(s, i)
+
+        monkeypatch.setitem(semantics.SEMANTICS, mnemonic, counted)
+    state = run(f"""
+    .data
+    buf: .space 64
+    .text
+    _start:
+        la t0, buf
+        li t1, 50
+    loop:
+        sd t1, 0(t0)
+        ld t2, 0(t0)
+        sw t2, 8(t0)
+        lw t3, 8(t0)
+        sb t3, 16(t0)
+        lbu t4, 16(t0)
+        fld ft0, 0(t0)
+        fsd ft0, 24(t0)
+        addi t1, t1, -1
+        bnez t1, loop
+        li t5, {STACK_TOP + 4094}
+        sd t4, 0(t5)
+        mv a0, t4
+        {EXIT}
+    """)
+    assert state.exit_code == 1
+    assert calls == ["sd"]  # the store crossing into an untouched page
