@@ -95,32 +95,17 @@ def _parse_int(token: str, line: int) -> int:
 
 
 def _split_operands(rest: str) -> list[str]:
-    """Split an operand string on commas that are outside parentheses.
+    """Split an operand string on commas.
 
     Each operand is stripped; an empty operand between commas is kept,
-    an empty one after the last comma is dropped.
+    an empty one after the last comma is dropped.  No valid operand
+    holds a comma (``imm(reg)`` is the only parenthesized form), so a
+    comma inside parentheses just splits a malformed operand, which the
+    operand-count or ``imm(reg)`` check then rejects.
     """
-    if "(" not in rest and ")" not in rest:
-        operands = [operand.strip() for operand in rest.split(",")]
-        if not operands[-1]:
-            operands.pop()
-        return operands
-    operands: list[str] = []
-    depth = 0
-    current = []
-    for char in rest:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            operands.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        operands.append(tail)
+    operands = [operand.strip() for operand in rest.split(",")]
+    if not operands[-1]:
+        operands.pop()
     return operands
 
 

@@ -123,9 +123,8 @@ class BBVProfiler:
         from repro.obs.heartbeat import HeartbeatEmitter
         from repro.sim.executor import BlockCounts, Executor, block_of
 
-        counts = BlockCounts(self.interval_size)
         executor = Executor(program)
-        emitter = None
+        emitter = on_interval = None
         tracer = get_tracer()
         if tracer.enabled:
             # sample progress at interval closes: block boundaries and
@@ -140,7 +139,7 @@ class BBVProfiler:
                 progress[0] += counts.lengths[-1]
                 emitter(progress[0])
 
-            counts.on_interval = on_interval
+        counts = BlockCounts(self.interval_size, on_interval)
         executor.run(max_instructions=max_instructions, counts=counts)
         if emitter is not None:
             emitter.finish(executor.state.retired)

@@ -62,8 +62,8 @@ from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.isa.program import Program, TEXT_BASE
-from repro.sim.memory import PAGE_SHIFT, PAGE_SIZE
-from repro.sim.semantics import _sext32, semantics_for
+from repro.sim.memory import F64, PAGE_MASK, PAGE_SHIFT, SIGNED, UNSIGNED
+from repro.sim.semantics import CANONICAL_NAN, _sext32, semantics_for
 from repro.sim.state import MASK64, ArchState, to_signed
 
 #: ``control_hook(block_start_pc, block_end_pc)`` is invoked when a dynamic
@@ -202,7 +202,8 @@ _XW_TEMPLATES: dict[str, Callable[[int, int, int], str]] = {
 }
 
 #: f-register-writing ops (``_f`` is ``state.f``); f0 is a real register,
-#: so these write even when rd == 0
+#: so these write even when rd == 0.  A NaN result is replaced by the
+#: canonical NaN ``_N``, as the handlers do.
 _FW_TEMPLATES: dict[str, Callable[[int, int], str]] = {
     "fadd.d": lambda r1, r2: f"_f[{r1}] + _f[{r2}]",
     "fsub.d": lambda r1, r2: f"_f[{r1}] - _f[{r2}]",
@@ -211,8 +212,9 @@ _FW_TEMPLATES: dict[str, Callable[[int, int], str]] = {
 
 #: memory ops compiled to a direct page access (``_d`` is the memory's
 #: direct page list, ``_a`` the effective address): mnemonic -> statement
-#: over the page ``{p}`` and offset ``{o}``, calling a ``struct``
-#: accessor from :data:`_CONSTANTS` (a single byte is a plain index).
+#: over the page ``{p}`` and offset ``{o}``, calling an accessor of the
+#: ``struct`` layouts :mod:`repro.sim.memory` defines (bound in
+#: :data:`_CONSTANTS`; a single byte is a plain index).
 #: Loads that sign-extend mask into the unsigned 64-bit domain; stores
 #: mask their value as ``Memory.store`` does.
 _MEM_TEMPLATES: dict[str, str] = {
@@ -243,17 +245,13 @@ _MISS = (IndexError, TypeError, struct.error)
 #: names the generated source may reference, bound as default arguments
 _CONSTANTS = {
     "_M": MASK64, "_sg": to_signed, "_sx": _sext32, "_MISS": _MISS,
-    "_uq": struct.Struct("<Q").unpack_from,
-    "_ui": struct.Struct("<I").unpack_from,
-    "_si": struct.Struct("<i").unpack_from,
-    "_uh": struct.Struct("<H").unpack_from,
-    "_sh": struct.Struct("<h").unpack_from,
-    "_sb": struct.Struct("<b").unpack_from,
-    "_ud": struct.Struct("<d").unpack_from,
-    "_pq": struct.Struct("<Q").pack_into,
-    "_pi": struct.Struct("<I").pack_into,
-    "_ph": struct.Struct("<H").pack_into,
-    "_pd": struct.Struct("<d").pack_into,
+    "_N": CANONICAL_NAN,
+    "_uq": UNSIGNED[8].unpack_from, "_ui": UNSIGNED[4].unpack_from,
+    "_uh": UNSIGNED[2].unpack_from, "_si": SIGNED[4].unpack_from,
+    "_sh": SIGNED[2].unpack_from, "_sb": SIGNED[1].unpack_from,
+    "_ud": F64.unpack_from, "_pq": UNSIGNED[8].pack_into,
+    "_pi": UNSIGNED[4].pack_into, "_ph": UNSIGNED[2].pack_into,
+    "_pd": F64.pack_into,
 }
 
 #: state views the generated source may reference, loaded once per call
@@ -272,7 +270,7 @@ def _mem_lines(instr, fallback: str) -> list[str]:
     """
     statement = _MEM_TEMPLATES[instr.mnemonic].format(
         rd=instr.rd, rs2=instr.rs2,
-        p=f"_d[_a >> {PAGE_SHIFT}]", o=f"_a & {PAGE_SIZE - 1}")
+        p=f"_d[_a >> {PAGE_SHIFT}]", o=f"_a & {PAGE_MASK}")
     # x registers always hold values in [0, 2**64): no mask for imm == 0
     address = (f"_x[{instr.rs1}]" if not instr.imm
                else f"(_x[{instr.rs1}] + {instr.imm}) & _M")
@@ -294,7 +292,8 @@ def _inline_body_lines(instr, fallback: str) -> list[str] | None:
                 f"{template(instr.rs1, instr.rs2, instr.imm)}"]
     template = _FW_TEMPLATES.get(m)
     if template is not None:
-        return [f"    _f[{instr.rd}] = {template(instr.rs1, instr.rs2)}"]
+        return [f"    _v = {template(instr.rs1, instr.rs2)}",
+                f"    _f[{instr.rd}] = _v if _v == _v else _N"]
     if m in _MEM_TEMPLATES:
         if m in _X_LOADS and not instr.rd:
             return []

@@ -15,19 +15,24 @@ from repro.errors import MemoryFault
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
-_PAGE_MASK = PAGE_SIZE - 1
+PAGE_MASK = PAGE_SIZE - 1
 
 #: pages below this number (32 MiB of address space — text, data, stack
 #: and heap base all live here) also get a slot in a flat array, so the
 #: scalar fast path is a list index instead of a dict probe
 _DIRECT_PAGES = 1 << 13
 
-#: little-endian scalar accessors by width in bytes
-_UNPACK = {width: struct.Struct(code).unpack_from
-           for width, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
-_PACK = {width: struct.Struct(code).pack_into
-         for width, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
-_F64 = struct.Struct("<d")
+#: the little-endian layouts of a scalar access, by width in bytes:
+#: unsigned (loads and stores), signed (sign-extending loads) and IEEE
+#: binary64.  The executor's compiled loads and stores use these too.
+UNSIGNED = {width: struct.Struct(code)
+            for width, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+SIGNED = {width: struct.Struct(code)
+          for width, code in ((1, "<b"), (2, "<h"), (4, "<i"))}
+F64 = struct.Struct("<d")
+
+_UNPACK = {width: layout.unpack_from for width, layout in UNSIGNED.items()}
+_PACK = {width: layout.pack_into for width, layout in UNSIGNED.items()}
 
 
 class Memory:
@@ -61,7 +66,7 @@ class Memory:
         remaining = len(data)
         while remaining:
             page = self._page(address + offset)
-            page_offset = (address + offset) & _PAGE_MASK
+            page_offset = (address + offset) & PAGE_MASK
             chunk = min(remaining, PAGE_SIZE - page_offset)
             page[page_offset:page_offset + chunk] = data[offset:offset + chunk]
             offset += chunk
@@ -75,7 +80,7 @@ class Memory:
         offset = 0
         while offset < length:
             page = self._page(address + offset)
-            page_offset = (address + offset) & _PAGE_MASK
+            page_offset = (address + offset) & PAGE_MASK
             chunk = min(length - offset, PAGE_SIZE - page_offset)
             out += page[page_offset:page_offset + chunk]
             offset += chunk
@@ -87,7 +92,7 @@ class Memory:
 
     def load(self, address: int, width: int) -> int:
         """Load ``width`` (1, 2, 4 or 8) bytes at ``address``, unsigned."""
-        page_offset = address & _PAGE_MASK
+        page_offset = address & PAGE_MASK
         if page_offset + width <= PAGE_SIZE:
             return _UNPACK[width](self._scalar_page(address),
                                   page_offset)[0]
@@ -96,7 +101,7 @@ class Memory:
     def store(self, address: int, value: int, width: int) -> None:
         """Store the low ``width`` (1, 2, 4 or 8) bytes of ``value``."""
         value &= (1 << (8 * width)) - 1
-        page_offset = address & _PAGE_MASK
+        page_offset = address & PAGE_MASK
         if page_offset + width <= PAGE_SIZE:
             _PACK[width](self._scalar_page(address), page_offset, value)
         else:
@@ -104,19 +109,19 @@ class Memory:
 
     def load_f64(self, address: int) -> float:
         """Load the IEEE binary64 value at ``address``, bit for bit."""
-        page_offset = address & _PAGE_MASK
+        page_offset = address & PAGE_MASK
         if page_offset + 8 <= PAGE_SIZE:
-            return _F64.unpack_from(self._scalar_page(address),
+            return F64.unpack_from(self._scalar_page(address),
                                     page_offset)[0]
-        return _F64.unpack(self.read_bytes(address, 8))[0]
+        return F64.unpack(self.read_bytes(address, 8))[0]
 
     def store_f64(self, address: int, value: float) -> None:
         """Store ``value`` as IEEE binary64 at ``address``, bit for bit."""
-        page_offset = address & _PAGE_MASK
+        page_offset = address & PAGE_MASK
         if page_offset + 8 <= PAGE_SIZE:
-            _F64.pack_into(self._scalar_page(address), page_offset, value)
+            F64.pack_into(self._scalar_page(address), page_offset, value)
         else:
-            self.write_bytes(address, _F64.pack(value))
+            self.write_bytes(address, F64.pack(value))
 
     # ------------------------------------------------------------------
     # checkpoint support

@@ -11,7 +11,8 @@ Numeric conventions: integer registers hold unsigned 64-bit values;
 floating-point registers hold Python floats (IEEE binary64).  The only
 deliberate deviation from the ISA manual is that the fused multiply-add
 family rounds twice (Python has no scalar FMA primitive); no workload in
-this study is sensitive to the last ULP.
+this study is sensitive to the last ULP.  Arithmetic that yields NaN
+writes the canonical NaN (:data:`CANONICAL_NAN`), as the ISA requires.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
+
+#: the canonical NaN (0x7ff8000000000000) that RISC-V FP arithmetic
+#: returns whenever its result is NaN.  CPython's own NaN bits are not
+#: stable: x86 makes 0xfff8... for an invalid operation, and which
+#: operand's payload a sum of two NaNs keeps changes once the bytecode
+#: is specialized, so the same handler could differ cold and warm.
+CANONICAL_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000))[0]
 
 
 def _register(name: str):
@@ -502,17 +510,20 @@ def _fsd(s: ArchState, i: Instruction) -> None:
 
 @_register("fadd.d")
 def _fadd(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = s.f[i.rs1] + s.f[i.rs2]
+    value = s.f[i.rs1] + s.f[i.rs2]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fsub.d")
 def _fsub(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = s.f[i.rs1] - s.f[i.rs2]
+    value = s.f[i.rs1] - s.f[i.rs2]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fmul.d")
 def _fmul(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = s.f[i.rs1] * s.f[i.rs2]
+    value = s.f[i.rs1] * s.f[i.rs2]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fdiv.d")
@@ -520,18 +531,20 @@ def _fdiv(s: ArchState, i: Instruction) -> None:
     dividend, divisor = s.f[i.rs1], s.f[i.rs2]
     if divisor == 0.0:
         if dividend == 0.0 or math.isnan(dividend):
-            s.f[i.rd] = math.nan
+            s.f[i.rd] = CANONICAL_NAN
         else:
             s.f[i.rd] = math.copysign(math.inf, dividend) * \
                 math.copysign(1.0, divisor)
     else:
-        s.f[i.rd] = dividend / divisor
+        value = dividend / divisor
+        s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fsqrt.d")
 def _fsqrt(s: ArchState, i: Instruction) -> None:
     value = s.f[i.rs1]
-    s.f[i.rd] = math.nan if value < 0.0 else math.sqrt(value)
+    s.f[i.rd] = (CANONICAL_NAN if value < 0.0 or value != value
+                 else math.sqrt(value))
 
 
 @_register("fsgnj.d")
@@ -637,22 +650,26 @@ def _fmv_x_d(s: ArchState, i: Instruction) -> None:
 
 @_register("fmadd.d")
 def _fmadd(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = s.f[i.rs1] * s.f[i.rs2] + s.f[i.rs3]
+    value = s.f[i.rs1] * s.f[i.rs2] + s.f[i.rs3]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fmsub.d")
 def _fmsub(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = s.f[i.rs1] * s.f[i.rs2] - s.f[i.rs3]
+    value = s.f[i.rs1] * s.f[i.rs2] - s.f[i.rs3]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fnmadd.d")
 def _fnmadd(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = -(s.f[i.rs1] * s.f[i.rs2]) - s.f[i.rs3]
+    value = -(s.f[i.rs1] * s.f[i.rs2]) - s.f[i.rs3]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 @_register("fnmsub.d")
 def _fnmsub(s: ArchState, i: Instruction) -> None:
-    s.f[i.rd] = -(s.f[i.rs1] * s.f[i.rs2]) + s.f[i.rs3]
+    value = -(s.f[i.rs1] * s.f[i.rs2]) + s.f[i.rs3]
+    s.f[i.rd] = value if value == value else CANONICAL_NAN
 
 
 def semantics_for(instr: Instruction) -> SemanticFn:

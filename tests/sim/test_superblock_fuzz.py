@@ -14,7 +14,9 @@ The generator aims at what the compiled superblocks special-case:
 * accesses that cross a page, touch a page for the first time, straddle
   the end of the memory's direct page range, or lie beyond it;
 * NaN (quiet, signalling, with payload, negative), -0.0 and infinities
-  passed through ``fld``/``fsd``, and FP arithmetic that overflows;
+  passed through ``fld``/``fsd`` and into FP arithmetic (whose NaN
+  results must be the canonical NaN on both engines), and FP arithmetic
+  that overflows;
 * straight-line runs longer than the 64-instruction superblock cap;
 * ``ecall`` inside a run, forward branches, and calls.
 """
@@ -34,14 +36,10 @@ from repro.sim.executor import _MAX_BLOCK, BlockCounts, Executor, \
 #: data registers the generator reads and writes
 _REGS = ("t0", "t1", "t2", "t3", "t4", "t5", "t6",
          "a0", "a1", "a2", "a3", "a4", "a5")
-#: FP registers that carry loaded bit patterns (NaN payloads included)
-#: and only move them: fld writes them, fsd and fmv.x.d read them
+#: FP registers that fld loads bit patterns into (NaN payloads included)
 _FREGS = ("ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "fa0", "fa1")
-#: FP registers for arithmetic, seeded from integers and never loaded.
-#: Which operand's NaN an add or multiply of two NaNs returns depends on
-#: whether CPython has specialized the bytecode, so the same handler
-#: can return different NaN bits cold and warm; arithmetic here only
-#: ever meets the one NaN an invalid operation generates.
+#: FP registers seeded from integers, so arithmetic also sees finite
+#: values; fld never writes them, but arithmetic reads and writes both sets
 _ARITH_FREGS = ("fs0", "fs1", "fs2", "fs3")
 #: base registers, never written by the body: .data, a heap page end
 #: (first touch, crossing), the end of the direct page range, far memory
@@ -75,7 +73,6 @@ def _straight(rng: random.Random) -> list[str]:
     kind = rng.random()
     reg = lambda: rng.choice(_REGS)  # noqa: E731
     freg = lambda: rng.choice(_FREGS)  # noqa: E731
-    areg = lambda: rng.choice(_ARITH_FREGS)  # noqa: E731
     anyf = lambda: rng.choice(_FREGS + _ARITH_FREGS)  # noqa: E731
     mem = lambda: f"{rng.randint(-12, 12)}({rng.choice(_BASES)})"  # noqa
     if kind < 0.22:
@@ -99,7 +96,7 @@ def _straight(rng: random.Random) -> list[str]:
     if kind < 0.86:
         return [f"fsd {anyf()}, {mem()}"]
     if kind < 0.94:
-        return [f"{rng.choice(_FP_OPS)} {areg()}, {areg()}, {areg()}"]
+        return [f"{rng.choice(_FP_OPS)} {anyf()}, {anyf()}, {anyf()}"]
     if kind < 0.97:
         return [f"fmv.x.d {reg()}, {anyf()}"]
     return ["li a7, 1", "ecall"]  # print_int: ends a superblock only
@@ -275,3 +272,57 @@ def test_signalling_nan_payload_survives_fld_fsd():
         dst = program.symbol("dst")
         assert memory.read_bytes(dst, 24) == \
             memory.read_bytes(program.symbol("src"), 24)
+
+
+def test_nan_results_are_canonical_cold_and_warm():
+    """Every NaN an FP op computes is 0x7ff8000000000000 on both engines.
+
+    The loop runs long enough for CPython to specialize the handlers'
+    and the compiled blocks' bytecode, which changes the NaN bits a raw
+    float operation returns.
+    """
+    program = assemble("""
+    .data
+    src: .dword 0x7ff8000000000123, 0xfff8000000000abc, 0x7ff0000000000000
+    dst: .space 64
+    .text
+    _start:
+        la t0, src
+        la t1, dst
+        fld ft0, 0(t0)
+        fld ft1, 8(t0)
+        fld ft2, 16(t0)
+        li s1, 40
+    loop:
+        fadd.d fa0, ft0, ft1
+        fsd fa0, 0(t1)
+        fadd.d fa0, ft1, ft0
+        fsd fa0, 8(t1)
+        fsub.d fa0, ft2, ft2
+        fsd fa0, 16(t1)
+        fmul.d fa0, ft1, ft0
+        fsd fa0, 24(t1)
+        fdiv.d fa0, ft1, ft0
+        fsd fa0, 32(t1)
+        fsqrt.d fa0, ft1
+        fsd fa0, 40(t1)
+        fmadd.d fa0, ft1, ft2, ft0
+        fsd fa0, 48(t1)
+        fnmsub.d fa0, ft2, ft2, ft1
+        fsd fa0, 56(t1)
+        addi s1, s1, -1
+        bnez s1, loop
+        li a0, 0
+        li a7, 93
+        ecall
+    """)
+    canonical = (0x7FF8000000000000).to_bytes(8, "little")
+    for dispatch in ("reference", "superblock"):
+        executor = Executor(program, dispatch=dispatch)
+        memory = executor.state.memory
+        while not executor.state.exited:
+            executor.run(max_instructions=17)
+            dst = memory.read_bytes(program.symbol("dst"), 64)
+            for slot in range(0, 64, 8):
+                assert dst[slot:slot + 8] in (bytes(8), canonical), dispatch
+        assert memory.read_bytes(program.symbol("dst"), 64) == canonical * 8
