@@ -38,7 +38,7 @@ def main() -> None:
     for workload in workload_names():
         program = build_program(workload, scale=1.0)
         core = BoomCore(config, program)
-        core.run(SKIP)
+        core.warm_up(SKIP)
         stats = core.begin_measurement()
         core.run(WINDOW)
         stack = cpi_stack(stats, config)

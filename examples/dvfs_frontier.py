@@ -30,7 +30,7 @@ WORKLOAD = "sha"
 def measure(config) -> tuple[float, object]:
     program: Program = build_program(WORKLOAD, scale=1.0)
     core = BoomCore(config, program)
-    core.run(45_000)                      # into the steady-state kernel
+    core.warm_up(45_000)                  # into the steady-state kernel
     stats = core.begin_measurement()
     core.run(5_000)
     return stats.ipc, stats

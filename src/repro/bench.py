@@ -209,7 +209,7 @@ def measure_core(limits: BenchLimits, metrics: dict[str, float]) -> None:
 
             def run() -> int:
                 core = BoomCore(config, program)
-                core.run(limits.core_warmup)
+                core.warm_up(limits.core_warmup)
                 stats = core.begin_measurement()
                 core.run(limits.core_window)
                 run.cycles = stats.cycles  # type: ignore[attr-defined]
@@ -252,7 +252,7 @@ def measure_batched(limits: BenchLimits,
         weight=1.0, warmup_instructions=limits.core_warmup)
 
     def run_one(core) -> int:
-        core.run(limits.core_warmup)
+        core.warm_up(limits.core_warmup)
         stats = core.begin_measurement()
         core.run(limits.core_window)
         return stats.cycles

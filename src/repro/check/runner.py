@@ -86,8 +86,8 @@ def run_check(workload: str, config, settings, store) -> CheckReport:
         window = checkpoint.measure_instructions or interval
         try:
             if checkpoint.warmup_instructions:
-                core.run(checkpoint.warmup_instructions,
-                         observers=[checker])
+                core.warm_up(checkpoint.warmup_instructions,
+                             observers=[checker])
             stats = core.begin_measurement()
             measured = core.run(window, observers=[checker])
             checker.check()

@@ -439,7 +439,7 @@ def _cmd_cpi(args: argparse.Namespace) -> int:
     program = build_program(args.workload, scale=args.scale,
                             seed=args.seed)
     core = BoomCore(config, program)
-    core.run(args.skip)
+    core.warm_up(args.skip)
     stats = core.begin_measurement()
     core.run(args.window)
     stack = cpi_stack(stats, config)

@@ -110,7 +110,7 @@ def core_fixture(workload: str, program) -> dict:
     for config_name in CORE_CONFIGS:
         config = config_by_name(config_name)
         core = BoomCore(config, program)
-        core.run(CORE_WARMUP)
+        core.warm_up(CORE_WARMUP)
         if core.frontend.exited:
             # Too short for a warmup window: measure the whole run.
             core = BoomCore(config, program)

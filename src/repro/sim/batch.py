@@ -71,7 +71,9 @@ def simulate_checkpoint(config: BoomConfig, program,
         # Observers only read, so a checked, recorded or traced run
         # takes the same loop as a plain one and produces byte-identical
         # artifacts — REPRO_FLIGHT and REPRO_CHECK are deliberately not
-        # part of the stage fingerprint.
+        # part of the stage fingerprint.  Only the discarded warm-up
+        # stats differ: an observed warm-up keeps the accounting an
+        # unobserved one skips.
         checker = CoreInvariantChecker(core) if checks_enabled() else None
         recorder = FlightRecorder.for_session(
             core, tracer, workload=program.name,
@@ -80,7 +82,7 @@ def simulate_checkpoint(config: BoomConfig, program,
                      if observer is not None]
         try:
             if checkpoint.warmup_instructions:
-                core.run(checkpoint.warmup_instructions, observers)
+                core.warm_up(checkpoint.warmup_instructions, observers)
             if recorder is not None:
                 # Closes the warmup phase with a boundary sample *before*
                 # the stats window swaps, so the warmup tail is captured.

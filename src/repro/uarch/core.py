@@ -19,12 +19,15 @@ invariant checker, the flight recorder, the progress heartbeat) every
 The core is the *detailed simulation* stage of the paper's flow (Fig. 3,
 step 5): it executes SimPoint checkpoints (warm-up excluded from stats)
 and produces the per-component activity counters the power model turns
-into Figs. 5-8, plus the IPC of Fig. 10.
+into Figs. 5-8, plus the IPC of Fig. 10.  :meth:`BoomCore.warm_up`
+advances the core exactly as :meth:`BoomCore.run` does; unobserved on
+the fused loop, it also skips the accounting that only feeds the stats
+:meth:`BoomCore.begin_measurement` then discards.
 
 Example::
 
     core = BoomCore(MEGA_BOOM, program, state=checkpoint.restore())
-    core.run(checkpoint.warmup_instructions)       # warm-up
+    core.warm_up(checkpoint.warmup_instructions)   # stats discarded
     stats = core.begin_measurement()
     core.run(interval_size)                        # measured window
     print(stats.ipc)
@@ -132,6 +135,8 @@ class BoomCore:
 
         Without a budget, runs until the program exits and the pipeline
         drains.  Returns the number of instructions retired by this call.
+        Every counter of :attr:`stats` is kept; a warm-up whose stats
+        :meth:`begin_measurement` will drop runs :meth:`warm_up` instead.
 
         ``observers`` are called in list order as
         ``observer(retired_this_call, cycles_this_call)`` every
@@ -142,6 +147,30 @@ class BoomCore:
         identical with and without them, so an observed run retires
         exactly the same instructions as an unobserved one.
         """
+        return self._advance(max_instructions, observers, account=True)
+
+    def warm_up(self, instructions: int, observers=()) -> int:
+        """Advance through a warm-up window whose stats will be discarded.
+
+        Retires exactly what ``run(instructions, observers)`` retires and
+        leaves the same timing state behind: queues, rename maps and
+        free lists, caches and their MSHRs, the predictor, pending
+        completions, divider timers, ``cycle`` and ``retired_total``.
+        Unobserved on the fused loop, it skips the updates that only feed
+        :attr:`stats` — operand bypass and register-read counts,
+        per-cycle occupancy sampling, retire-time occupancy and
+        ``retired_by_class``, ``dispatch_by_trace``, and issue-queue
+        write, slot-write and shift counts — so :attr:`stats` is
+        incomplete afterwards; call :meth:`begin_measurement` before
+        reading it.  With observers, or on the generic loop, every
+        counter is kept, so observers read what they read under
+        :meth:`run`.
+        """
+        return self._advance(instructions, observers,
+                             account=bool(observers))
+
+    def _advance(self, max_instructions: int | None, observers,
+                 account: bool) -> int:
         start = self.retired_total
         start_cycle = self.cycle
         target = None if max_instructions is None \
@@ -152,7 +181,7 @@ class BoomCore:
         try:
             if self._fused and self.retire_log is None:
                 self._run_fused(target, deadline, observers, start,
-                                start_cycle)
+                                start_cycle, account)
             else:
                 # -1 when unobserved: the countdown never reaches zero
                 countdown = _OBSERVER_STRIDE if observers else -1
@@ -395,7 +424,7 @@ class BoomCore:
     # ------------------------------------------------------------------
 
     def _run_fused(self, target: int | None, deadline: int, observers,
-                   start: int, start_cycle: int) -> None:
+                   start: int, start_cycle: int, account: bool) -> None:
         """Specialized cycle loop: the one every collapsing-queue core runs.
 
         Semantically identical to iterating :meth:`_step`: same stage
@@ -417,6 +446,13 @@ class BoomCore:
         checkers and flight recorders read exactly the state a generic
         loop would show, while the unobserved cost is one integer
         decrement and compare per cycle.
+
+        With ``account`` false (an unobserved :meth:`warm_up`) the loop
+        skips the stats-only updates :meth:`warm_up` lists.  The
+        skipped ``mshr_occupancy`` call also retires expired D-cache
+        fills lazily; that is unobservable, because ``L1Cache.access``
+        ignores or retires them before it looks a line up or counts
+        MSHRs against capacity.
         """
         config = self.config
         stats = self.stats
@@ -552,23 +588,24 @@ class BoomCore:
             # Inline twin of _finish_issue (closure-hoisted stats refs).
             uop.state = _ISSUED
             uop.issue_cycle = cycle
-            bypassed_x = 0
-            bypassed_f = 0
-            threshold = cycle - 1
-            for producer in uop.srcs:
-                if producer.complete_cycle >= threshold:
-                    if producer.dest_kind == "x":
-                        bypassed_x += 1
-                    else:
-                        bypassed_f += 1
-            int_rf.bypasses += bypassed_x
-            fp_rf.bypasses += bypassed_f
-            extra = uop.x_reads - bypassed_x
-            if extra > 0:
-                int_rf.reads += extra
-            extra = uop.f_reads - bypassed_f
-            if extra > 0:
-                fp_rf.reads += extra
+            if account:
+                bypassed_x = 0
+                bypassed_f = 0
+                threshold = cycle - 1
+                for producer in uop.srcs:
+                    if producer.complete_cycle >= threshold:
+                        if producer.dest_kind == "x":
+                            bypassed_x += 1
+                        else:
+                            bypassed_f += 1
+                int_rf.bypasses += bypassed_x
+                fp_rf.bypasses += bypassed_f
+                extra = uop.x_reads - bypassed_x
+                if extra > 0:
+                    int_rf.reads += extra
+                extra = uop.f_reads - bypassed_f
+                if extra > 0:
+                    fp_rf.reads += extra
             complete_cycle = cycle + latency
             uop.complete_cycle = complete_cycle
             bucket = completions.get(complete_cycle)
@@ -648,7 +685,7 @@ class BoomCore:
                         kept_n = index
                     issued_n += 1
                 elif kept is not None:
-                    if kept_n != index:
+                    if account and kept_n != index:
                         q_stats.shifts += 1
                         slot_writes[kept_n] += 1
                     kept.append(uop)
@@ -754,11 +791,12 @@ class BoomCore:
                         branches_in_flight -= 1
                     if dest_kind == "f" or head.queue == "fp":
                         fp_in_flight -= 1
-                    acc_rob += rob_n
-                    acc_iq += int_n + mem_n + fp_n
-                    acc_lsu += ldq_n + stq_n
-                    name = head.opclass_name
-                    by_class[name] = by_class.get(name, 0) + 1
+                    if account:
+                        acc_rob += rob_n
+                        acc_iq += int_n + mem_n + fp_n
+                        acc_lsu += ldq_n + stq_n
+                        name = head.opclass_name
+                        by_class[name] = by_class.get(name, 0) + 1
                     retired_total += 1
                     width -= 1
 
@@ -861,7 +899,7 @@ class BoomCore:
                                 kept_n = index
                             issued_n += 1
                         elif kept is not None:
-                            if kept_n != index:
+                            if account and kept_n != index:
                                 mem_iq_stats.shifts += 1
                                 mem_slot_writes[kept_n] += 1
                             kept.append(uop)
@@ -966,8 +1004,6 @@ class BoomCore:
                         rob_q.append(uop)
                         rob_n += 1
                         dw += 1
-                        q_stats.writes += 1
-                        q_stats.slot_writes[q_n] += 1
                         q.append(uop)
                         if qsel == 0:
                             int_n = q_n + 1
@@ -990,8 +1026,11 @@ class BoomCore:
                             branches_in_flight += 1
                         if dest_kind == "f" or qname == "fp":
                             fp_in_flight += 1
-                        key = uop.trace_key
-                        by_trace[key] = by_trace.get(key, 0) + 1
+                        if account:
+                            q_stats.writes += 1
+                            q_stats.slot_writes[q_n] += 1
+                            key = uop.trace_key
+                            by_trace[key] = by_trace.get(key, 0) + 1
                         width -= 1
 
                 # ---- fetch (FetchUnit.cycle, inlined) ----
@@ -1061,15 +1100,16 @@ class BoomCore:
                                         stall_until = fe.stall_until
 
                 # ---- per-cycle occupancy sampling ----
-                rob_occ += rob_n
-                int_hist[int_n] += 1
-                mem_hist[mem_n] += 1
-                fp_hist[fp_n] += 1
-                ldq_occ += ldq_n
-                stq_occ += stq_n
-                if dcache_mshrs:
-                    dcache_stats.mshr_occupancy += \
-                        dcache.mshr_occupancy(cycle)
+                if account:
+                    rob_occ += rob_n
+                    int_hist[int_n] += 1
+                    mem_hist[mem_n] += 1
+                    fp_hist[fp_n] += 1
+                    ldq_occ += ldq_n
+                    stq_occ += stq_n
+                    if dcache_mshrs:
+                        dcache_stats.mshr_occupancy += \
+                            dcache.mshr_occupancy(cycle)
 
                 cycle += 1
                 cycles_count += 1

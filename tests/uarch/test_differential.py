@@ -6,7 +6,8 @@ These tests generate random (but terminating) programs spanning ALU, M,
 memory, FP, and forward-branch behaviour and assert end-state equality
 on all three configurations, and that the two core loops (the fused
 loop a plain core runs, the generic loop a retire log selects) give
-identical cycle counts and stats dicts.
+identical cycle counts and stats dicts, after a warm-up through either
+``run`` or ``warm_up``.
 """
 
 import json
@@ -118,18 +119,41 @@ def test_random_programs_agree(seed, config):
     assert core.retired_total == reference.retired
 
 
-@pytest.mark.parametrize("seed", _SEEDS)
-@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
-def test_random_programs_agree_on_both_core_loops(seed, config):
+_LOOP_WARMUP = 300  # of the ~750 instructions each random program runs
+
+
+def assert_both_core_loops_agree(seed, config, warm: str) -> None:
+    """``warm`` (``run`` or ``warm_up``) the first ``_LOOP_WARMUP``
+    instructions, then run to the end: both loops give the same cycle
+    counts and measured stats; after a ``run`` warm-up, whose stats are
+    complete on both loops, the warm-up's stats agree too."""
     program = assemble(generate_program(seed))
     runs = []
     for retire_log in (None, []):  # a retire log selects the generic loop
         core = BoomCore(config, program)
         core.retire_log = retire_log
+        getattr(core, warm)(_LOOP_WARMUP)
+        warm_stats = core.stats.to_dict() if warm == "run" else None
+        warm_cycles = core.cycle
+        stats = core.begin_measurement()
         core.run()
-        runs.append((core.cycle,
-                     json.dumps(core.stats.to_dict(), sort_keys=True)))
+        runs.append((warm_cycles, core.cycle, core.retired_total,
+                     json.dumps(warm_stats, sort_keys=True),
+                     json.dumps(stats.to_dict(), sort_keys=True)))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+def test_random_programs_agree_on_both_core_loops(seed, config):
+    assert_both_core_loops_agree(seed, config, "run")
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+def test_random_programs_agree_on_both_core_loops_after_warm_up(seed,
+                                                                config):
+    assert_both_core_loops_agree(seed, config, "warm_up")
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
