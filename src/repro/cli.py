@@ -432,6 +432,7 @@ def _cmd_cpi(args: argparse.Namespace) -> int:
         dominant_bottleneck,
         format_cpi_stack,
     )
+    from repro.errors import EXIT_USAGE
     from repro.uarch.core import BoomCore
     from repro.workloads.suite import build_program
 
@@ -440,6 +441,12 @@ def _cmd_cpi(args: argparse.Namespace) -> int:
                             seed=args.seed)
     core = BoomCore(config, program)
     core.warm_up(args.skip)
+    if core.frontend.out_of_instructions and core.rob.is_empty:
+        print(f"--skip {args.skip} consumed the whole program: "
+              f"{args.workload} at scale {args.scale} retires "
+              f"{core.retired_total} instructions; choose a smaller "
+              f"--skip", file=sys.stderr)
+        return EXIT_USAGE
     stats = core.begin_measurement()
     core.run(args.window)
     stack = cpi_stack(stats, config)

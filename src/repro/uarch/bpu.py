@@ -8,7 +8,9 @@ ablation benchmark can swap them per configuration.
 The model is trace-driven: predictions are made against the oracle outcome
 at fetch time, global history is updated with the actual outcome (the
 standard trace-driven simplification), and every structure access bumps an
-activity counter for the power model.
+activity counter for the power model.  A direction predictor therefore
+sees only the trace's conditional branches, in order, so the cores of a
+batch share one run of it per direction config (:class:`DirectionMemo`).
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class GsharePredictor:
     """Classic gshare: global history XOR pc indexes 2-bit counters."""
 
     kind = "gshare"
+    #: direction-table reads per prediction
+    reads = 1
 
     def __init__(self, params: PredictorParams,
                  stats: PredictorStats) -> None:
@@ -95,7 +99,7 @@ class GsharePredictor:
         return ((pc >> 2) ^ self._history) % self.entries
 
     def predict(self, pc: int) -> bool:
-        self.stats.dir_table_reads += 1
+        self.stats.dir_table_reads += self.reads
         return self._table[self._index(pc)] >= _TAKEN_THRESHOLD
 
     def update(self, pc: int, taken: bool) -> None:
@@ -121,6 +125,9 @@ class TagePredictor:
         self.stats = stats
         self._base = [1] * params.tage_base_entries
         self.num_tables = params.tage_tables
+        #: direction-table reads per prediction: every tagged table and
+        #: the base are read in parallel (power!)
+        self.reads = self.num_tables + 1
         size = params.tage_table_entries
         # Per tagged table: tags, 3-bit signed-ish counters (0..7), useful.
         self._tags = [[0] * size for _ in range(self.num_tables)]
@@ -148,8 +155,8 @@ class TagePredictor:
             ((1 << self.params.tage_tag_bits) - 1)
 
     def predict(self, pc: int) -> bool:
-        """Predict direction; all tables are read in parallel (power!)."""
-        self.stats.dir_table_reads += self.num_tables + 1  # + base table
+        """Predict direction (reads every table, see ``reads``)."""
+        self.stats.dir_table_reads += self.reads
         base_pred = self._base[(pc >> 2) % len(self._base)] \
             >= _TAKEN_THRESHOLD
         self._provider = None
@@ -219,21 +226,87 @@ def make_direction_predictor(params: PredictorParams,
     return TagePredictor(params, stats)
 
 
-class BranchPredictionUnit:
-    """The full front-end predictor: direction + BTB + RAS."""
+def _direction_key(params: PredictorParams) -> tuple:
+    """The params a direction predictor's behaviour depends on (not the
+    BTB or RAS sizes)."""
+    if params.kind == "gshare":
+        return ("gshare", params.gshare_entries, params.gshare_history_bits)
+    return ("tage", params.tage_base_entries, params.tage_table_entries,
+            params.tage_tables, params.tage_tag_bits,
+            params.tage_history_lengths)
 
-    def __init__(self, params: PredictorParams,
-                 stats: PredictorStats) -> None:
+
+class DirectionMemo:
+    """One direction predictor's outcomes over a trace's conditional branches.
+
+    The direction predictor trains on the oracle outcome of every
+    conditional branch, in trace order, and nothing else, so its
+    prediction for conditional branch *k* of a fetch trace is the same
+    for every core with the same direction params.  The memo runs one
+    predictor (with a private stats sink) for all of them: whichever
+    core reaches branch *k* first drives it and records
+    ``predicted | allocations_added << 1``; the others read the entry
+    through their own cursor.  A memo with ``record`` false (a private
+    trace's only reader) drives every branch and keeps nothing.
+
+    A memo must not refer to its trace: traces hold their memos, and a
+    cycle would keep a dropped trace alive until the garbage collector
+    ran.
+    """
+
+    __slots__ = ("predictor", "outcomes", "reads", "record")
+
+    def __init__(self, params: PredictorParams, record: bool = True) -> None:
+        self.predictor = make_direction_predictor(params, PredictorStats())
+        self.reads = self.predictor.reads
+        self.outcomes: list[int] = []
+        self.record = record
+
+    @classmethod
+    def shared(cls, memos: dict, params: PredictorParams) -> "DirectionMemo":
+        """The memo for ``params`` in a trace's ``memos``, made on first use."""
+        key = _direction_key(params)
+        memo = memos.get(key)
+        if memo is None:
+            memo = memos[key] = cls(params)
+        return memo
+
+    def extend(self, pc: int, taken: bool) -> int:
+        """Predict and train on the next conditional branch; its outcome."""
+        predictor = self.predictor
+        stats = predictor.stats
+        allocations = stats.allocations
+        outcome = 1 if predictor.predict(pc) else 0
+        predictor.update(pc, taken)
+        outcome |= (stats.allocations - allocations) << 1
+        if self.record:
+            self.outcomes.append(outcome)
+        return outcome
+
+
+class BranchPredictionUnit:
+    """The full front-end predictor: direction + BTB + RAS.
+
+    The BTB and RAS are private.  Direction predictions come from a
+    :class:`DirectionMemo`: one taken from ``memos`` (a shared fetch
+    trace's, so a batch runs each direction predictor once), or a
+    private one.  Each unit charges its own stats for every prediction.
+    """
+
+    def __init__(self, params: PredictorParams, stats: PredictorStats,
+                 memos: dict | None = None) -> None:
         self.params = params
         self.stats = stats
-        self.direction = make_direction_predictor(params, stats)
+        self._memo = DirectionMemo(params, record=False) if memos is None \
+            else DirectionMemo.shared(memos, params)
+        #: conditional branches predicted so far (index into the memo)
+        self._cursor = 0
         self.btb = BranchTargetBuffer(params.btb_entries, stats)
         self.ras = ReturnAddressStack(params.ras_entries, stats)
 
     def rebind_stats(self, stats: PredictorStats) -> None:
         """Swap the stats sink (measurement-window boundaries)."""
         self.stats = stats
-        self.direction.stats = stats
         self.btb.stats = stats
         self.ras.stats = stats
 
@@ -244,19 +317,26 @@ class BranchPredictionUnit:
     def predict_conditional(self, pc: int, actual_taken: bool,
                             actual_target: int) -> bool:
         """Predict a conditional branch; returns True on mispredict."""
-        predicted_taken = self.direction.predict(pc)
-        mispredicted = predicted_taken != actual_taken
-        target_ok = True
-        if predicted_taken and actual_taken:
-            target_ok = self.btb.lookup(pc) == actual_target
-            if not target_ok:
-                self.btb.update(pc, actual_target)
-        elif actual_taken:
+        memo = self._memo
+        cursor = self._cursor
+        outcomes = memo.outcomes
+        if cursor < len(outcomes):
+            outcome = outcomes[cursor]
+        else:
+            outcome = memo.extend(pc, actual_taken)
+        self._cursor = cursor + 1
+        stats = self.stats
+        stats.dir_table_reads += memo.reads
+        stats.dir_updates += 1
+        stats.allocations += outcome >> 1
+        predicted_taken = bool(outcome & 1)
+        if actual_taken and (not predicted_taken
+                             or self.btb.lookup(pc) != actual_target):
             self.btb.update(pc, actual_target)
-        self.direction.update(pc, actual_taken)
-        if mispredicted:
-            self.stats.mispredicts += 1
-        return mispredicted
+        if predicted_taken != actual_taken:
+            stats.mispredicts += 1
+            return True
+        return False
 
     def predict_jump(self, pc: int, actual_target: int) -> bool:
         """Direct jump (jal): returns True if the BTB missed the target."""

@@ -67,16 +67,20 @@ class BoomCore:
         self.program = program
         self.stats = CoreStats()
         stats = self.stats
-        self.bpu = BranchPredictionUnit(config.predictor, stats.predictor)
         self.icache = L1Cache(config.icache, stats.icache, hit_latency=1)
         self.dcache = L1Cache(config.dcache, stats.dcache, hit_latency=3)
         # A core given no trace records a private one of ``state`` (or of
-        # the program's initial state) and, as its only reader, trims it.
+        # the program's initial state) and, as its only reader, trims it
+        # and keeps no direction-prediction memo; cores on a shared trace
+        # share its memos.
         owns_trace = trace is None
         if owns_trace:
             if state is None:
                 state = ArchState.for_program(program)
             trace = FetchTrace(program, state)
+        self.bpu = BranchPredictionUnit(
+            config.predictor, stats.predictor,
+            memos=None if owns_trace else trace.direction_memos)
         self.frontend = FetchUnit(config, trace, self.bpu, self.icache,
                                   stats.frontend, owns_trace=owns_trace)
         # The fused loop replicates the collapsing-queue select inline;
@@ -439,13 +443,26 @@ class BoomCore:
         ring-queue cores and cores recording a retire log take the
         generic loop.
 
+        Bookkeeping whose total follows from a few events is kept in
+        locals and worked out in ``settle``.  The issue queues collapse
+        in place: a select stops once its units are used, deletes the
+        issued entries and charges ``shifts`` and the survivors'
+        ``slot_writes`` from the issued positions (the survivors behind
+        the first issued entry fill the run of new positions
+        ``first .. n-k-1``, marked in a difference array).  Rename keeps
+        its free counts, allocation, map-read and snapshot counters, the
+        lifetime ``total_*`` ledgers and the flush count as locals; the
+        frees since the last settle are ``free - free_mark + allocs``.
+
         ``observers`` follow the :meth:`run` contract: every
         ``_OBSERVER_STRIDE`` cycles the hoisted locals are settled back
         onto the core/stats tree (``settle`` below, the same fold the
         exit path performs) before :meth:`_observe` — so invariant
         checkers and flight recorders read exactly the state a generic
         loop would show, while the unobserved cost is one integer
-        decrement and compare per cycle.
+        decrement and compare per cycle.  After the observers return,
+        the rename free counts are reloaded from the units, so a value
+        an observer wrote is the one the loop goes on with.
 
         With ``account`` false (an unobserved :meth:`warm_up`) the loop
         skips the stats-only updates :meth:`warm_up` lists.  The
@@ -485,6 +502,12 @@ class BoomCore:
         int_slot_writes = int_iq_stats.slot_writes
         mem_slot_writes = mem_iq_stats.slot_writes
         fp_slot_writes = fp_iq_stats.slot_writes
+        # Collapse slot writes land on a contiguous run of new positions;
+        # each select marks the run in a difference array that settle()
+        # folds into slot_writes.
+        int_diff = [0] * int_iq_entries
+        mem_diff = [0] * mem_iq_entries
+        fp_diff = [0] * fp_iq_entries
         int_hist = iq_int._occ_hist
         mem_hist = iq_mem._occ_hist
         fp_hist = iq_fp._occ_hist
@@ -504,6 +527,8 @@ class BoomCore:
         fp_unit = self.rename.fp_unit
         int_ren_stats = int_unit.stats
         fp_ren_stats = fp_unit.stats
+        x_producers = int_unit.producers
+        f_producers = fp_unit.producers
         int_rf = stats.int_regfile
         fp_rf = stats.fp_regfile
         frontend_stats = stats.frontend
@@ -565,8 +590,7 @@ class BoomCore:
         ica = 0        # icache accesses == predictor lookups
         icm = 0        # icache misses
         fbw = 0        # fetch_buffer_writes
-        fbr = 0        # fetch_buffer_reads
-        dw = 0         # rob dispatch_writes
+        dw = 0         # rob dispatch_writes == fetch_buffer_reads
         rob_occ = 0    # rob occupancy sum
         ldq_occ = 0
         stq_occ = 0
@@ -576,6 +600,19 @@ class BoomCore:
         wb = 0         # wakeup broadcasts (same count for all 3 queues)
         irf_w = 0      # int regfile writes
         fprf_w = 0     # fp regfile writes
+        # Rename: the free counts are authoritative here and settled onto
+        # the units; the frees since the last settle are implied by
+        # free - free_mark + allocs.
+        x_free = x_free_mark = int_unit.free
+        f_free = f_free_mark = fp_unit.free
+        x_alloc = 0    # int allocs == map writes
+        f_alloc = 0
+        x_reads = 0    # map-table reads
+        f_reads = 0
+        x_snap = 0     # int snapshots == control uops dispatched
+        f_snap = 0
+        flushes = 0    # mispredict flushes == int snapshot restores
+        f_rest = 0     # fp snapshot restores
         # A queue goes "stale" after a scan that issued nothing and
         # mutated no state; readiness is event-driven (a completion, a
         # dispatch into the queue, or a busy-divider retry), so a stale
@@ -614,86 +651,90 @@ class BoomCore:
             else:
                 bucket.append(uop)
 
-        def select(queue: list, units: int, q_stats, slot_writes: list,
+        def select(queue: list, n: int, units: int, q_stats, diff: list,
                    cycle: int):
             # Inline twin of IssueQueue.select for the int and fp
-            # queues.  Returns the collapsed queue (None when nothing
-            # issued), its length, and whether a busy divider turned a
-            # ready uop away.
-            kept = None
-            kept_n = 0
-            issued_n = 0
+            # queues: issues up to ``units`` ready uops oldest-first and
+            # collapses the queue in place.  Returns how many issued and
+            # whether a busy divider turned a ready uop away.
+            issued = None
             index = 0
             div_blocked = False
             for uop in queue:
-                took = False
-                if kept is None or issued_n < units:
-                    ok = True
-                    for producer in uop.srcs:
-                        if producer.state != _COMPLETED \
-                                or producer.complete_cycle > cycle:
-                            ok = False
+                ok = True
+                for producer in uop.srcs:
+                    if producer.state != _COMPLETED \
+                            or producer.complete_cycle > cycle:
+                        ok = False
+                        break
+                if ok:
+                    # ExecutionUnits.can_accept + dispatch, unrolled per
+                    # opclass (same counters and latencies as
+                    # execute.LATENCY).
+                    opclass = uop.opclass
+                    latency = 0
+                    if opclass is _ALU or opclass is _SYSTEM:
+                        exec_stats.alu_ops += 1
+                        latency = 1
+                    elif opclass is _BRANCH or opclass is _JAL \
+                            or opclass is _JALR:
+                        exec_stats.branch_ops += 1
+                        exec_stats.alu_ops += 1
+                        latency = 1
+                    elif opclass is _MUL:
+                        exec_stats.mul_ops += 1
+                        latency = 3
+                    elif opclass is _FP_ALU:
+                        exec_stats.fp_alu_ops += 1
+                        latency = 3
+                    elif opclass is _FP_MUL:
+                        exec_stats.fp_mul_ops += 1
+                        latency = 4
+                    elif opclass is _FP_CVT:
+                        exec_stats.fp_cvt_ops += 1
+                        latency = 2
+                    elif opclass is _DIV:
+                        if fus._div_busy_until <= cycle:
+                            fus._div_busy_until = cycle + 13
+                            exec_stats.div_ops += 1
+                            exec_stats.div_busy_cycles += 13
+                            latency = 13
+                        else:
+                            div_blocked = True
+                    elif opclass is _FP_DIV:
+                        if fus._fp_div_busy_until <= cycle:
+                            fus._fp_div_busy_until = cycle + 16
+                            exec_stats.fp_div_ops += 1
+                            latency = 16
+                        else:
+                            div_blocked = True
+                    if latency:
+                        finish_issue(uop, cycle, latency)
+                        if issued is None:
+                            issued = [index]
+                        else:
+                            issued.append(index)
+                        if len(issued) >= units:
                             break
-                    if ok:
-                        # ExecutionUnits.can_accept + dispatch,
-                        # unrolled per opclass (same counters and
-                        # latencies as execute.LATENCY).
-                        opclass = uop.opclass
-                        latency = 0
-                        if opclass is _ALU or opclass is _SYSTEM:
-                            exec_stats.alu_ops += 1
-                            latency = 1
-                        elif opclass is _BRANCH \
-                                or opclass is _JAL \
-                                or opclass is _JALR:
-                            exec_stats.branch_ops += 1
-                            exec_stats.alu_ops += 1
-                            latency = 1
-                        elif opclass is _MUL:
-                            exec_stats.mul_ops += 1
-                            latency = 3
-                        elif opclass is _FP_ALU:
-                            exec_stats.fp_alu_ops += 1
-                            latency = 3
-                        elif opclass is _FP_MUL:
-                            exec_stats.fp_mul_ops += 1
-                            latency = 4
-                        elif opclass is _FP_CVT:
-                            exec_stats.fp_cvt_ops += 1
-                            latency = 2
-                        elif opclass is _DIV:
-                            if fus._div_busy_until <= cycle:
-                                fus._div_busy_until = cycle + 13
-                                exec_stats.div_ops += 1
-                                exec_stats.div_busy_cycles += 13
-                                latency = 13
-                            else:
-                                div_blocked = True
-                        elif opclass is _FP_DIV:
-                            if fus._fp_div_busy_until <= cycle:
-                                fus._fp_div_busy_until = cycle + 16
-                                exec_stats.fp_div_ops += 1
-                                latency = 16
-                            else:
-                                div_blocked = True
-                        if latency:
-                            finish_issue(uop, cycle, latency)
-                            took = True
-                if took:
-                    if kept is None:
-                        kept = queue[:index]
-                        kept_n = index
-                    issued_n += 1
-                elif kept is not None:
-                    if account and kept_n != index:
-                        q_stats.shifts += 1
-                        slot_writes[kept_n] += 1
-                    kept.append(uop)
-                    kept_n += 1
                 index += 1
-            if kept is not None:
-                q_stats.issues += issued_n
-            return kept, kept_n, div_blocked
+            if issued is None:
+                return 0, div_blocked
+            # Collapse in place: drop the issued entries (ascending
+            # indices).  The survivors behind the first issued entry each
+            # shift once, into the new positions first .. n-k-1 (n-k <
+            # entries, so the run's end mark stays inside diff).
+            k = len(issued)
+            for index in reversed(issued):
+                del queue[index]
+            q_stats.issues += k
+            if account:
+                first = issued[0]
+                moved = n - first - k
+                if moved:
+                    q_stats.shifts += moved
+                    diff[first] += 1
+                    diff[n - k] -= 1
+            return k, div_blocked
 
         def settle() -> None:
             # Locals are authoritative inside the loop; sync them back
@@ -703,8 +744,10 @@ class BoomCore:
             # stride: after it returns the core reads exactly as if
             # the generic loop had been stepping it.
             nonlocal cycles_count, entry_retired, fbo, fs, ica, icm, \
-                fbw, fbr, dw, rob_occ, ldq_occ, stq_occ, acc_rob, \
-                acc_iq, acc_lsu, wb, irf_w, fprf_w
+                fbw, dw, rob_occ, ldq_occ, stq_occ, acc_rob, acc_iq, \
+                acc_lsu, wb, irf_w, fprf_w, x_free_mark, f_free_mark, \
+                x_alloc, f_alloc, x_reads, f_reads, x_snap, f_snap, \
+                flushes, f_rest
             self.cycle = cycle
             self.retired_total = retired_total
             self.branches_in_flight = branches_in_flight
@@ -724,12 +767,13 @@ class BoomCore:
             acc.lsu_occupancy_at_retire += acc_lsu
             rob_stats.occupancy += rob_occ
             rob_stats.dispatch_writes += dw
+            rob_stats.flushes += flushes
             frontend_stats.fetch_buffer_occupancy += fbo
             frontend_stats.fetch_stall_cycles += fs
             frontend_stats.icache_accesses += ica
             frontend_stats.icache_misses += icm
             frontend_stats.fetch_buffer_writes += fbw
-            frontend_stats.fetch_buffer_reads += fbr
+            frontend_stats.fetch_buffer_reads += dw
             bpu_stats.lookups += ica
             lsu_stats.ldq_occupancy += ldq_occ
             lsu_stats.stq_occupancy += stq_occ
@@ -738,12 +782,43 @@ class BoomCore:
             fp_iq_stats.wakeup_broadcasts += wb
             int_rf.writes += irf_w
             fp_rf.writes += fprf_w
+            for unit, ren_stats, free, mark, allocs, reads, snaps, \
+                    restores in ((int_unit, int_ren_stats, x_free,
+                                  x_free_mark, x_alloc, x_reads, x_snap,
+                                  flushes),
+                                 (fp_unit, fp_ren_stats, f_free,
+                                  f_free_mark, f_alloc, f_reads, f_snap,
+                                  f_rest)):
+                frees = free - mark + allocs
+                unit.free = free
+                unit.total_allocs += allocs
+                unit.total_frees += frees
+                unit.total_snapshots += snaps
+                unit.total_restores += restores
+                ren_stats.map_reads += reads
+                ren_stats.map_writes += allocs
+                ren_stats.freelist_allocs += allocs
+                ren_stats.freelist_frees += frees
+                ren_stats.snapshots += snaps
+                ren_stats.snapshot_restores += restores
+            for diff, slot_writes in ((int_diff, int_slot_writes),
+                                      (mem_diff, mem_slot_writes),
+                                      (fp_diff, fp_slot_writes)):
+                run = 0
+                for slot in range(len(diff)):
+                    run += diff[slot]
+                    diff[slot] = 0
+                    slot_writes[slot] += run
             cycles_count = 0
             entry_retired = retired_total
-            fbo = fs = ica = icm = fbw = fbr = dw = 0
+            fbo = fs = ica = icm = fbw = dw = 0
             rob_occ = ldq_occ = stq_occ = 0
             acc_rob = acc_iq = acc_lsu = 0
             wb = irf_w = fprf_w = 0
+            x_free_mark = x_free
+            f_free_mark = f_free
+            x_alloc = f_alloc = x_reads = f_reads = 0
+            x_snap = f_snap = flushes = f_rest = 0
 
         # -1 when unobserved: the countdown decrements forever without
         # hitting zero, so the disabled cost is one int op per cycle.
@@ -773,11 +848,12 @@ class BoomCore:
                     rob_n -= 1
                     dest_kind = head.dest_kind
                     if dest_kind:
-                        unit = int_unit if dest_kind == "x" else fp_unit
-                        unit.free += 1
-                        unit.stats.freelist_frees += 1
-                        unit.total_frees += 1
-                        producers = unit.producers
+                        if dest_kind == "x":
+                            x_free += 1
+                            producers = x_producers
+                        else:
+                            f_free += 1
+                            producers = f_producers
                         rd = head.instr.rd
                         if producers.get(rd) is head:
                             del producers[rd]
@@ -814,101 +890,99 @@ class BoomCore:
                         if dest_kind:
                             wb += 1
                         if uop.mispredicted:
-                            int_ren_stats.snapshot_restores += 1
-                            int_unit.total_restores += 1
+                            flushes += 1
                             if uop.fp_snapshotted:
-                                fp_ren_stats.snapshot_restores += 1
-                                fp_unit.total_restores += 1
-                            rob_stats.flushes += 1
+                                f_rest += 1
 
                 # ---- issue: int queue (collapsing select) ----
                 if int_n and not int_stale:
-                    kept, kept_n, div_blocked = select(
-                        int_q, alu_units, int_iq_stats, int_slot_writes,
+                    issued_n, div_blocked = select(
+                        int_q, int_n, alu_units, int_iq_stats, int_diff,
                         cycle)
-                    if kept is not None:
-                        iq_int._queue = int_q = kept
-                        int_n = kept_n
+                    if issued_n:
+                        int_n -= issued_n
                     elif not div_blocked:
                         int_stale = True
 
                 # ---- issue: mem queue ----
                 if mem_n and not mem_stale:
-                    kept = None
-                    kept_n = 0
-                    issued_n = 0
+                    issued = None
                     index = 0
                     touched = False
                     for uop in mem_q:
-                        took = False
-                        if kept is None or issued_n < mem_units:
-                            ok = True
-                            for producer in uop.srcs:
-                                if producer.state != _COMPLETED \
-                                        or producer.complete_cycle > cycle:
-                                    ok = False
-                                    break
-                            if ok:
-                                if uop.is_load:
-                                    lseq = uop.seq
-                                    may = True
+                        ok = True
+                        for producer in uop.srcs:
+                            if producer.state != _COMPLETED \
+                                    or producer.complete_cycle > cycle:
+                                ok = False
+                                break
+                        if ok:
+                            took = False
+                            if uop.is_load:
+                                lseq = uop.seq
+                                may = True
+                                for store in stq:
+                                    if store.seq > lseq:
+                                        break
+                                    if not store.addr_ready:
+                                        may = False
+                                        break
+                                if may:
+                                    touched = True
+                                    exec_stats.agu_ops += 1
+                                    addr = uop.mem_addr
+                                    tline = addr >> 3
+                                    hit = False
+                                    searches = 0
                                     for store in stq:
                                         if store.seq > lseq:
                                             break
-                                        if not store.addr_ready:
-                                            may = False
-                                            break
-                                    if may:
-                                        touched = True
-                                        exec_stats.agu_ops += 1
-                                        addr = uop.mem_addr
-                                        tline = addr >> 3
-                                        hit = False
-                                        searches = 0
-                                        for store in stq:
-                                            if store.seq > lseq:
-                                                break
-                                            searches += 1
-                                            if store.addr_ready and \
-                                                    (store.mem_addr >> 3) \
-                                                    == tline:
-                                                hit = True
-                                        lsu_stats.cam_searches += searches
-                                        if hit:
-                                            lsu_stats.forwards += 1
+                                        searches += 1
+                                        if store.addr_ready and \
+                                                (store.mem_addr >> 3) \
+                                                == tline:
+                                            hit = True
+                                    lsu_stats.cam_searches += searches
+                                    if hit:
+                                        lsu_stats.forwards += 1
+                                        finish_issue(uop, cycle,
+                                                     _FORWARD_LATENCY)
+                                        took = True
+                                    else:
+                                        access = dcache_access(addr, cycle)
+                                        if access is not None:
                                             finish_issue(uop, cycle,
-                                                         _FORWARD_LATENCY)
+                                                         access)
                                             took = True
-                                        else:
-                                            access = dcache_access(addr,
-                                                                   cycle)
-                                            if access is not None:
-                                                finish_issue(uop, cycle,
-                                                             access)
-                                                took = True
+                            else:
+                                # Store AGU pass: STORE/FP_STORE both
+                                # count one AGU op, single-cycle.
+                                exec_stats.agu_ops += 1
+                                uop.addr_ready = True
+                                finish_issue(uop, cycle, 1)
+                                took = True
+                            if took:
+                                if issued is None:
+                                    issued = [index]
                                 else:
-                                    # Store AGU pass: STORE/FP_STORE both
-                                    # count one AGU op, single-cycle.
-                                    exec_stats.agu_ops += 1
-                                    uop.addr_ready = True
-                                    finish_issue(uop, cycle, 1)
-                                    took = True
-                        if took:
-                            if kept is None:
-                                kept = mem_q[:index]
-                                kept_n = index
-                            issued_n += 1
-                        elif kept is not None:
-                            if account and kept_n != index:
-                                mem_iq_stats.shifts += 1
-                                mem_slot_writes[kept_n] += 1
-                            kept.append(uop)
-                            kept_n += 1
+                                    issued.append(index)
+                                if len(issued) >= mem_units:
+                                    break
                         index += 1
-                    if kept is not None:
-                        iq_mem._queue = mem_q = kept
-                        mem_n = kept_n
-                        mem_iq_stats.issues += issued_n
+                    if issued is not None:
+                        # The in-place collapse of select, above.
+                        k = len(issued)
+                        for index in reversed(issued):
+                            del mem_q[index]
+                        mem_iq_stats.issues += k
+                        if account:
+                            first = issued[0]
+                            moved = mem_n - first - k
+                            if moved:
+                                mem_iq_stats.shifts += moved
+                                mem_diff[first] += 1
+                                mem_diff[mem_n - k] -= 1
+                        mem_n -= k
                     elif not touched:
                         # No load reached its AGU/CAM step, so the scan
                         # was side-effect free and will stay that way
@@ -917,11 +991,10 @@ class BoomCore:
 
                 # ---- issue: fp queue (collapsing select) ----
                 if fp_n and not fp_stale:
-                    kept, kept_n, div_blocked = select(
-                        fp_q, fp_units, fp_iq_stats, fp_slot_writes, cycle)
-                    if kept is not None:
-                        iq_fp._queue = fp_q = kept
-                        fp_n = kept_n
+                    issued_n, div_blocked = select(
+                        fp_q, fp_n, fp_units, fp_iq_stats, fp_diff, cycle)
+                    if issued_n:
+                        fp_n -= issued_n
                     elif not div_blocked:
                         fp_stale = True
 
@@ -959,11 +1032,13 @@ class BoomCore:
                             q_n = fp_n
                             qsel = 2
                         dest_kind = uop.dest_kind
-                        if dest_kind:
-                            unit = int_unit if dest_kind == "x" else fp_unit
-                            if unit.free <= 0:
-                                unit.stats.stall_cycles += 1
+                        if dest_kind == "x":
+                            if x_free <= 0:
+                                int_ren_stats.stall_cycles += 1
                                 break
+                        elif dest_kind and f_free <= 0:
+                            fp_ren_stats.stall_cycles += 1
+                            break
                         if uop.is_control \
                                 and branches_in_flight >= max_branches:
                             break
@@ -975,30 +1050,30 @@ class BoomCore:
                                 break
                         buffer.popleft()
                         buf_n -= 1
-                        fbr += 1
-                        fp_snapshot = (not lazy_fp) or fp_in_flight > 0
                         sources = []
                         for kind, reg in uop.src_regs:
-                            unit = int_unit if kind == "x" else fp_unit
-                            unit.stats.map_reads += 1
-                            producer = unit.producers.get(reg)
+                            if kind == "x":
+                                x_reads += 1
+                                producer = x_producers.get(reg)
+                            else:
+                                f_reads += 1
+                                producer = f_producers.get(reg)
                             if producer is not None:
                                 sources.append(producer)
                         uop.srcs = tuple(sources)
-                        if dest_kind:
-                            unit = int_unit if dest_kind == "x" else fp_unit
-                            unit.free -= 1
-                            unit_stats = unit.stats
-                            unit_stats.freelist_allocs += 1
-                            unit_stats.map_writes += 1
-                            unit.total_allocs += 1
-                            unit.producers[uop.instr.rd] = uop
+                        if dest_kind == "x":
+                            x_free -= 1
+                            x_alloc += 1
+                            x_producers[uop.instr.rd] = uop
+                        elif dest_kind:
+                            f_free -= 1
+                            f_alloc += 1
+                            f_producers[uop.instr.rd] = uop
                         if uop.is_control:
-                            int_ren_stats.snapshots += 1
-                            int_unit.total_snapshots += 1
-                            if fp_snapshot:
-                                fp_ren_stats.snapshots += 1
-                                fp_unit.total_snapshots += 1
+                            x_snap += 1
+                            branches_in_flight += 1
+                            if not lazy_fp or fp_in_flight > 0:
+                                f_snap += 1
                                 uop.fp_snapshotted = True
                         uop.dispatch_cycle = cycle
                         rob_q.append(uop)
@@ -1022,8 +1097,6 @@ class BoomCore:
                             stq.append(uop)
                             stq_n += 1
                             lsu_stats.stq_writes += 1
-                        if uop.is_control:
-                            branches_in_flight += 1
                         if dest_kind == "f" or qname == "fp":
                             fp_in_flight += 1
                         if account:
@@ -1119,6 +1192,10 @@ class BoomCore:
                     settle()
                     self._observe(observers, retired_total - start,
                                   cycle - start_cycle)
+                    # Observers may write the free counts (a corruption
+                    # test does); the units are authoritative again.
+                    x_free = x_free_mark = int_unit.free
+                    f_free = f_free_mark = fp_unit.free
                 if cycle > deadline:
                     raise SimulationError(
                         f"pipeline made no progress for "

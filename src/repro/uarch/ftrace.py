@@ -45,7 +45,7 @@ class FetchTrace:
     """Lazily-built oracle fetch stream for one checkpoint replay."""
 
     __slots__ = ("program", "entries", "start_pc", "exited", "state",
-                 "_ops")
+                 "_ops", "direction_memos", "__weakref__")
 
     def __init__(self, program: Program, state: ArchState) -> None:
         self.program = program
@@ -54,6 +54,9 @@ class FetchTrace:
         self.exited = state.exited
         self.state = state
         self._ops = decode_program(program)
+        #: direction-predictor key -> :class:`~repro.uarch.bpu.
+        #: DirectionMemo` shared by the cores replaying this trace
+        self.direction_memos: dict = {}
 
     def __len__(self) -> int:
         return len(self.entries)

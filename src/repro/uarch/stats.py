@@ -13,7 +13,7 @@ excluded — matching the paper's methodology.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -139,6 +139,21 @@ class AccountingStats:
     dispatch_by_trace: dict[str, int] = field(default_factory=dict)
 
 
+def _plain(record) -> dict:
+    out = {}
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        kind = type(value)
+        if kind is list:
+            value = value[:]
+        elif kind is dict:
+            value = dict(value)
+        elif hasattr(kind, "__dataclass_fields__"):
+            value = _plain(value)
+        out[name] = value
+    return out
+
+
 @dataclass
 class CoreStats:
     """The complete measured activity of one simulation window."""
@@ -181,8 +196,14 @@ class CoreStats:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-safe) of the complete counter tree."""
-        return asdict(self)
+        """Plain-dict form (JSON-safe) of the complete counter tree.
+
+        Equal to ``dataclasses.asdict(self)``, field order included, but
+        a shallow walk: the tree is ints, int lists, str->int dicts and
+        nested stats records, so copying each list and dict is enough
+        to detach the result from the live counters.
+        """
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoreStats":

@@ -546,3 +546,22 @@ def test_sweep_rejects_unknown_workload(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown workload(s): nonesuch" in captured.err
+
+
+def test_cpi_skip_past_the_program_is_a_usage_error(capsys):
+    import re
+
+    code = main(["--scale", "0.05", "cpi", "qsort", "MediumBOOM",
+                 "--skip", "2000", "--window", "3000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--skip 2000 consumed the whole program" in captured.err
+    length = int(re.search(r"retires (\d+) instructions",
+                           captured.err).group(1))
+    assert 0 < length <= 2000
+    # A skip inside the program still measures its window.
+    code, out = run_cli(capsys, "--scale", "0.05", "cpi", "qsort",
+                        "MediumBOOM", "--skip", str(length // 3),
+                        "--window", str(length // 3))
+    assert code == 0
+    assert "dominant bottleneck:" in out

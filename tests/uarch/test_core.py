@@ -326,3 +326,31 @@ def test_owned_trace_keeps_a_bounded_window():
     assert core.retired_total > 32_000
     assert len(lengths) >= 3
     assert max(lengths) <= ftrace._STEP + MEDIUM_BOOM.fetch_width
+
+
+def test_stats_to_dict_equals_asdict_and_is_detached():
+    """``CoreStats.to_dict`` walks the tree shallowly: its output equals
+    ``dataclasses.asdict`` (field order included) and shares no list or
+    dict with the live counters."""
+    import json
+    from dataclasses import asdict
+
+    from tests.uarch.test_differential import generate_program
+
+    core = run_core(generate_program(5))
+    stats = core.stats
+    plain = stats.to_dict()
+    assert plain == asdict(stats)
+    assert json.dumps(plain) == json.dumps(asdict(stats))
+    assert plain["int_iq"]["slot_writes"] and \
+        plain["accounting"]["dispatch_by_trace"]
+    snapshot = json.dumps(plain)
+    # Grow every live list and dict: the copy must not move.
+    for queue in (stats.int_iq, stats.mem_iq, stats.fp_iq):
+        queue.slot_writes[0] += 1
+        queue.slot_occupancy[0] += 1
+    stats.retired_by_class["ALU"] += 1
+    stats.accounting.dispatch_by_trace["0x0"] = 1
+    stats.frontend.icache_accesses += 1
+    assert json.dumps(plain) == snapshot
+    assert plain != stats.to_dict()
