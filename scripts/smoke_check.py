@@ -7,7 +7,9 @@ vacuous** — every guarded fault class must actually be caught:
 1. **clean** — ``repro-cli check`` (invariants + differential run +
    power/result validators) passes on an uncorrupted MediumBOOM run;
 2. **invariant faults** — injected core-state corruptions (free-list
-   leak, occupancy drift, ROB over-capacity) each raise
+   leak, occupancy drift, ROB over-capacity, and an occupancy drift an
+   observer writes mid-run on the fused loop, which every
+   collapsing-queue result comes from) each raise
    :class:`InvariantViolation` naming the broken law;
 3. **differential fault** — a tampered architectural register is pinned
    down by the lockstep functional re-execution;
@@ -46,15 +48,25 @@ from repro.workloads.suite import build_program
 WORKLOAD = "dijkstra"
 
 
-def _expect_violation(label: str, corrupt, caught: list[str]) -> None:
-    """Corrupt a mid-flight core and require the checker to object."""
+def _expect_violation(label: str, corrupt, caught: list[str],
+                      mid_run: bool = False) -> None:
+    """Corrupt a mid-flight core and require the checker to object.
+
+    With ``mid_run`` the corruption is an observer's write inside the
+    run, which the loop goes on with: the checker's next stride (or its
+    final check) must catch it.
+    """
     program = build_program(WORKLOAD, scale=0.05, seed=17)
     core = BoomCore(MEDIUM_BOOM, program)
-    core.run(1500)
     checker = CoreInvariantChecker(core)
-    checker.check()  # clean before the corruption
-    corrupt(core)
+    if not mid_run:
+        core.run(1500)
+        checker.check()  # clean before the corruption
+        corrupt(core)
     try:
+        if mid_run:
+            core.run(observers=[checker,
+                                lambda retired, cycles: corrupt(core)])
         checker.check()
     except InvariantViolation as exc:
         print(f"  caught [{label}]: {exc}")
@@ -92,6 +104,11 @@ def main(argv: list[str] | None = None) -> int:
         "ROB over capacity",
         lambda core: setattr(core.rob, "entries", len(core.rob) - 1),
         caught)
+    _expect_violation(
+        "mid-run branch drift on the fused loop",
+        lambda core: setattr(core, "branches_in_flight",
+                             core.branches_in_flight + 1), caught,
+        mid_run=True)
 
     # 3. differential divergence must be caught ------------------------
     program = build_program(WORKLOAD, scale=0.05, seed=17)

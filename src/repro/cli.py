@@ -426,13 +426,22 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
     return 0
 
 
+def _skip_consumed(args: argparse.Namespace, retired: str) -> int:
+    """Report a ``--skip`` that left nothing to show as a usage error."""
+    from repro.errors import EXIT_USAGE
+
+    print(f"--skip {args.skip} consumed the whole program: "
+          f"{args.workload} at scale {args.scale} retires {retired} "
+          f"instructions; choose a smaller --skip", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_cpi(args: argparse.Namespace) -> int:
     from repro.analysis.cpi_stack import (
         cpi_stack,
         dominant_bottleneck,
         format_cpi_stack,
     )
-    from repro.errors import EXIT_USAGE
     from repro.uarch.core import BoomCore
     from repro.workloads.suite import build_program
 
@@ -442,11 +451,7 @@ def _cmd_cpi(args: argparse.Namespace) -> int:
     core = BoomCore(config, program)
     core.warm_up(args.skip)
     if core.frontend.out_of_instructions and core.rob.is_empty:
-        print(f"--skip {args.skip} consumed the whole program: "
-              f"{args.workload} at scale {args.scale} retires "
-              f"{core.retired_total} instructions; choose a smaller "
-              f"--skip", file=sys.stderr)
-        return EXIT_USAGE
+        return _skip_consumed(args, str(core.retired_total))
     stats = core.begin_measurement()
     core.run(args.window)
     stack = cpi_stack(stats, config)
@@ -468,6 +473,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     timings = trace_program(program, config_by_name(args.config),
                             max_uops=args.uops,
                             skip_instructions=args.skip)
+    if not timings:
+        return _skip_consumed(args, f"at most {args.skip}")
     print(render_waterfall(timings))
     for key, value in summarize_timings(timings).items():
         print(f"{key}: {value:.2f}" if isinstance(value, float)
@@ -591,6 +598,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for metric in args.metric or ():
         argv += ["--metric", metric]
     return bench_main(argv)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -773,16 +793,16 @@ def build_parser() -> argparse.ArgumentParser:
         "cpi", help="CPI-stack breakdown for one workload window")
     cpi_parser.add_argument("workload", choices=workload_names())
     cpi_parser.add_argument("config", nargs="?", default="MegaBOOM")
-    cpi_parser.add_argument("--skip", type=int, default=20_000)
-    cpi_parser.add_argument("--window", type=int, default=5_000)
+    cpi_parser.add_argument("--skip", type=_int_at_least(0), default=20_000)
+    cpi_parser.add_argument("--window", type=_int_at_least(1), default=5_000)
     cpi_parser.set_defaults(handler=_cmd_cpi)
 
     pipeline_parser = commands.add_parser(
         "pipeline", help="render a pipeline waterfall for a workload")
     pipeline_parser.add_argument("workload", choices=workload_names())
     pipeline_parser.add_argument("config", nargs="?", default="MediumBOOM")
-    pipeline_parser.add_argument("--uops", type=int, default=32)
-    pipeline_parser.add_argument("--skip", type=int, default=0)
+    pipeline_parser.add_argument("--uops", type=_int_at_least(1), default=32)
+    pipeline_parser.add_argument("--skip", type=_int_at_least(0), default=0)
     pipeline_parser.set_defaults(handler=_cmd_pipeline)
 
     dse_parser = commands.add_parser(

@@ -1,5 +1,5 @@
-"""Profiling: basic-block discovery and BBV collection (gem5 analogue).
+"""Profiling: BBV collection over dynamic basic blocks (gem5 analogue).
 
-Import from the submodules (``repro.profiling.bbv``,
-``repro.profiling.basic_blocks``); the package root re-exports nothing.
+Import from the submodule (``repro.profiling.bbv``); the package root
+re-exports nothing.
 """

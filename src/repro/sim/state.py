@@ -22,11 +22,6 @@ def to_signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-def to_unsigned(value: int) -> int:
-    """Wrap a Python integer into the unsigned 64-bit domain."""
-    return value & MASK64
-
-
 class ArchState:
     """Complete architectural state: registers, pc, memory, exit status."""
 

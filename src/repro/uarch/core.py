@@ -9,12 +9,14 @@ cycle at a time:
 
     commit -> complete -> issue -> dispatch -> fetch -> sample
 
-Two loops implement that step.  Collapsing-queue cores run the fused
-loop (``_run_fused``), every stage inlined; ring-queue cores, and cores
-recording a retire log, step the generic loop (``_step``), which is
-also the fused loop's reference.  Both call the same observers (the
+Two loops implement that step, and the issue-queue kind alone picks
+one: collapsing-queue cores run the fused loop (``_run_fused``), every
+stage inlined; ring-queue cores step the generic loop (``_step``),
+which is also the fused loop's reference in the tests.  Both record the
+retire log when one is set, and both call the same observers (the
 invariant checker, the flight recorder, the progress heartbeat) every
-``_OBSERVER_STRIDE`` cycles on settled state.
+``_OBSERVER_STRIDE`` cycles on settled state; what an observer writes
+to the core is what either loop goes on with.
 
 The core is the *detailed simulation* stage of the paper's flow (Fig. 3,
 step 5): it executes SimPoint checkpoints (warm-up excluded from stats)
@@ -83,8 +85,8 @@ class BoomCore:
             memos=None if owns_trace else trace.direction_memos)
         self.frontend = FetchUnit(config, trace, self.bpu, self.icache,
                                   stats.frontend, owns_trace=owns_trace)
-        # The fused loop replicates the collapsing-queue select inline;
-        # ring-queue configs run the generic loop.
+        # The loop choice: the fused loop replicates the collapsing-queue
+        # select inline; ring-queue configs run the generic loop.
         self._fused = config.issue_queue_kind == "collapsing"
         self.rename = RenameStage(config, stats.int_rename, stats.fp_rename)
         self.rob = ReorderBuffer(config.rob_entries, stats.rob)
@@ -101,8 +103,8 @@ class BoomCore:
         self.retired_total = 0
         self.branches_in_flight = 0
         self.fp_in_flight = 0
-        #: set to a list to record (uop, commit cycle) pairs (debugging /
-        #: pipeline visualization; see repro.uarch.pipeview)
+        #: set to a list to record (uop, commit cycle) pairs on either
+        #: loop (differential checks, repro.uarch.pipeview)
         self.retire_log: list[tuple[Uop, int]] | None = None
         self._completions: dict[int, list[Uop]] = {}
         self._queues = {"int": self.iq_int, "mem": self.iq_mem,
@@ -146,10 +148,12 @@ class BoomCore:
         ``observer(retired_this_call, cycles_this_call)`` every
         ``_OBSERVER_STRIDE`` cycles, after the loop has settled its
         state (:meth:`_observe`), so every observer reads the stats a
-        generic loop would show on either loop.  Observers only read —
-        the loop's termination conditions and step sequence are
-        identical with and without them, so an observed run retires
-        exactly the same instructions as an unobserved one.
+        generic loop would show on either loop.  The loop's termination
+        conditions and step sequence are identical with and without
+        observers, so a run whose observers only read retires exactly
+        the same instructions as an unobserved one; a value an observer
+        writes to the core (a corruption test does) is the one either
+        loop goes on with.
         """
         return self._advance(max_instructions, observers, account=True)
 
@@ -183,7 +187,7 @@ class BoomCore:
             else 1 << 40
         deadline = self.cycle + _SAFETY_FACTOR * (budget + 64)
         try:
-            if self._fused and self.retire_log is None:
+            if self._fused:
                 self._run_fused(target, deadline, observers, start,
                                 start_cycle, account)
             else:
@@ -439,9 +443,10 @@ class BoomCore:
         (commit, complete, the collapsing-queue selects, dispatch/rename,
         fetch, sampling) are inlined here with hot state hoisted into
         locals, so per-cycle Python dispatch collapses into one loop
-        body.  Only run for collapsing issue queues with no retire log;
-        ring-queue cores and cores recording a retire log take the
-        generic loop.
+        body.  Only run for collapsing issue queues; ring-queue cores
+        take the generic loop.  A retire log, when set, is recorded here
+        too, so it shows the loop every collapsing-queue result comes
+        from.
 
         Bookkeeping whose total follows from a few events is kept in
         locals and worked out in ``settle``.  The issue queues collapse
@@ -461,8 +466,11 @@ class BoomCore:
         checkers and flight recorders read exactly the state a generic
         loop would show, while the unobserved cost is one integer
         decrement and compare per cycle.  After the observers return,
-        the rename free counts are reloaded from the units, so a value
-        an observer wrote is the one the loop goes on with.
+        ``load`` — the inverse of ``settle``, also run at entry — reads
+        the hoisted core state back, so a value an observer wrote is the
+        one the loop goes on with, as on the generic loop.  The
+        queue-length mirrors (``rob_n``, ``int_n``, ...) stay fast
+        locals outside that pair: observers do not resize the queues.
 
         With ``account`` false (an unobserved :meth:`warm_up`) the loop
         skips the stats-only updates :meth:`warm_up` lists.  The
@@ -558,11 +566,13 @@ class BoomCore:
         _FP_DIV = OpClass.FP_DIV
         _REDIRECT = REDIRECT_PENALTY
         _LINE = _LINE_SHIFT
-        cycle = self.cycle
-        retired_total = self.retired_total
-        entry_retired = retired_total
-        branches_in_flight = self.branches_in_flight
-        fp_in_flight = self.fp_in_flight
+        retire_log = self.retire_log
+        # The core state the loop owns while it runs: load() reads it
+        # off the core, settle() writes it back.
+        cycle = retired_total = entry_retired = branches_in_flight = 0
+        fp_in_flight = pos = fe_pc = seq = stall_until = 0
+        x_free = x_free_mark = f_free = f_free_mark = 0
+        blocked = None
         cycles_count = 0
         # Structure sizes tracked incrementally (mirrors len() exactly:
         # every append/popleft/remove/rebind below adjusts its counter).
@@ -573,14 +583,6 @@ class BoomCore:
         ldq_n = len(ldq)
         stq_n = len(stq)
         buf_n = len(buffer)
-        # Frontend cursor state, hoisted for the duration of the call
-        # (fe_predict writes fe.blocked_by / fe.stall_until; the fetch
-        # block re-syncs the locals right after any predictor call).
-        pos = fe.pos
-        fe_pc = fe.pc
-        seq = fe._seq
-        stall_until = fe.stall_until
-        blocked = fe.blocked_by
         exited = trace.exited
         n_entries = len(trace_entries)
         # Per-call accumulators for counters bumped (multiple times) per
@@ -601,10 +603,8 @@ class BoomCore:
         irf_w = 0      # int regfile writes
         fprf_w = 0     # fp regfile writes
         # Rename: the free counts are authoritative here and settled onto
-        # the units; the frees since the last settle are implied by
+        # the units; the frees since the last load are implied by
         # free - free_mark + allocs.
-        x_free = x_free_mark = int_unit.free
-        f_free = f_free_mark = fp_unit.free
         x_alloc = 0    # int allocs == map writes
         f_alloc = 0
         x_reads = 0    # map-table reads
@@ -743,11 +743,10 @@ class BoomCore:
             # additive.  Runs on loop exit and before every observer
             # stride: after it returns the core reads exactly as if
             # the generic loop had been stepping it.
-            nonlocal cycles_count, entry_retired, fbo, fs, ica, icm, \
-                fbw, dw, rob_occ, ldq_occ, stq_occ, acc_rob, acc_iq, \
-                acc_lsu, wb, irf_w, fprf_w, x_free_mark, f_free_mark, \
-                x_alloc, f_alloc, x_reads, f_reads, x_snap, f_snap, \
-                flushes, f_rest
+            nonlocal cycles_count, fbo, fs, ica, icm, fbw, dw, rob_occ, \
+                ldq_occ, stq_occ, acc_rob, acc_iq, acc_lsu, wb, irf_w, \
+                fprf_w, x_alloc, f_alloc, x_reads, f_reads, x_snap, \
+                f_snap, flushes, f_rest
             self.cycle = cycle
             self.retired_total = retired_total
             self.branches_in_flight = branches_in_flight
@@ -810,15 +809,35 @@ class BoomCore:
                     diff[slot] = 0
                     slot_writes[slot] += run
             cycles_count = 0
-            entry_retired = retired_total
             fbo = fs = ica = icm = fbw = dw = 0
             rob_occ = ldq_occ = stq_occ = 0
             acc_rob = acc_iq = acc_lsu = 0
             wb = irf_w = fprf_w = 0
-            x_free_mark = x_free
-            f_free_mark = f_free
             x_alloc = f_alloc = x_reads = f_reads = 0
             x_snap = f_snap = flushes = f_rest = 0
+
+        def load() -> None:
+            # The inverse of settle(): read the state settle() writes
+            # back off the core, restarting the retire and free-count
+            # marks.  Runs at entry and after every observer stride, so
+            # a value an observer wrote is the one the loop goes on with.
+            nonlocal cycle, retired_total, entry_retired, \
+                branches_in_flight, fp_in_flight, pos, fe_pc, seq, \
+                stall_until, blocked, x_free, x_free_mark, f_free, \
+                f_free_mark
+            cycle = self.cycle
+            retired_total = entry_retired = self.retired_total
+            branches_in_flight = self.branches_in_flight
+            fp_in_flight = self.fp_in_flight
+            pos = fe.pos
+            fe_pc = fe.pc
+            seq = fe._seq
+            stall_until = fe.stall_until
+            blocked = fe.blocked_by
+            x_free = x_free_mark = int_unit.free
+            f_free = f_free_mark = fp_unit.free
+
+        load()
 
         # -1 when unobserved: the countdown decrements forever without
         # hitting zero, so the disabled cost is one int op per cycle.
@@ -867,6 +886,8 @@ class BoomCore:
                         branches_in_flight -= 1
                     if dest_kind == "f" or head.queue == "fp":
                         fp_in_flight -= 1
+                    if retire_log is not None:
+                        retire_log.append((head, cycle))
                     if account:
                         acc_rob += rob_n
                         acc_iq += int_n + mem_n + fp_n
@@ -1192,10 +1213,7 @@ class BoomCore:
                     settle()
                     self._observe(observers, retired_total - start,
                                   cycle - start_cycle)
-                    # Observers may write the free counts (a corruption
-                    # test does); the units are authoritative again.
-                    x_free = x_free_mark = int_unit.free
-                    f_free = f_free_mark = fp_unit.free
+                    load()
                 if cycle > deadline:
                     raise SimulationError(
                         f"pipeline made no progress for "

@@ -57,10 +57,13 @@ def trace_program(program: Program, config: BoomConfig,
                   max_uops: int = 64,
                   skip_instructions: int = 0) -> list[UopTiming]:
     """Run ``program`` and capture the first ``max_uops`` retirements
-    after ``skip_instructions`` (e.g. to jump past a warm-up region)."""
+    after ``skip_instructions`` (e.g. to jump past a warm-up region).
+
+    The skip is a warm-up: only uop timings are read, never the stats.
+    """
     core = BoomCore(config, program)
     if skip_instructions:
-        core.run(skip_instructions)
+        core.warm_up(skip_instructions)
     core.retire_log = []
     core.run(max_uops)
     timings = []

@@ -135,17 +135,28 @@ class TestCorruptionIsCaught:
         message = str(_violation(checker))
         assert "lsu.ldq" in message
 
-    def test_heartbeat_catches_corruption_mid_run(self):
-        # Corrupt from *inside* the run via a later observer: the next
-        # stride's check (or the final one) must fail the run.
+    @pytest.mark.parametrize("law, corrupt", [
+        ("rename.x", lambda core: setattr(
+            core.rename.int_unit, "free", core.rename.int_unit.free - 1)),
+        ("branches.accounting", lambda core: setattr(
+            core, "branches_in_flight", core.branches_in_flight + 1)),
+    ], ids=["free_leak", "branch_drift"])
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "generic"])
+    def test_heartbeat_catches_corruption_mid_run(self, fused, law,
+                                                  corrupt):
+        # Corrupt from *inside* the run via a later observer: the write
+        # sticks on either loop, so the next stride's check (or the
+        # final one) must fail the run.
         core = BoomCore(MEDIUM_BOOM, assemble(
             generate_program(41, body_ops=80, iterations=60)))
+        core._fused = fused
 
         def corruptor(retired: int, cycles: int) -> None:
-            core.rename.int_unit.free -= 1
+            corrupt(core)
 
         checker = CoreInvariantChecker(core)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=law):
             core.run(observers=[checker, corruptor])
             checker.check()
 

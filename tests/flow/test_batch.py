@@ -58,7 +58,7 @@ def _restored_records(config, program, checkpoints, interval_size):
     records = []
     for checkpoint in checkpoints:
         core = BoomCore(config, program, state=checkpoint.restore())
-        core.retire_log = []  # keeps the core on the generic loop (_step)
+        core._fused = False  # the reference: the generic loop (_step)
         if checkpoint.warmup_instructions:
             core.run(checkpoint.warmup_instructions)
         stats = core.begin_measurement()

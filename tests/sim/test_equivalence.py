@@ -6,7 +6,7 @@ tests assert that the superblock executor, the page-array memory fast
 path, the decode-cached frontend, and the batched-stats core are all
 *bit-identical* to the original semantics:
 
-* retire traces — ``diff_traces`` over both dispatch modes' full streams;
+* retire streams — both dispatch modes' full retired-PC lists;
 * final architectural state, output, and the dynamic block stream (the
   ``control_hook`` BBV contract);
 * BBV profiles;
@@ -43,7 +43,6 @@ from repro.pipeline.stages import profile_to_dict
 from repro.profiling.bbv import BBVProfiler
 from repro.sim import batch
 from repro.sim.executor import _MAX_BLOCK, Executor, _blocks_for
-from repro.sim.tracing import RetireTrace, diff_traces
 from repro.uarch import ftrace
 from repro.uarch.config import ALL_CONFIGS
 from repro.uarch.core import BoomCore
@@ -58,14 +57,6 @@ def _program(workload: str):
     return build_program(workload, scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
 
 
-def _trace(program, pcs: list[int]) -> RetireTrace:
-    instr_at = {instr.pc: instr for instr in program.instructions}
-    trace = RetireTrace(capacity=max(1, len(pcs)))
-    for pc in pcs:
-        trace.record(instr_at[pc])
-    return trace
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_functional_superblock_matches_reference(workload):
     program = _program(workload)
@@ -78,11 +69,9 @@ def test_functional_superblock_matches_reference(workload):
     assert superblock == reference
     # The retire streams (expanded from the dynamic block streams) must
     # agree instruction for instruction.
-    ref_trace = _trace(program, retire_pcs_from_blocks(ref_blocks))
-    sup_trace = _trace(program, retire_pcs_from_blocks(sup_blocks))
-    divergence = diff_traces(ref_trace.entries(), sup_trace.entries())
-    assert divergence is None
-    assert ref_trace.total_recorded == reference["retired"]
+    ref_pcs = retire_pcs_from_blocks(ref_blocks)
+    assert retire_pcs_from_blocks(sup_blocks) == ref_pcs
+    assert len(ref_pcs) == reference["retired"]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -266,7 +255,7 @@ def _serial_runs(program, checkpoint, configs):
     runs = {}
     for config in configs:
         core = BoomCore(config, program, state=checkpoint.restore())
-        core.retire_log = []  # keeps the core on the generic loop (_step)
+        core._fused = False  # the reference: the generic loop (_step)
         runs[config.name] = _measure(core)
     return runs
 
@@ -340,9 +329,9 @@ def test_observers_see_the_same_state_on_both_loops(workload):
         warmup_instructions=_BATCH_WARMUP)
     for config in ALL_CONFIGS:
         runs = []
-        for retire_log in (None, []):  # a retire log selects the generic loop
+        for fused in (True, False):
             core = BoomCore(config, program, state=checkpoint.restore())
-            core.retire_log = retire_log
+            core._fused = fused
             records = []
 
             def observe(retired, cycles, core=core, records=records):

@@ -565,3 +565,31 @@ def test_cpi_skip_past_the_program_is_a_usage_error(capsys):
                         "--window", str(length // 3))
     assert code == 0
     assert "dominant bottleneck:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cpi", "sha", "--window", "0"],
+    ["cpi", "sha", "--skip", "-5"],
+    ["pipeline", "sha", "--uops", "-3"],
+    ["pipeline", "sha", "--uops", "0"],
+    ["pipeline", "sha", "--skip", "-1"],
+], ids=["cpi-window-0", "cpi-skip-negative", "pipeline-uops-negative",
+        "pipeline-uops-0", "pipeline-skip-negative"])
+def test_window_flags_reject_out_of_range_values(capsys, argv):
+    from repro.errors import EXIT_USAGE
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_pipeline_skip_past_the_program_is_a_usage_error(capsys):
+    from repro.errors import EXIT_USAGE
+
+    code = main(["--scale", "0.05", "pipeline", "qsort", "MediumBOOM",
+                 "--skip", "100000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "--skip 100000 consumed the whole program" in captured.err
+    assert "no retired uops" not in captured.out

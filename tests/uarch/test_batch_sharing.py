@@ -212,9 +212,9 @@ def _queue_counters(stats) -> dict:
 def test_fused_collapse_counts_match_generic_loop(config, observed):
     program = assemble(_queue_filling_program())
     runs = []
-    for retire_log in (None, []):  # a retire log selects the generic loop
+    for fused in (True, False):
         core = BoomCore(config, program)
-        core.retire_log = retire_log
+        core._fused = fused
         records = []
 
         def observe(retired, cycles, core=core, records=records):

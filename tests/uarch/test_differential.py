@@ -125,21 +125,26 @@ _LOOP_WARMUP = 300  # of the ~750 instructions each random program runs
 def assert_both_core_loops_agree(seed, config, warm: str) -> None:
     """``warm`` (``run`` or ``warm_up``) the first ``_LOOP_WARMUP``
     instructions, then run to the end: both loops give the same cycle
-    counts and measured stats; after a ``run`` warm-up, whose stats are
-    complete on both loops, the warm-up's stats agree too."""
+    counts, retire logs ``(seq, pc, commit cycle)`` and measured stats;
+    after a ``run`` warm-up, whose stats are complete on both loops, the
+    warm-up's stats agree too."""
     program = assemble(generate_program(seed))
     runs = []
-    for retire_log in (None, []):  # a retire log selects the generic loop
+    for fused in (True, False):
         core = BoomCore(config, program)
-        core.retire_log = retire_log
+        core._fused = fused
+        core.retire_log = []
         getattr(core, warm)(_LOOP_WARMUP)
         warm_stats = core.stats.to_dict() if warm == "run" else None
         warm_cycles = core.cycle
         stats = core.begin_measurement()
         core.run()
-        runs.append((warm_cycles, core.cycle, core.retired_total,
+        retired = [(uop.seq, uop.instr.pc, cycle)
+                   for uop, cycle in core.retire_log]
+        runs.append((warm_cycles, core.cycle, core.retired_total, retired,
                      json.dumps(warm_stats, sort_keys=True),
                      json.dumps(stats.to_dict(), sort_keys=True)))
+    assert len(runs[0][3]) == runs[0][2]
     assert runs[0] == runs[1]
 
 
@@ -154,6 +159,26 @@ def test_random_programs_agree_on_both_core_loops(seed, config):
 def test_random_programs_agree_on_both_core_loops_after_warm_up(seed,
                                                                 config):
     assert_both_core_loops_agree(seed, config, "warm_up")
+
+
+@pytest.mark.parametrize("attr", ["branches_in_flight", "fp_in_flight"])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
+def test_observer_writes_stick_on_both_loops(fused, attr):
+    """A value an observer writes is the one either loop goes on with:
+    one added at the first stride is still there when the run ends."""
+    core = BoomCore(MEDIUM_BOOM, assemble(
+        generate_program(41, body_ops=80, iterations=60)))
+    core._fused = fused
+    strides = []
+
+    def bump(retired, cycles):
+        if not strides:
+            setattr(core, attr, getattr(core, attr) + 1)
+        strides.append(cycles)
+
+    core.run(observers=[bump])
+    assert strides
+    assert getattr(core, attr) == 1
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)

@@ -114,14 +114,14 @@ def test_unobserved_warm_up_skips_the_accounting():
     assert stats.cycles == core.cycle
 
 
-@pytest.mark.parametrize("retire_log", [None, []], ids=["fused", "generic"])
-def test_observed_warm_up_keeps_full_accounting(retire_log):
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
+def test_observed_warm_up_keeps_full_accounting(fused):
     """An observer, or the generic loop, reads what it reads under run."""
     program, checkpoint = _checkpoint("sha")
     runs = []
     for warm in ("run", "warm_up"):
         core = BoomCore(MEGA_BOOM, program, state=checkpoint.restore())
-        core.retire_log = retire_log
+        core._fused = fused
         seen = []
 
         def observe(retired, cycles, core=core, seen=seen):
