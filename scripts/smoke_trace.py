@@ -9,7 +9,10 @@ workers and asserts the observability pillars end to end:
 * every span's begin has a matching end (no torn or dangling spans in
   a clean run);
 * the run manifest records per-task worker pids, wall-clock bounds and
-  attempt counts, the metrics snapshot, and the trace path;
+  attempt counts, and the trace path;
+* the metrics snapshot counted from the merged trace agrees with the
+  manifest: artifact hits/misses/writes with its stage accounting, and
+  completed scheduler tasks with its task records;
 * the Chrome trace-event export is valid JSON with paired B/E phases;
 * artifacts are byte-identical to an untraced run of the same sweep.
 
@@ -30,7 +33,7 @@ from pathlib import Path
 
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SweepRunner
-from repro.obs.render import to_chrome
+from repro.obs.render import to_chrome, trace_metrics
 from repro.pipeline.artifacts import INTERNAL_DIRS
 from repro.pipeline.stages import (
     CHECKPOINT_STAGE,
@@ -78,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         assert manifest.ok, "traced sweep degraded"
         assert len(results) == len(WORKLOADS) * len(CONFIGS)
 
-        # --- manifest: trace path, task records, metrics snapshot -----
+        # --- manifest: trace path, task records ----------------------
         assert manifest.trace, "manifest records no trace path"
         trace = json.loads(Path(manifest.trace).read_text())
         assert trace["skipped_lines"] == 0, "clean run tore trace lines"
@@ -93,9 +96,24 @@ def main(argv: list[str] | None = None) -> int:
             worker_pids = {task.pid for task in manifest.tasks}
             assert worker_pids <= set(trace["processes"]), (
                 "worker event files missing from the merged trace")
-        assert "cache.hit_rate" in manifest.metrics
         print(f"manifest: {len(manifest.tasks)} tasks, "
-              f"{len(manifest.metrics)} metrics, trace={manifest.trace}")
+              f"trace={manifest.trace}")
+
+        # --- metrics snapshot: counted from the trace, equal to the
+        # manifest's ledger ----------------------------------------------
+        snapshot = trace_metrics(trace)
+        counted = (snapshot["artifact.hit"], snapshot["artifact.miss"],
+                   snapshot["artifact.write"])
+        recorded = (manifest.total_hits, manifest.total_misses,
+                    manifest.total_executions)
+        assert counted == recorded, (
+            f"trace counts hit/miss/write {counted}, manifest {recorded}")
+        assert snapshot["scheduler.completed"] == len(manifest.tasks), (
+            f"trace counts {snapshot['scheduler.completed']} completed "
+            f"tasks, manifest records {len(manifest.tasks)}")
+        print(f"metrics: {len(snapshot)} entries, hit/miss/write "
+              f"{counted[0]}/{counted[1]}/{counted[2]}, "
+              f"{snapshot['scheduler.completed']} tasks completed")
 
         # --- span coverage: every stage, scheduler events, heartbeats -
         events = trace["events"]

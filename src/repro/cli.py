@@ -72,7 +72,6 @@ def _finish_trace_session(session) -> None:
     if session is None:
         return
     path = session.finish()
-    session.write_metrics()
     if path is not None:
         print(f"trace written to {path} (render with `repro-cli trace`)",
               file=sys.stderr)
@@ -171,8 +170,15 @@ def _emit_chrome(text: str, output: str | None) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.render import chrome_json, format_summary, format_tree
-    from repro.obs.session import METRICS_NAME, resolve_run_dir
+    import json
+
+    from repro.obs.render import (
+        chrome_json,
+        format_summary,
+        format_tree,
+        trace_metrics,
+    )
+    from repro.obs.session import resolve_run_dir
 
     run_dir = resolve_run_dir(args.cache_dir, args.run)
     if run_dir is None:
@@ -193,12 +199,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print()
         print(format_summary(trace))
     if args.metrics:
-        metrics_path = run_dir / METRICS_NAME
-        if metrics_path.exists():
-            print()
-            print(metrics_path.read_text().rstrip())
-        else:
-            print("\n(no metrics snapshot recorded)")
+        print()
+        print(json.dumps(trace_metrics(trace), indent=2))
     return 0
 
 
@@ -623,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--cache-dir", default=".repro_cache")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel workers for sweeps")
     parser.add_argument("--quiet", "-q", action="store_true",
                         help="only errors on stderr")
@@ -675,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-task wall-clock budget (jobs > 1); hung tasks are "
              "abandoned and recorded in the manifest")
     sweep_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_int_at_least(0), default=None, metavar="N",
         help="max retries per task for transient failures (default 2)")
     sweep_parser.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -706,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write chrome JSON here instead of stdout")
     trace_parser.add_argument(
         "--metrics", action="store_true",
-        help="also print the run's metrics snapshot")
+        help="also print the run's metrics snapshot, counted from "
+             "the merged trace")
     trace_parser.set_defaults(handler=_cmd_trace)
 
     flight_parser = commands.add_parser(
@@ -856,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-task wall-clock budget (jobs > 1)")
     dse_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_int_at_least(0), default=None, metavar="N",
         help="max retries per task for transient failures (default 2)")
     dse_parser.add_argument(
         "--faults", default=None, metavar="SPEC",

@@ -27,7 +27,6 @@ from repro.flow.experiment import FlowSettings
 from repro.flow.results import ExperimentResult
 from repro.flow.scheduler import RetryPolicy
 from repro.flow.sweep import DEFAULT_CACHE_DIR, SweepRunner
-from repro.obs.metrics import get_metrics
 from repro.pipeline.manifest import RunManifest
 from repro.uarch.config import BoomConfig
 from repro.uarch.space import (
@@ -122,10 +121,8 @@ def run_dse(spec: SpaceSpec,
                                       workloads=workloads, space=space)
     frontier, dominated = pareto_frontier(points)
     sensitivity = sensitivity_table(space, points)
-    outcome = DseOutcome(
+    return DseOutcome(
         spec=spec, configs=configs, results=results, points=points,
         frontier=frontier, dominated=dominated, skipped=skipped,
         sensitivity=sensitivity, manifest=runner.last_manifest,
         wall_seconds=wall)
-    get_metrics().gauge("dse.points_per_s").set(outcome.points_per_s)
-    return outcome

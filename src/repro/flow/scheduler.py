@@ -54,7 +54,6 @@ from repro.errors import (
     classify_failure,
 )
 from repro.obs.logs import setup_worker_logging
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import (
     OBS_DIR_ENV,
     OBS_PPID_ENV,
@@ -295,7 +294,6 @@ class SupervisedScheduler:
                 self._kill(pool)
                 outcome.respawns += 1
                 tracer.event("pool.respawn", reason="broken-at-submit")
-                get_metrics().counter("scheduler.respawns").inc()
                 pool = self._spawn()
                 continue
             attempts[task.key] += 1
@@ -304,9 +302,6 @@ class SupervisedScheduler:
             inflight[future] = task
             if self.timeout is not None:
                 deadlines[future] = self._clock() + self.timeout
-        metrics = get_metrics()
-        metrics.gauge("scheduler.queue_depth").set(len(queue))
-        metrics.gauge("scheduler.inflight").set(len(inflight))
         return pool
 
     def _wait(self, inflight: dict[Future, Task],
@@ -352,7 +347,6 @@ class SupervisedScheduler:
                     result = result.result
                 get_tracer().event("task.done", key=task.key,
                                    attempt=attempts[task.key])
-                get_metrics().counter("scheduler.completed").inc()
                 outcome.results[task.key] = result
                 if on_result is not None:
                     on_result(task, result)
@@ -378,13 +372,11 @@ class SupervisedScheduler:
             backoff = self.policy.backoff(made)
             get_tracer().event("task.retry", key=task.key, attempt=made,
                                error=_render(exc), backoff=backoff)
-            get_metrics().counter("scheduler.retries").inc()
             return backoff
         logger.warning("task %s exhausted %d attempts (%s)",
                        task.key, made, _render(exc))
         get_tracer().event("task.failed", key=task.key, attempt=made,
                            error=_render(exc))
-        get_metrics().counter("scheduler.failures").inc()
         outcome.failures.append(TaskRecord(
             key=task.key, kind=TRANSIENT, error=_render(exc),
             attempts=made))
@@ -409,7 +401,6 @@ class SupervisedScheduler:
         self._kill(pool)
         outcome.respawns += 1
         get_tracer().event("pool.respawn", reason="crash")
-        get_metrics().counter("scheduler.respawns").inc()
         logger.warning("process pool crashed; respawned (lost tasks "
                        "re-enqueued)")
         return self._spawn()
@@ -432,7 +423,6 @@ class SupervisedScheduler:
             get_tracer().event("task.timeout", key=task.key,
                                timeout=self.timeout,
                                attempt=attempts[task.key])
-            get_metrics().counter("scheduler.timeouts").inc()
             outcome.timeouts.append(TaskRecord(
                 key=task.key, kind="timeout",
                 error=f"exceeded {self.timeout:g}s timeout",
@@ -456,7 +446,6 @@ class SupervisedScheduler:
         self._kill(pool)
         outcome.respawns += 1
         get_tracer().event("pool.respawn", reason="timeout-recycle")
-        get_metrics().counter("scheduler.respawns").inc()
         return self._spawn()
 
     def _abort(self, inflight: dict[Future, Task],

@@ -42,7 +42,7 @@ import json
 import logging
 from pathlib import Path
 from time import perf_counter, sleep as _sleep
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import (
     PERMANENT,
@@ -59,9 +59,8 @@ from repro.flow.scheduler import (
     SupervisedScheduler,
     Task,
 )
-from repro.obs.metrics import get_metrics, reset_metrics
 from repro.obs.session import TraceSession
-from repro.obs.tracer import tracing_requested
+from repro.obs.tracer import get_tracer, tracing_requested
 from repro.pipeline.artifacts import (
     ArtifactStore,
     MODEL_VERSION,
@@ -248,9 +247,6 @@ class SweepRunner:
         """
         started = perf_counter()
         before = self.store.stats_snapshot()
-        # the registry counts this sweep alone: its snapshot becomes the
-        # manifest's (and the trace's) metrics
-        reset_metrics()
         policy = policy if policy is not None else RetryPolicy()
         configs = tuple(configs)
         names = [config.name for config in configs]
@@ -308,9 +304,6 @@ class SweepRunner:
             experiments=len(pairs), failures=outcome.failures,
             timeouts=outcome.timeouts, retries=outcome.retries,
             tasks=outcome.executions, trace=trace_path)
-        manifest.metrics = self._metrics_snapshot(manifest, session)
-        if session is not None:
-            session.write_metrics(manifest.metrics)
         self.last_manifest = manifest
         self._state["failures"] = [record.to_dict()
                                    for record in outcome.failures]
@@ -374,25 +367,6 @@ class SweepRunner:
         merged = session.finish()
         return str(merged) if merged is not None else ""
 
-    def _metrics_snapshot(self, manifest: RunManifest,
-                          session: TraceSession | None) -> dict:
-        """The metrics registry, enriched with run-level aggregates."""
-        registry = get_metrics()
-        registry.gauge("cache.hit_rate").set(manifest.hit_rate)
-        registry.gauge("sweep.batch_degraded").set(
-            float(len(self.batch_degraded)))
-        if session is not None and session.trace_path is not None:
-            from repro.obs.render import worker_utilization
-
-            try:
-                trace = json.loads(session.trace_path.read_text())
-                for pid, fraction in worker_utilization(trace).items():
-                    registry.gauge(
-                        f"worker.utilization.{pid}").set(fraction)
-            except (OSError, ValueError):
-                pass
-        return registry.snapshot()
-
     # ------------------------------------------------------------------
     # serial supervised execution
     # ------------------------------------------------------------------
@@ -420,68 +394,108 @@ class SweepRunner:
         except SweepInterrupted:
             raise  # settle in run_all, not a degraded batch
         except Exception as exc:
-            self.batch_degraded[workload] = f"{type(exc).__name__}: {exc}"
-            logger.warning(
-                "batched simulation for %s failed (%s); degrading "
-                "to per-config simulation", workload, exc)
+            self._degrade_batch(workload, f"{type(exc).__name__}: {exc}")
         else:
             if primed:
                 logger.info("batched %d configs for %s", primed, workload)
+
+    def _degrade_batch(self, workload: str, error: str) -> None:
+        """Record that ``workload``'s batch fell back to per-config runs."""
+        self.batch_degraded[workload] = error
+        logger.warning("batched simulation for %s failed (%s); degrading "
+                       "to per-config simulation", workload, error)
+        get_tracer().event("batch.degraded", workload=workload, error=error)
 
     def _run_serial(self, pairs: list[tuple[str, BoomConfig]],
                     results: dict[tuple[str, str], ExperimentResult],
                     outcome: ScheduleOutcome, *, policy: RetryPolicy,
                     fail_fast: bool) -> None:
-        # each workload's uncached configs are primed as one batch just
-        # before its first uncached pair, so progress advances workload
-        # by workload
+        # each workload's uncached configs are prepared and primed as one
+        # batch just before its first uncached pair, so progress advances
+        # workload by workload
         unprimed: dict[str, list[BoomConfig]] = {}
         computed: set[str] = set()
         for workload, config in pairs:
             if not self._result_cached(workload, config):
                 unprimed.setdefault(workload, []).append(config)
                 computed.add(_pair_key(workload, config))
+        # as in the parallel sweep, a workload whose shared stages failed
+        # is one ``prepare:<workload>`` record; its uncached pairs are
+        # skipped instead of re-failing on the same deterministic error
+        unprepared: dict[str, TaskRecord] = {}
         for index, (workload, config) in enumerate(pairs):
             key = _pair_key(workload, config)
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    if config in unprimed.get(workload, ()):
-                        # a workload-stage fault fails this pair as it
-                        # would without batching; only the batch degrades
-                        self.pipeline.prepare_workload(workload)
-                        self._prime_batch(workload, unprimed.pop(workload))
-                    result = self.run(workload, config)
-                except SweepInterrupted:
-                    raise  # never a per-experiment failure record
-                except Exception as exc:
-                    kind = classify_failure(exc)
-                    error = f"{type(exc).__name__}: {exc}"
-                    if kind == TRANSIENT and attempts < policy.max_attempts:
-                        outcome.retries[key] = \
-                            outcome.retries.get(key, 0) + 1
-                        logger.warning("experiment %s attempt %d failed "
-                                       "(%s); retrying", key, attempts,
-                                       error)
-                        _sleep(policy.backoff(attempts))
-                        continue
-                    outcome.failures.append(TaskRecord(
-                        key=key, kind=kind, error=error, attempts=attempts))
-                    if fail_fast:
-                        outcome.aborted = True
-                        for later_workload, later_config in pairs[index + 1:]:
-                            outcome.failures.append(TaskRecord(
-                                key=_pair_key(later_workload, later_config),
-                                kind="skipped",
-                                error=f"skipped: fail-fast abort after "
-                                      f"{key!r} failed", attempts=0))
-                        return
-                    break
+            if config in unprimed.get(workload, ()):
+                configs = unprimed.pop(workload)
+                _, failure = self._attempt(
+                    f"prepare:{workload}",
+                    lambda: self.pipeline.prepare_workload(workload),
+                    outcome, policy)
+                if failure is None:
+                    self._prime_batch(workload, configs)
                 else:
-                    results[(workload, config.name)] = result
-                    self._record_completion(key, persist=key in computed)
-                    break
+                    if fail_fast:
+                        self._abort_serial(failure, pairs[index:], outcome)
+                        return
+                    unprepared[workload] = failure
+            prepare_failure = unprepared.get(workload)
+            if prepare_failure is not None and key in computed:
+                outcome.failures.append(TaskRecord(
+                    key=key, kind="skipped",
+                    error=f"skipped: workload preparation failed "
+                          f"({prepare_failure.error})", attempts=0))
+                continue
+            result, failure = self._attempt(
+                key, lambda: self.run(workload, config), outcome, policy)
+            if failure is None:
+                results[(workload, config.name)] = result
+                self._record_completion(key, persist=key in computed)
+            elif fail_fast:
+                self._abort_serial(failure, pairs[index + 1:], outcome)
+                return
+
+    @staticmethod
+    def _attempt(key: str, fn: Callable[[], Any], outcome: ScheduleOutcome,
+                 policy: RetryPolicy) -> tuple[Any, TaskRecord | None]:
+        """Run ``fn`` under ``policy``: ``(value, None)`` on success.
+
+        Transient faults retry with backoff (counted in
+        ``outcome.retries``); a permanent fault, or the last transient
+        one, is appended to ``outcome.failures`` and returned as
+        ``(None, record)``.
+        """
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                return fn(), None
+            except SweepInterrupted:
+                raise  # never a per-task failure record
+            except Exception as exc:
+                kind = classify_failure(exc)
+                error = f"{type(exc).__name__}: {exc}"
+                if kind == TRANSIENT and attempts < policy.max_attempts:
+                    outcome.retries[key] = outcome.retries.get(key, 0) + 1
+                    logger.warning("task %s attempt %d failed (%s); "
+                                   "retrying", key, attempts, error)
+                    _sleep(policy.backoff(attempts))
+                    continue
+                record = TaskRecord(key=key, kind=kind, error=error,
+                                    attempts=attempts)
+                outcome.failures.append(record)
+                return None, record
+
+    @staticmethod
+    def _abort_serial(failure: TaskRecord,
+                      rest: list[tuple[str, BoomConfig]],
+                      outcome: ScheduleOutcome) -> None:
+        """fail-fast: record every pair in ``rest`` as skipped."""
+        outcome.aborted = True
+        for workload, config in rest:
+            outcome.failures.append(TaskRecord(
+                key=_pair_key(workload, config), kind="skipped",
+                error=f"skipped: fail-fast abort after {failure.key!r} "
+                      f"failed", attempts=0))
 
     # ------------------------------------------------------------------
     # parallel supervised scheduling
@@ -596,11 +610,7 @@ class SweepRunner:
                 outcome.retries[key] = outcome.retries.get(key, 0) + count
             outcome.respawns += batch_wave.respawns
             for record in batch_wave.failures + batch_wave.timeouts:
-                workload = record.key.split(":")[1]
-                self.batch_degraded[workload] = record.error
-                logger.warning(
-                    "batched simulation for %s failed (%s); degrading "
-                    "to per-config simulation", workload, record.error)
+                self._degrade_batch(record.key.split(":")[1], record.error)
 
         def adopt_result(task: Task, payload: tuple) -> None:
             workload, config = task.payload[0], task.payload[1]

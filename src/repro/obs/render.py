@@ -11,6 +11,8 @@ Consumers:
 * :func:`format_tree` — indented per-span wall-clock tree.
 * :func:`format_summary` — per-stage aggregates, the critical path,
   and worker utilization.
+* :func:`trace_metrics` — the run's metrics snapshot: cache, scheduler
+  and lease counts, stage seconds and worker utilization.
 * :func:`to_chrome` — Chrome trace-event JSON (B/E/i phases, micro-
   second timestamps) loadable in Perfetto / ``chrome://tracing``.
 """
@@ -33,6 +35,7 @@ __all__ = [
     "sparkline",
     "stage_totals",
     "to_chrome",
+    "trace_metrics",
     "worker_utilization",
 ]
 
@@ -177,6 +180,54 @@ def worker_utilization(trace: dict) -> dict[int, float]:
             busy += limit - cursor
         utilization[pid] = busy / extent
     return utilization
+
+
+#: instant event -> the snapshot counter that counts it
+_COUNTED_EVENTS = {
+    "task.done": "scheduler.completed",
+    "task.retry": "scheduler.retries",
+    "task.failed": "scheduler.failures",
+    "task.timeout": "scheduler.timeouts",
+    "pool.respawn": "scheduler.respawns",
+    "lease.dedupe": "lease.dedupe",
+    "lease.steal": "lease.steals",
+    "batch.degraded": "sweep.batch_degraded",
+}
+
+
+def trace_metrics(trace: dict) -> dict[str, float]:
+    """The run's metrics snapshot, counted from the merged trace.
+
+    ``artifact.<kind>`` counts the artifact cache events (``hit``,
+    ``miss`` and ``write`` are always present), the scheduler, lease and
+    batch counters count the events in :data:`_COUNTED_EVENTS`,
+    ``cache.hit_rate`` is hits over hit-or-miss lookups (1.0 with no
+    lookups, like the run manifest), ``stage.<stage>.seconds`` sums the
+    ``stage.*`` spans and ``worker.utilization.<pid>`` is
+    :func:`worker_utilization`.  Every process writes its own event
+    file and the merge folds them all in, so the counts cover the pool
+    workers for any ``--jobs``.
+    """
+    snapshot: dict[str, float] = dict.fromkeys(
+        ("artifact.hit", "artifact.miss", "artifact.write",
+         *_COUNTED_EVENTS.values()), 0)
+    for event in trace.get("events", []):
+        if event.get("type") != "I":
+            continue
+        name = event.get("name", "")
+        if name.startswith("artifact."):
+            snapshot[name] = snapshot.get(name, 0) + 1
+        elif name in _COUNTED_EVENTS:
+            snapshot[_COUNTED_EVENTS[name]] += 1
+    hits = snapshot["artifact.hit"]
+    lookups = hits + snapshot["artifact.miss"]
+    snapshot["cache.hit_rate"] = hits / lookups if lookups else 1.0
+    for name, entry in stage_totals(trace).items():
+        if name.startswith("stage."):
+            snapshot[f"{name}.seconds"] = entry["total_s"]
+    for pid, fraction in worker_utilization(trace).items():
+        snapshot[f"worker.utilization.{pid}"] = fraction
+    return dict(sorted(snapshot.items()))
 
 
 def format_summary(trace: dict) -> str:

@@ -7,9 +7,10 @@ so that pool workers forked afterwards pick the directory up via
 :func:`repro.obs.tracer.ensure_process_tracer`.  Finishing it restores
 the environment, closes the parent tracer, merges every per-process
 event file into ``trace.json``, and refreshes the ``latest`` pointer
-that ``repro-cli trace`` resolves by default.  The run's metrics
-snapshot is written afterwards, once, by :meth:`TraceSession.write_metrics`
-— a sweep first enriches it with aggregates read from the merged trace.
+that ``repro-cli trace`` resolves by default.  The run directory holds
+the ``events-<pid>.jsonl`` files and ``trace.json`` only: the metrics
+snapshot is counted from ``trace.json`` when it is asked for
+(:func:`repro.obs.render.trace_metrics`).
 
 The run directory lives beside — never inside — the content-addressed
 stage directories, and nothing recorded here participates in any
@@ -20,13 +21,11 @@ artifacts.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from pathlib import Path
 
 from .merge import write_merged_trace
-from .metrics import get_metrics
 from .tracer import (
     OBS_DIR_ENV,
     OBS_PPID_ENV,
@@ -41,7 +40,6 @@ __all__ = ["OBS_DIR_NAME", "TraceSession", "latest_run_dir", "resolve_run_dir"]
 #: subdirectory of the cache root holding observability runs
 OBS_DIR_NAME = "obs"
 LATEST_NAME = "latest"
-METRICS_NAME = "metrics.json"
 
 #: numbers the sessions of one process, so two started within the same
 #: second get distinct run directories
@@ -128,22 +126,11 @@ class TraceSession:
 
     def __exit__(self, *_exc) -> None:
         self.finish()
-        self.write_metrics()
 
     # ------------------------------------------------------------------
 
     def tracer(self):
         return get_tracer()
-
-    def write_metrics(self, snapshot: dict | None = None) -> None:
-        """Write ``metrics.json``: ``snapshot``, else the registry's."""
-        if snapshot is None:
-            snapshot = get_metrics().snapshot()
-        try:
-            (self.run_dir / METRICS_NAME).write_text(
-                json.dumps(snapshot, indent=2, default=str))
-        except OSError:
-            pass
 
     def _point_latest(self) -> None:
         # The temp name carries the pid: two traced runs finishing at

@@ -59,7 +59,6 @@ from time import monotonic, perf_counter, sleep
 from typing import Any, Callable, Mapping
 
 from repro.errors import LeaseTimeoutError
-from repro.obs.metrics import get_metrics
 from repro.obs.session import OBS_DIR_NAME
 from repro.obs.tracer import get_tracer
 from repro.pipeline.journal import (
@@ -305,12 +304,11 @@ class ArtifactStore:
 
     def _observe(self, kind: str, stage: str, fingerprint: str,
                  **attrs: Any) -> None:
-        """Emit one artifact cache event (hit/miss/corrupt) + counter."""
+        """Emit one artifact cache event (hit/miss/write/corrupt)."""
         attrs = {key: value for key, value in attrs.items()
                  if value is not None}
         get_tracer().event(f"artifact.{kind}", stage=stage,
                            fingerprint=fingerprint, **attrs)
-        get_metrics().counter(f"artifact.{kind}").inc()
 
     def remember(self, stage: str, fingerprint: str, value: Any) -> None:
         """Memoize a live value without touching disk or counters."""
@@ -463,8 +461,6 @@ class ArtifactStore:
 
     def _observe_dedupe(self, stage: str, fingerprint: str,
                         waited: float) -> None:
-        get_metrics().counter("lease.dedupe").inc()
-        get_metrics().histogram("lease.wait_seconds").observe(waited)
         get_tracer().event("lease.dedupe", stage=stage,
                            fingerprint=fingerprint, seconds=waited)
 
@@ -483,7 +479,6 @@ class ArtifactStore:
         stats.executions += 1
         elapsed = perf_counter() - started
         stats.seconds += elapsed
-        get_metrics().histogram(f"stage.{stage}.seconds").observe(elapsed)
         return value
 
     # ------------------------------------------------------------------

@@ -149,9 +149,12 @@ def parse_fault_spec(text: str) -> tuple[FaultSpec, ...]:
         options: dict[str, str] = {}
         for option in fields[2:]:
             name, _, value = option.partition("=")
-            if name not in ("p", "n", "s", "k") or not value:
+            if name not in ("p", "n", "s", "k"):
                 raise ValueError(f"fault spec {chunk!r}: bad option "
                                  f"{option!r} (want p=, n=, s= or k=)")
+            if not value:
+                raise ValueError(f"fault spec {chunk!r}: option {name}= "
+                                 f"has an empty value")
             options[name] = value
         specs.append(FaultSpec(
             site=site, kind=kind,

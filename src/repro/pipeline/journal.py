@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
-from repro.obs.metrics import get_metrics
 from repro.pipeline.locking import (
     FileLock,
     WorkClaims,
@@ -177,8 +176,6 @@ class IntentJournal:
             handle.flush()
         except OSError:
             pass  # a failing journal must never fail the write itself
-        else:
-            get_metrics().counter(f"journal.{op}").inc()
 
     def _track(self, op: str, stage: str, fingerprint: str) -> None:
         # a forked child inherits the parent's open set but must not
@@ -347,7 +344,6 @@ def _quarantine(cache_root: Path, artifact: Path,
         else:
             return
     report.quarantined.append(f"{artifact.parent.name}/{artifact.name}")
-    get_metrics().counter("recover.quarantined").inc()
 
 
 def _repair_sweep_state(cache_root: Path, report: RecoveryReport) -> None:
@@ -429,9 +425,6 @@ def recover_cache(cache_root: Path | str) -> RecoveryReport:
         report.journals_removed += 1
 
     report.leases_released = WorkClaims(cache_root).release_dead()
-    if report.leases_released:
-        get_metrics().counter("recover.leases_released").inc(
-            report.leases_released)
 
     for tmp in list(_iter_stray_tmp(cache_root)):
         pid = _tmp_pid(tmp)

@@ -51,7 +51,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
 from repro.errors import LeaseTimeoutError, LockTimeoutError
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 __all__ = ["DecorrelatedJitter", "FileLock", "Lease", "WorkClaims",
@@ -212,7 +211,6 @@ class FileLock:
         else:
             self._acquire_fcntl(started)
         waited = self._clock() - started
-        get_metrics().histogram("lock.wait_seconds").observe(waited)
         if waited >= self.poll:
             get_tracer().event("lock.wait", path=self.path.name,
                                seconds=waited)
@@ -339,10 +337,7 @@ class WorkClaims:
         path = self.lease_path(stage, fingerprint)
         if path is None:
             return _InProcessLease()
-        lease = self.try_claim_path(path)
-        if lease is not None:
-            get_metrics().counter("lease.claims").inc()
-        return lease
+        return self.try_claim_path(path)
 
     def try_claim_path(self, path: Path) -> Lease | None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -364,7 +359,6 @@ class WorkClaims:
                     return None  # lost the steal race to a live claimant
                 if path.exists():
                     path.unlink(missing_ok=True)
-                    get_metrics().counter("lease.steals").inc()
                     get_tracer().event("lease.steal", path=path.name,
                                        dead_owner=(holder or {}).get("pid"))
                 return self._create_exclusive(path, owner)

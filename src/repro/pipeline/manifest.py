@@ -92,7 +92,6 @@ class RunManifest:
     timeouts: list[TaskRecord] = field(default_factory=list)
     retries: dict[str, int] = field(default_factory=dict)
     tasks: list[TaskExecution] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     trace: str = ""     # merged trace path for this run, if traced
 
     @classmethod
@@ -104,7 +103,6 @@ class RunManifest:
               timeouts: list[TaskRecord] | None = None,
               retries: Mapping[str, int] | None = None,
               tasks: list[TaskExecution] | None = None,
-              metrics: Mapping | None = None,
               trace: str = "") -> "RunManifest":
         """Manifest covering the work done between two stats snapshots."""
         stages: dict[str, StageStats] = {}
@@ -119,7 +117,6 @@ class RunManifest:
                    timeouts=list(timeouts or ()),
                    retries=dict(retries or {}),
                    tasks=list(tasks or ()),
-                   metrics=dict(metrics or {}),
                    trace=trace)
 
     # ------------------------------------------------------------------
@@ -174,7 +171,6 @@ class RunManifest:
             "timeouts": [record.to_dict() for record in self.timeouts],
             "retries": dict(sorted(self.retries.items())),
             "tasks": [record.to_dict() for record in self.tasks],
-            "metrics": self.metrics,
             "trace": self.trace,
         }
 
@@ -193,7 +189,6 @@ class RunManifest:
             retries=dict(data.get("retries", {})),
             tasks=[TaskExecution.from_dict(record)
                    for record in data.get("tasks", [])],
-            metrics=dict(data.get("metrics", {})),
             trace=data.get("trace", ""))
 
     def format(self) -> str:

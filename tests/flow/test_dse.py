@@ -127,10 +127,3 @@ def test_runner_hook_sees_the_runner_before_the_sweep(tmp_path):
     assert runner.last_manifest is out.manifest
     assert out.manifest.experiments == len(out.configs) * len(workloads)
 
-
-def test_dse_metrics_gauge_updated(outcome):
-    from repro.obs.metrics import get_metrics
-
-    entry = get_metrics().snapshot().get("dse.points_per_s")
-    assert entry is not None and entry["kind"] == "gauge"
-    assert entry["value"] > 0

@@ -6,13 +6,16 @@ results bit-identical to a fault-free serial run, degradation recorded
 in the manifest, and interrupted sweeps resumable without recomputation.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro.errors import PERMANENT
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SWEEP_STATE_NAME, SweepRunner
-from repro.pipeline.stages import RESULT_STAGE
-from repro.uarch.config import MEDIUM_BOOM
+from repro.pipeline.stages import PROFILE_STAGE, RESULT_STAGE
+from repro.uarch.config import MEDIUM_BOOM, MEGA_BOOM
 
 SCALE = 0.05
 WORKLOADS = ["qsort", "sha"]
@@ -115,6 +118,35 @@ def test_prepare_failure_poisons_only_that_workload(tmp_path, reference):
     assert kinds[f"qsort/{MEDIUM_BOOM.name}"] == "skipped"
     assert results[("sha", MEDIUM_BOOM.name)] == \
         reference[("sha", MEDIUM_BOOM.name)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_prepare_failure_is_one_record_serial_and_parallel(tmp_path, jobs):
+    """A deterministic profiling fault fails ``prepare:<workload>`` once
+    and skips that workload's pairs, whether the sweep is serial or not."""
+    probe = SweepRunner(_settings(), cache_dir=None).pipeline
+    fingerprints = {workload: probe.profile_fingerprint(workload)
+                    for workload in WORKLOADS}
+    runner = SweepRunner(
+        _settings(f"stage.{PROFILE_STAGE}:fail:n=0:"
+                  f"k={fingerprints['qsort']}"),
+        cache_dir=tmp_path)
+    results = runner.run_all(configs=(MEDIUM_BOOM, MEGA_BOOM),
+                             workloads=WORKLOADS, jobs=jobs, trace=True)
+    manifest = runner.last_manifest
+    assert {(record.key, record.kind) for record in manifest.failures} == {
+        ("prepare:qsort", PERMANENT),
+        (f"qsort/{MEDIUM_BOOM.name}", "skipped"),
+        (f"qsort/{MEGA_BOOM.name}", "skipped")}
+    assert sorted(results) == [("sha", MEDIUM_BOOM.name),
+                               ("sha", MEGA_BOOM.name)]
+    # one profile attempt per workload, in whichever process made it
+    with open(manifest.trace) as handle:
+        events = json.load(handle)["events"]
+    attempts = Counter(event["attrs"]["fingerprint"] for event in events
+                       if event.get("name") == "artifact.miss"
+                       and event["attrs"]["stage"] == PROFILE_STAGE)
+    assert attempts == Counter(fingerprints.values())
 
 
 def test_serial_fail_fast_skips_the_tail(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import MANIFEST_NAME, SWEEP_STATE_NAME, SweepRunner
-from repro.obs.metrics import reset_metrics
 from repro.obs.session import OBS_DIR_NAME
 from repro.obs.tracer import reset_tracer
 from repro.pipeline.artifacts import INTERNAL_DIRS
@@ -23,10 +22,8 @@ _NON_ARTIFACTS = {MANIFEST_NAME, SWEEP_STATE_NAME}
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     reset_tracer()
-    reset_metrics()
     yield
     reset_tracer()
-    reset_metrics()
 
 
 def _artifact_digests(cache_dir):

@@ -291,8 +291,7 @@ def test_recording_is_byte_identical(tmp_path, monkeypatch,
     run_dir = latest_run_dir(tmp_path)
     assert run_dir is not None
     assert {path.name for path in run_dir.iterdir()
-            if not path.name.startswith("events-")} \
-        == {"trace.json", "metrics.json"}
+            if not path.name.startswith("events-")} == {"trace.json"}
     flight = flight_samples(json.loads((run_dir / "trace.json").read_text()))
     assert flight["skipped_lines"] == 0
     pairs = {(s["workload"], s["config"]) for s in flight["samples"]}

@@ -48,6 +48,11 @@ def test_parse_rejects_malformed_specs(bad):
         parse_fault_spec(bad)
 
 
+def test_parse_names_an_empty_option_value():
+    with pytest.raises(ValueError, match="k= has an empty value"):
+        parse_fault_spec("stage.bbv_profile:fail:k=")
+
+
 def test_env_spec(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "artifact.read:io")
     monkeypatch.setenv("REPRO_FAULT_SEED", "7")

@@ -412,28 +412,24 @@ def test_flight_without_run_errors(capsys, tmp_path):
 
 
 def test_trace_metrics_prints_the_snapshot(capsys, tmp_path):
-    from repro.obs.session import METRICS_NAME, resolve_run_dir
+    from repro.obs.render import trace_metrics
+    from repro.obs.session import resolve_run_dir
 
     code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
                  "--trace", "sweep"])
     capsys.readouterr()
     assert code == 0
-    metrics_path = resolve_run_dir(tmp_path, None) / METRICS_NAME
-    snapshot = json.loads(metrics_path.read_text())
+    run_dir = resolve_run_dir(tmp_path, None)
+    assert not (run_dir / "metrics.json").exists()
+    snapshot = trace_metrics(json.loads((run_dir / "trace.json").read_text()))
     assert "stage.detailed_sim.seconds" in snapshot
     assert "cache.hit_rate" in snapshot
 
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "trace", "-f", "summary", "--metrics")
     assert code == 0
-    assert metrics_path.read_text().rstrip() in out
+    assert json.dumps(snapshot, indent=2) in out
     assert '"stage.detailed_sim.seconds"' in out
-
-    metrics_path.unlink()
-    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
-                        "trace", "-f", "summary", "--metrics")
-    assert code == 0
-    assert "(no metrics snapshot recorded)" in out
 
 
 def test_accuracy_update_then_evaluate(capsys, tmp_path):
@@ -573,8 +569,13 @@ def test_cpi_skip_past_the_program_is_a_usage_error(capsys):
     ["pipeline", "sha", "--uops", "-3"],
     ["pipeline", "sha", "--uops", "0"],
     ["pipeline", "sha", "--skip", "-1"],
+    ["--jobs", "0", "sweep"],
+    ["--jobs", "-3", "sweep"],
+    ["sweep", "--retries", "-1"],
+    ["dse", "sweep", "--retries", "-2"],
 ], ids=["cpi-window-0", "cpi-skip-negative", "pipeline-uops-negative",
-        "pipeline-uops-0", "pipeline-skip-negative"])
+        "pipeline-uops-0", "pipeline-skip-negative", "jobs-0",
+        "jobs-negative", "sweep-retries-negative", "dse-retries-negative"])
 def test_window_flags_reject_out_of_range_values(capsys, argv):
     from repro.errors import EXIT_USAGE
 
