@@ -11,7 +11,7 @@ asserts the flow's DSE guarantees:
   anchors the paper presets on or near the frontier;
 * a warm re-run reproduces the identical point set and frontier from
   cache, with zero detailed-simulation re-executions;
-* a fresh sweep at the other worker count (serial vs ``--jobs``) emits
+* a fresh sweep at the other worker count (``--jobs 1`` vs more) emits
   a byte-identical frontier artifact.
 
 Usage::
@@ -117,8 +117,8 @@ def main(argv: list[str] | None = None) -> int:
 
     # fan-out leg: the same sweep at the other worker count (fresh
     # cache, no faults) must emit a byte-identical frontier artifact —
-    # serial batch priming and the parallel batch wave are execution
-    # strategies, never model changes
+    # in-process tasks and pool tasks run the same waves, and the
+    # executor is never a model change
     fanout = 1 if args.jobs > 1 else 2
     with tempfile.TemporaryDirectory() as tmp:
         other = run_dse(spec, settings=FlowSettings(scale=args.scale),

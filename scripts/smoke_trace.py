@@ -86,16 +86,18 @@ def main(argv: list[str] | None = None) -> int:
         trace = json.loads(Path(manifest.trace).read_text())
         assert trace["skipped_lines"] == 0, "clean run tore trace lines"
 
-        if args.jobs > 1:
-            assert manifest.tasks, "parallel sweep recorded no tasks"
-            parent = os.getpid()
-            for task in manifest.tasks:
-                assert task.pid != parent, "task pid is the parent"
-                assert task.ended >= task.started
-                assert task.attempts >= 1
-            worker_pids = {task.pid for task in manifest.tasks}
-            assert worker_pids <= set(trace["processes"]), (
-                "worker event files missing from the merged trace")
+        # tasks run in this process at --jobs 1, in pool workers above
+        assert manifest.tasks, "sweep recorded no tasks"
+        parent = os.getpid()
+        for task in manifest.tasks:
+            assert (task.pid == parent) == (args.jobs == 1), (
+                f"task {task.key} ran in pid {task.pid} at "
+                f"--jobs {args.jobs}")
+            assert task.ended >= task.started
+            assert task.attempts >= 1
+        worker_pids = {task.pid for task in manifest.tasks}
+        assert worker_pids <= set(trace["processes"]), (
+            "task processes missing from the merged trace")
         print(f"manifest: {len(manifest.tasks)} tasks, "
               f"trace={manifest.trace}")
 

@@ -31,13 +31,12 @@ from repro.flow.experiment import FlowSettings
 from repro.flow.report import SECTIONS
 from repro.flow.sweep import SweepRunner
 from repro.obs.logs import setup_cli_logging
+from repro.pipeline.faults import FaultInjector, parse_fault_spec
 from repro.uarch.config import config_by_name
 from repro.workloads.suite import workload_names
 
 
 def _settings(args: argparse.Namespace) -> FlowSettings:
-    from repro.pipeline.faults import FaultInjector
-
     # fault injection: the CLI flag wins; otherwise REPRO_FAULTS /
     # REPRO_FAULT_SEED let CI inject faults without changing commands
     env_faults, env_seed = FaultInjector.env_spec()
@@ -615,6 +614,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _fault_spec(text: str) -> str:
+    """An argparse type: a fault-injection spec that parses."""
+    try:
+        parse_fault_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cli",
@@ -674,13 +682,14 @@ def build_parser() -> argparse.ArgumentParser:
              "completing the remaining experiments")
     sweep_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget (jobs > 1); hung tasks are "
-             "abandoned and recorded in the manifest")
+        help="per-task wall-clock budget; a hung pool task is "
+             "abandoned and recorded in the manifest (an in-process "
+             "task at --jobs 1 cannot be abandoned)")
     sweep_parser.add_argument(
         "--retries", type=_int_at_least(0), default=None, metavar="N",
         help="max retries per task for transient failures (default 2)")
     sweep_parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
+        "--faults", type=_fault_spec, default=None, metavar="SPEC",
         help="fault-injection spec, e.g. 'worker.experiment:crash:n=1' "
              "(testing; also via REPRO_FAULTS)")
     sweep_parser.add_argument(
@@ -857,12 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on the first permanent failure")
     dse_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget (jobs > 1)")
+        help="per-task wall-clock budget for pool tasks (an "
+             "in-process task at --jobs 1 cannot be abandoned)")
     dse_parser.add_argument(
         "--retries", type=_int_at_least(0), default=None, metavar="N",
         help="max retries per task for transient failures (default 2)")
     dse_parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
+        "--faults", type=_fault_spec, default=None, metavar="SPEC",
         help="fault-injection spec (testing; also via REPRO_FAULTS)")
     dse_parser.add_argument(
         "--fault-seed", type=int, default=None,

@@ -178,8 +178,8 @@ class ExperimentResult:
         """Canonical (sorted-key) strict-JSON form.
 
         Byte-identical for equal results regardless of how they were
-        produced — the form the serial-vs-parallel determinism guarantee
-        is stated (and tested) in.  ``allow_nan=False`` makes any
+        produced — the form the sweep's determinism guarantee across
+        ``jobs`` is stated (and tested) in.  ``allow_nan=False`` makes any
         non-finite value a loud serialization error instead of emitting
         ``NaN``/``Infinity`` tokens that no strict JSON parser (or the
         artifact-store round trip) would accept.

@@ -29,8 +29,9 @@ with:
 
 The executor factory, clock and sleep function are injectable so tests
 can drive every recovery path deterministically and without real
-delays.  The default factory imports the process pool only when it
-builds one, so serial (``jobs=1``) runs never load ``multiprocessing``.
+delays, and so a ``jobs=1`` sweep can run its tasks in-process through
+the same loop.  The default factory imports the process pool only when
+it builds one, so such a sweep never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def _run_task(payload: tuple) -> TaskEnvelope:
     Worker-side observability bootstraps here: if the parent exported a
     traced run directory, this process opens its own event file and
     redirects its ``repro`` logging to a per-process log file (skipped
-    when running in-process, e.g. thread-pool tests, so the parent's
-    handlers are left alone).  The task body runs inside a ``task``
+    when running in-process, as a ``jobs=1`` sweep's tasks do, so the
+    parent's handlers are left alone).  The task body runs inside a ``task``
     span; failures are recorded as an event and re-raised unchanged so
     the scheduler's classification and retry logic see the original
     exception.
@@ -171,7 +172,7 @@ class ScheduleOutcome:
 
 def _process_pool(workers: int) -> Any:
     """The default executor: a fresh process pool of ``workers``."""
-    # multiprocessing loads only when a run actually fans out (jobs > 1)
+    # multiprocessing loads only when a run actually builds a pool
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=workers)
@@ -228,13 +229,16 @@ class SupervisedScheduler:
     # ------------------------------------------------------------------
 
     def run(self, tasks: list[Task],
-            on_result: Callable[[Task, Any], None] | None = None) \
+            on_result: Callable[[Task, Any], None] | None = None,
+            on_error: Callable[[Task, Exception], None] | None = None) \
             -> ScheduleOutcome:
         """Run ``tasks`` to completion, surviving crashes and hangs.
 
         ``on_result`` is invoked in the parent as each task completes,
         which is what lets the sweep persist results incrementally (and
-        therefore resume after a kill).
+        therefore resume after a kill).  ``on_error`` sees the exception
+        of every attempt that raised one (a crashed worker raises none),
+        before it is retried or recorded.
         """
         outcome = ScheduleOutcome()
         if not tasks:
@@ -252,7 +256,8 @@ class SupervisedScheduler:
                     continue
                 done = self._wait(inflight, deadlines)
                 crashed = self._collect(done, inflight, deadlines, queue,
-                                        attempts, outcome, on_result)
+                                        attempts, outcome, on_result,
+                                        on_error)
                 if crashed:
                     pool = self._recover_crash(pool, inflight, deadlines,
                                                queue, attempts, outcome)
@@ -315,7 +320,9 @@ class SupervisedScheduler:
     def _collect(self, done: list[Future], inflight: dict[Future, Task],
                  deadlines: dict[Future, float], queue: deque[Task],
                  attempts: dict[str, int], outcome: ScheduleOutcome,
-                 on_result: Callable[[Task, Any], None] | None) -> bool:
+                 on_result: Callable[[Task, Any], None] | None,
+                 on_error: Callable[[Task, Exception], None] | None) \
+            -> bool:
         """Process finished futures; returns whether the pool broke."""
         crashed = False
         delays: list[float] = []
@@ -329,6 +336,8 @@ class SupervisedScheduler:
                 delays.append(self._requeue(task, exc, queue, attempts,
                                             outcome))
             except Exception as exc:
+                if on_error is not None:
+                    on_error(task, exc)
                 if classify_failure(exc) == TRANSIENT:
                     delays.append(self._requeue(task, exc, queue, attempts,
                                                 outcome))

@@ -12,22 +12,24 @@ recomputation.
 Detailed simulation is always batched: each workload's uncached
 configs replay one shared fetch trace per checkpoint
 (:mod:`repro.sim.batch`), priming the ``detailed_sim`` artifacts that
-the per-experiment stages then consume as cache hits.  Pass
-``jobs > 1`` to :meth:`SweepRunner.run_all` to fan the work out across
-processes in three waves — the per-workload stages, the batches, then
-the per-experiment stages.  Every stage is fully seeded, so the
-parallel path is bit-identical to the serial one.
+the per-experiment stages then consume as cache hits.  Every sweep
+runs its uncached work in three waves of tasks — the per-workload
+stages, the batches, then the per-experiment stages.  ``jobs=1`` runs
+each task in this process, on the runner's own pipeline and store;
+more jobs fan the tasks out to a process pool.  Every stage is
+fully seeded, so results are bit-identical at every ``jobs``.
 
-Execution is *supervised* (:mod:`repro.flow.scheduler`): a crashed or
-OOM-killed worker re-spawns the pool and re-enqueues only the lost
-tasks, transient faults (I/O errors, corrupt artifacts) retry with
-capped exponential backoff, hung tasks are abandoned after a per-task
-timeout, and deterministic model failures are recorded in the manifest
-while the rest of the sweep completes.  Results persist incrementally,
-so a killed sweep resumes from its last completed experiment
-(``repro-cli sweep --resume``); sweep progress is tracked in
-``<cache>/sweep_state.json``, written when the sweep starts, after each
-computed experiment and when it ends (cache hits join the next write).
+Execution is *supervised* (:mod:`repro.flow.scheduler`) at every
+``jobs``: a crashed or OOM-killed worker re-spawns the pool and
+re-enqueues only the lost tasks, transient faults (I/O errors, corrupt
+artifacts) retry with capped exponential backoff, hung pool tasks are
+abandoned after a per-task timeout, and deterministic model failures
+are recorded in the manifest while the rest of the sweep completes.
+Results persist incrementally, so a killed sweep resumes from its last
+completed experiment (``repro-cli sweep --resume``); sweep progress is
+tracked in ``<cache>/sweep_state.json``, written when the sweep starts,
+after each computed experiment and when it ends (cache hits join the
+next write).
 
 Each ``run_all`` produces a :class:`~repro.pipeline.manifest.RunManifest`
 (``SweepRunner.last_manifest``) with per-stage execution counts, cache
@@ -40,16 +42,12 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import Future
 from pathlib import Path
-from time import perf_counter, sleep as _sleep
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.errors import (
-    PERMANENT,
-    TRANSIENT,
-    SweepInterrupted,
-    classify_failure,
-)
+from repro.errors import PERMANENT, SweepInterrupted
 from repro.flow.experiment import FlowSettings
 from repro.flow.interrupt import InterruptGuard
 from repro.flow.results import ExperimentResult
@@ -69,11 +67,7 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.faults import FaultInjector
 from repro.pipeline.locking import FileLock, owner_token, release_held
 from repro.pipeline.manifest import RunManifest, TaskRecord
-from repro.pipeline.stages import (
-    ExperimentPipeline,
-    RESULT_STAGE,
-    import_compute_stack,
-)
+from repro.pipeline.stages import ExperimentPipeline, import_compute_stack
 from repro.uarch.config import ALL_CONFIGS, BoomConfig
 from repro.workloads.suite import workload_names
 
@@ -94,26 +88,26 @@ def _pair_key(workload: str, config: BoomConfig) -> str:
     return f"{workload}/{config.name}"
 
 
-def _prepare_worker(task: tuple) -> tuple:
-    """Process-pool worker: materialize one workload's shared stages."""
-    workload, settings, root = task
-    faults = FaultInjector.from_settings(settings, root)
-    if faults is not None:
-        faults.inject("worker.prepare", workload)
-    store = ArtifactStore(root, faults=faults)
-    pipeline = ExperimentPipeline(store, settings)
-    pipeline.prepare_workload(workload)
-    inline = None
-    if root is None:
-        # No shared disk: ship the live artifacts back to the parent.
-        inline = (pipeline.selection(workload),
-                  pipeline.checkpoints(workload))
-    return store.stats_dict(), inline
+def _skipped(key: str, why: str) -> TaskRecord:
+    return TaskRecord(key=key, kind="skipped", error=f"skipped: {why}",
+                      attempts=0)
+
+
+def _drop_unprepared(pairs: list[tuple[str, BoomConfig]],
+                     unprepared: dict[str, TaskRecord],
+                     outcome: ScheduleOutcome) -> list[tuple[str, BoomConfig]]:
+    """The pairs whose workload is not in ``unprepared``; the others are
+    recorded as skipped, not left to re-fail on the same error."""
+    outcome.failures.extend(
+        _skipped(_pair_key(workload, config), f"workload preparation "
+                 f"failed ({unprepared[workload].error})")
+        for workload, config in pairs if workload in unprepared)
+    return [pair for pair in pairs if pair[0] not in unprepared]
 
 
 def _batch_chunks(pairs: list[tuple[str, BoomConfig]], jobs: int) \
         -> list[tuple[str, tuple[BoomConfig, ...]]]:
-    """Group pending pairs into per-workload batches for the pool.
+    """Group pending pairs into per-workload batch tasks.
 
     One batch per workload shares the most fetch work, but a sweep over
     fewer workloads than workers would then leave workers idle, so the
@@ -138,42 +132,70 @@ def _batch_chunks(pairs: list[tuple[str, BoomConfig]], jobs: int) \
     return chunks
 
 
-def _batch_worker(task: tuple) -> tuple:
-    """Process-pool worker: one batch of a workload's detailed stage.
+def _prepare(pipeline: ExperimentPipeline, workload: str,
+             ship: bool) -> tuple | None:
+    """One workload's shared stages; ``ship`` returns their live values
+    for a parent that shares no disk with this process."""
+    pipeline.prepare_workload(workload)
+    return (pipeline.selection(workload), pipeline.checkpoints(workload)) \
+        if ship else None
 
-    Primes the ``detailed_sim`` artifacts for a batch of one workload's
-    configs (:mod:`repro.sim.batch`); the subsequent experiment wave
-    then consumes them as cache hits.  A batch writes the same bytes as
-    a batch of one, so a crashed or failed batch costs nothing but the
-    priming — the per-experiment workers recompute whatever is missing.
+
+def _run_stage_task(payload: tuple) -> tuple:
+    """One wave task: fire its ``worker.*`` fault site, then its work.
+
+    Returns ``(work(pipeline, workload, *args), stats)``.  An in-process
+    task runs on the sweep's own pipeline (``where``), whose store
+    already counts its lookups, so ``stats`` is empty.  A pool task
+    builds a store from ``where = (settings, root, inline)`` and returns
+    its counters; a raised exception carries them as ``stage_stats``,
+    so a failed attempt's lookups reach the manifest too.
     """
-    workload, configs, settings, root, inline = task
-    faults = FaultInjector.from_settings(settings, root)
-    if faults is not None:
-        faults.inject("worker.batch", workload)
-    store = ArtifactStore(root, faults=faults)
-    pipeline = ExperimentPipeline(store, settings)
-    if inline is not None:
-        pipeline.adopt_workload(workload, selection=inline[0],
-                                checkpoints=inline[1])
-    primed = pipeline.prepare_detailed_batch(workload, list(configs))
-    return store.stats_dict(), primed
+    site, key, work, workload, args, where = payload
+    store = None
+    if isinstance(where, ExperimentPipeline):
+        pipeline = where
+    else:
+        settings, root, inline = where
+        store = ArtifactStore(
+            root, faults=FaultInjector.from_settings(settings, root))
+        pipeline = ExperimentPipeline(store, settings)
+        if inline is not None:
+            pipeline.adopt_workload(workload, selection=inline[0],
+                                    checkpoints=inline[1])
+    try:
+        if pipeline.store.faults is not None:
+            pipeline.store.faults.inject(site, key)
+        value = work(pipeline, workload, *args)
+    except Exception as exc:
+        if store is not None:
+            exc.stage_stats = store.stats_dict()
+        raise
+    return value, store.stats_dict() if store is not None else {}
 
 
-def _experiment_worker(task: tuple) -> tuple:
-    """Process-pool worker: one experiment's detailed stages."""
-    workload, config, settings, root, inline = task
-    faults = FaultInjector.from_settings(settings, root)
-    if faults is not None:
-        faults.inject("worker.experiment", _pair_key(workload, config))
-    store = ArtifactStore(root, faults=faults)
-    pipeline = ExperimentPipeline(store, settings)
-    if inline is not None:
-        selection, checkpoints = inline
-        pipeline.adopt_workload(workload, selection=selection,
-                                checkpoints=checkpoints)
-    result = pipeline.result(workload, config)
-    return result.to_dict(), store.stats_dict()
+class _InProcessExecutor:
+    """The executor of a ``jobs=1`` sweep: ``submit`` runs the task now.
+
+    Its futures are complete when ``submit`` returns, so the scheduler's
+    waits never block and its timeouts never fire: an in-process task
+    cannot be abandoned.  A :class:`SweepInterrupted` raised inside a
+    task propagates out of ``submit`` and settles the sweep instead of
+    becoming a task failure.
+    """
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except SweepInterrupted:
+            raise
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, **_: Any) -> None:
+        pass
 
 
 class SweepRunner:
@@ -221,14 +243,17 @@ class SweepRunner:
         unique within one sweep (generated points embed their content
         hash in the name, guaranteeing this).
 
-        With ``jobs > 1``, uncached work runs in a process pool at stage
-        granularity: one task per workload for the shared stages, then
-        one task per uncached experiment.  Execution is supervised —
-        worker crashes respawn the pool and re-enqueue only the lost
-        tasks, transient faults retry with backoff (``policy``), tasks
-        hung past ``timeout`` seconds are abandoned, and permanent model
-        failures are recorded in the run manifest while the remaining
-        experiments complete (unless ``fail_fast``).
+        Uncached work runs as tasks at stage granularity: one task per
+        workload for the shared stages, one per batch of a workload's
+        detailed stage, then one per uncached experiment.  ``jobs=1``
+        runs them in this process, more jobs in a process pool.
+        Execution is supervised either way — transient faults retry
+        with backoff (``policy``) and permanent model failures are
+        recorded in the run manifest while the remaining experiments
+        complete (unless ``fail_fast``); in a pool, worker crashes
+        respawn the pool and re-enqueue only the lost tasks, and tasks
+        hung past ``timeout`` seconds are abandoned.  An in-process task
+        cannot be abandoned, so ``timeout`` does not bound it.
 
         ``resume=True`` picks an interrupted sweep back up: completed
         experiments are served from the incrementally-persisted artifact
@@ -282,14 +307,9 @@ class SweepRunner:
                 # live: "sweep_state.json exists" implies a signal now
                 # settles cleanly instead of killing us mid-write
                 self._write_state()
-                if jobs > 1:
-                    self._run_parallel(pending_pairs, jobs, results,
-                                       outcome, policy=policy,
-                                       timeout=timeout,
-                                       fail_fast=fail_fast)
-                else:
-                    self._run_serial(pending_pairs, results, outcome,
-                                     policy=policy, fail_fast=fail_fast)
+                self._run(pending_pairs, jobs, results, outcome,
+                          policy=policy, timeout=timeout,
+                          fail_fast=fail_fast)
         except SweepInterrupted as exc:
             interrupted = exc
         except KeyboardInterrupt:
@@ -368,143 +388,13 @@ class SweepRunner:
         return str(merged) if merged is not None else ""
 
     # ------------------------------------------------------------------
-    # serial supervised execution
+    # supervised execution: prepare, batch and experiment waves
     # ------------------------------------------------------------------
 
-    def _result_cached(self, workload: str, config: BoomConfig) -> bool:
-        """Whether a pair's result exists, without counting a lookup."""
-        return self.store.has(RESULT_STAGE,
-                              self.pipeline.result_fingerprint(workload,
-                                                               config))
-
-    def _prime_batch(self, workload: str, configs: list[BoomConfig]) -> None:
-        """Serial-path batch priming for one workload.
-
-        Runs one batch over ``configs``, seeding the ``detailed_sim``
-        artifacts the pair loop then consumes as cache hits.  Any batch
-        fault degrades that workload back to per-config simulation —
-        recorded in :attr:`batch_degraded`, never failing the sweep —
-        so the retry/fail-fast semantics of the pair loop are untouched.
-        """
-        try:
-            faults = self.store.faults
-            if faults is not None:
-                faults.inject("worker.batch", workload)
-            primed = self.pipeline.prepare_detailed_batch(workload, configs)
-        except SweepInterrupted:
-            raise  # settle in run_all, not a degraded batch
-        except Exception as exc:
-            self._degrade_batch(workload, f"{type(exc).__name__}: {exc}")
-        else:
-            if primed:
-                logger.info("batched %d configs for %s", primed, workload)
-
-    def _degrade_batch(self, workload: str, error: str) -> None:
-        """Record that ``workload``'s batch fell back to per-config runs."""
-        self.batch_degraded[workload] = error
-        logger.warning("batched simulation for %s failed (%s); degrading "
-                       "to per-config simulation", workload, error)
-        get_tracer().event("batch.degraded", workload=workload, error=error)
-
-    def _run_serial(self, pairs: list[tuple[str, BoomConfig]],
-                    results: dict[tuple[str, str], ExperimentResult],
-                    outcome: ScheduleOutcome, *, policy: RetryPolicy,
-                    fail_fast: bool) -> None:
-        # each workload's uncached configs are prepared and primed as one
-        # batch just before its first uncached pair, so progress advances
-        # workload by workload
-        unprimed: dict[str, list[BoomConfig]] = {}
-        computed: set[str] = set()
-        for workload, config in pairs:
-            if not self._result_cached(workload, config):
-                unprimed.setdefault(workload, []).append(config)
-                computed.add(_pair_key(workload, config))
-        # as in the parallel sweep, a workload whose shared stages failed
-        # is one ``prepare:<workload>`` record; its uncached pairs are
-        # skipped instead of re-failing on the same deterministic error
-        unprepared: dict[str, TaskRecord] = {}
-        for index, (workload, config) in enumerate(pairs):
-            key = _pair_key(workload, config)
-            if config in unprimed.get(workload, ()):
-                configs = unprimed.pop(workload)
-                _, failure = self._attempt(
-                    f"prepare:{workload}",
-                    lambda: self.pipeline.prepare_workload(workload),
-                    outcome, policy)
-                if failure is None:
-                    self._prime_batch(workload, configs)
-                else:
-                    if fail_fast:
-                        self._abort_serial(failure, pairs[index:], outcome)
-                        return
-                    unprepared[workload] = failure
-            prepare_failure = unprepared.get(workload)
-            if prepare_failure is not None and key in computed:
-                outcome.failures.append(TaskRecord(
-                    key=key, kind="skipped",
-                    error=f"skipped: workload preparation failed "
-                          f"({prepare_failure.error})", attempts=0))
-                continue
-            result, failure = self._attempt(
-                key, lambda: self.run(workload, config), outcome, policy)
-            if failure is None:
-                results[(workload, config.name)] = result
-                self._record_completion(key, persist=key in computed)
-            elif fail_fast:
-                self._abort_serial(failure, pairs[index + 1:], outcome)
-                return
-
-    @staticmethod
-    def _attempt(key: str, fn: Callable[[], Any], outcome: ScheduleOutcome,
-                 policy: RetryPolicy) -> tuple[Any, TaskRecord | None]:
-        """Run ``fn`` under ``policy``: ``(value, None)`` on success.
-
-        Transient faults retry with backoff (counted in
-        ``outcome.retries``); a permanent fault, or the last transient
-        one, is appended to ``outcome.failures`` and returned as
-        ``(None, record)``.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return fn(), None
-            except SweepInterrupted:
-                raise  # never a per-task failure record
-            except Exception as exc:
-                kind = classify_failure(exc)
-                error = f"{type(exc).__name__}: {exc}"
-                if kind == TRANSIENT and attempts < policy.max_attempts:
-                    outcome.retries[key] = outcome.retries.get(key, 0) + 1
-                    logger.warning("task %s attempt %d failed (%s); "
-                                   "retrying", key, attempts, error)
-                    _sleep(policy.backoff(attempts))
-                    continue
-                record = TaskRecord(key=key, kind=kind, error=error,
-                                    attempts=attempts)
-                outcome.failures.append(record)
-                return None, record
-
-    @staticmethod
-    def _abort_serial(failure: TaskRecord,
-                      rest: list[tuple[str, BoomConfig]],
-                      outcome: ScheduleOutcome) -> None:
-        """fail-fast: record every pair in ``rest`` as skipped."""
-        outcome.aborted = True
-        for workload, config in rest:
-            outcome.failures.append(TaskRecord(
-                key=_pair_key(workload, config), kind="skipped",
-                error=f"skipped: fail-fast abort after {failure.key!r} "
-                      f"failed", attempts=0))
-
-    # ------------------------------------------------------------------
-    # parallel supervised scheduling
-    # ------------------------------------------------------------------
-
-    def _run_parallel(self, pairs: list[tuple[str, BoomConfig]], jobs: int,
-                      results: dict[tuple[str, str], ExperimentResult],
-                      outcome: ScheduleOutcome, *, policy: RetryPolicy,
-                      timeout: float | None, fail_fast: bool) -> None:
+    def _run(self, pairs: list[tuple[str, BoomConfig]], jobs: int,
+             results: dict[tuple[str, str], ExperimentResult],
+             outcome: ScheduleOutcome, *, policy: RetryPolicy,
+             timeout: float | None, fail_fast: bool) -> None:
         pipeline = self.pipeline
         pending: list[tuple[str, BoomConfig]] = []
         for workload, config in pairs:
@@ -520,113 +410,112 @@ class SweepRunner:
         # loaded once here, the stack is shared by every forked worker
         import_compute_stack()
 
+        # jobs=1 runs every task in this process, on this runner's own
+        # pipeline and store; a pool task builds its own from these
+        in_process = jobs == 1
         root = str(self.cache_dir) if self.cache_dir is not None else None
-        seen: set[str] = set()
-        needed: list[str] = []
-        for workload, _ in pending:
-            if workload in seen:
-                continue
-            seen.add(workload)
-            if not pipeline.workload_prepared(workload):
-                needed.append(workload)
-
-        scheduler = SupervisedScheduler(
-            max_workers=jobs, policy=policy, timeout=timeout,
-            fail_fast=fail_fast)
-
         inline: dict[str, tuple] = {}
 
+        def task(key: str, site: str, work: Callable[..., Any],
+                 workload: str, *args: Any, fault_key: str | None = None) \
+                -> Task:
+            where = pipeline if in_process else \
+                (self.settings, root, inline.get(workload))
+            return Task(key=key, fn=_run_stage_task,
+                        payload=(site, fault_key or workload, work,
+                                 workload, args, where))
+
+        def merge_failed(task: Task, exc: Exception) -> None:
+            self.store.merge_stats(getattr(exc, "stage_stats", {}))
+
+        def make_scheduler(fail_fast: bool) -> SupervisedScheduler:
+            return SupervisedScheduler(
+                max_workers=jobs, policy=policy, timeout=timeout,
+                fail_fast=fail_fast,
+                executor_factory=(lambda _: _InProcessExecutor())
+                if in_process else None)
+
         def adopt_prepared(task: Task, payload: tuple) -> None:
-            workload = task.payload[0]
-            stats, shipped = payload
+            shipped, stats = payload
             self.store.merge_stats(stats)
             if shipped is not None:
+                workload = task.payload[3]
                 inline[workload] = shipped
                 pipeline.adopt_workload(workload, selection=shipped[0],
                                         checkpoints=shipped[1])
 
+        workloads = dict.fromkeys(workload for workload, _ in pending)
+        needed = [workload for workload in workloads
+                  if not pipeline.workload_prepared(workload)]
+        ship = root is None and not in_process
+        scheduler = make_scheduler(fail_fast)
         prepare_wave = scheduler.run(
-            [Task(key=f"prepare:{workload}", fn=_prepare_worker,
-                  payload=(workload, self.settings, root))
-             for workload in needed],
-            on_result=adopt_prepared)
+            [task(f"prepare:{workload}", "worker.prepare", _prepare,
+                  workload, ship) for workload in needed],
+            on_result=adopt_prepared, on_error=merge_failed)
         outcome.absorb(prepare_wave)
 
-        # a workload whose shared stages permanently failed poisons all
-        # of its experiments: record them as skipped instead of letting
-        # every worker re-fail on the same deterministic error
-        bad_workloads = {
+        # a workload whose shared stages failed poisons all of its
+        # experiments
+        runnable = _drop_unprepared(pending, {
             record.key.split(":", 1)[1]: record
             for record in prepare_wave.failures
-            if record.key.startswith("prepare:")}
-        runnable: list[tuple[str, BoomConfig]] = []
-        for workload, config in pending:
-            record = bad_workloads.get(workload)
-            if record is None:
-                runnable.append((workload, config))
-            else:
-                outcome.failures.append(TaskRecord(
-                    key=_pair_key(workload, config), kind="skipped",
-                    error=f"skipped: workload preparation failed "
-                          f"({record.error})", attempts=0))
+            if record.key.startswith("prepare:")}, outcome)
         if outcome.aborted:
             # fail-fast tripped during workload preparation: account for
             # the experiments that will now never run
-            recorded = {record.key for record in outcome.failures}
-            for workload, config in runnable:
-                key = _pair_key(workload, config)
-                if key not in recorded:
-                    outcome.failures.append(TaskRecord(
-                        key=key, kind="skipped",
-                        error="skipped: fail-fast abort during workload "
-                              "preparation", attempts=0))
+            outcome.failures.extend(
+                _skipped(_pair_key(workload, config),
+                         "fail-fast abort during workload preparation")
+                for workload, config in runnable)
             return
         if not runnable:
             return
 
-        if root is not None:
-            # Batch wave: tasks of per-workload batches prime the
-            # detailed artifacts of every runnable pair; the experiment
-            # wave below then consumes them as cache hits.  A failed or
-            # hung batch never fails the sweep — its pairs simply
-            # simulate per-config in the next wave — so this scheduler
-            # runs without fail-fast and its failures are recorded as
-            # degradations, not sweep failures.  (With no shared cache
-            # directory a worker's artifacts could not reach the
-            # experiment workers, so the wave is skipped.)
-            batch_scheduler = SupervisedScheduler(
-                max_workers=jobs, policy=policy, timeout=timeout,
-                fail_fast=False)
-            batch_wave = batch_scheduler.run(
-                [Task(key=f"batch:{workload}:{index}", fn=_batch_worker,
-                      payload=(workload, configs, self.settings,
-                               root, inline.get(workload)))
+        if root is not None or in_process:
+            # Batch wave: per-workload batches prime the detailed
+            # artifacts of every runnable pair; the experiment wave
+            # below then consumes them as cache hits.  A failed or hung
+            # batch never fails the sweep — its pairs simply simulate
+            # per-config in the next wave — so this wave runs without
+            # fail-fast and its failures are recorded as degradations,
+            # not sweep failures.  (A pool with no shared cache
+            # directory could not pass a batch's artifacts on to the
+            # experiment tasks, so it skips the wave.)
+            batch_wave = make_scheduler(False).run(
+                [task(f"batch:{workload}:{index}", "worker.batch",
+                      ExperimentPipeline.prepare_detailed_batch, workload,
+                      list(configs))
                  for index, (workload, configs)
                  in enumerate(_batch_chunks(runnable, jobs))],
                 on_result=lambda task, payload:
-                    self.store.merge_stats(payload[0]))
-            outcome.executions.extend(batch_wave.executions)
-            for key, count in batch_wave.retries.items():
-                outcome.retries[key] = outcome.retries.get(key, 0) + count
-            outcome.respawns += batch_wave.respawns
+                    self.store.merge_stats(payload[1]),
+                on_error=merge_failed)
             for record in batch_wave.failures + batch_wave.timeouts:
-                self._degrade_batch(record.key.split(":")[1], record.error)
+                workload = record.key.split(":")[1]
+                self.batch_degraded[workload] = record.error
+                logger.warning("batched simulation for %s failed (%s); "
+                               "degrading to per-config simulation",
+                               workload, record.error)
+                get_tracer().event("batch.degraded", workload=workload,
+                                   error=record.error)
+            batch_wave.failures, batch_wave.timeouts = [], []
+            outcome.absorb(batch_wave)
 
         def adopt_result(task: Task, payload: tuple) -> None:
-            workload, config = task.payload[0], task.payload[1]
-            data, stats = payload
+            result, stats = payload
             self.store.merge_stats(stats)
-            result = ExperimentResult.from_dict(data)
+            _, _, _, workload, (config,), _ = task.payload
             pipeline.adopt_result(workload, config, result)
             results[(workload, config.name)] = result
             self._record_completion(task.key)
 
         experiment_wave = scheduler.run(
-            [Task(key=_pair_key(workload, config), fn=_experiment_worker,
-                  payload=(workload, config, self.settings, root,
-                           inline.get(workload)))
+            [task(_pair_key(workload, config), "worker.experiment",
+                  ExperimentPipeline.result, workload, config,
+                  fault_key=_pair_key(workload, config))
              for workload, config in runnable],
-            on_result=adopt_result)
+            on_result=adopt_result, on_error=merge_failed)
         outcome.absorb(experiment_wave)
 
     # ------------------------------------------------------------------
@@ -680,7 +569,9 @@ class SweepRunner:
         Completed experiments need no special handling — their results
         sit in the artifact store and resolve as cache hits — but
         known-permanent failures are deterministic and would only fail
-        again, so with ``resume`` they are recorded without re-running.
+        again, so with ``resume`` they are recorded without re-running:
+        a pair's own failure, and a ``prepare:<workload>`` failure,
+        whose workload's pairs are then skipped without re-profiling.
         """
         if not resume:
             return pairs
@@ -689,22 +580,24 @@ class SweepRunner:
             logger.info("no resumable sweep state; starting fresh")
             return pairs
         self.resumed_completed = len(state.get("completed", []))
-        carried = {record["key"]: record
+        carried = {record["key"]: TaskRecord(
+                       key=record["key"], kind=PERMANENT,
+                       error=f"(carried from interrupted run) "
+                             f"{record['error']}",
+                       attempts=record.get("attempts", 1))
                    for record in state.get("failures", [])
                    if record.get("kind") == PERMANENT}
-        if not carried:
-            return pairs
+        unprepared = {workload: carried[f"prepare:{workload}"]
+                      for workload, _ in pairs
+                      if f"prepare:{workload}" in carried}
+        outcome.failures.extend(unprepared.values())
         remaining: list[tuple[str, BoomConfig]] = []
-        for workload, config in pairs:
+        for workload, config in _drop_unprepared(pairs, unprepared, outcome):
             record = carried.get(_pair_key(workload, config))
             if record is None:
                 remaining.append((workload, config))
             else:
-                outcome.failures.append(TaskRecord(
-                    key=record["key"], kind=PERMANENT,
-                    error=f"(carried from interrupted run) "
-                          f"{record['error']}",
-                    attempts=record.get("attempts", 1)))
+                outcome.failures.append(record)
         return remaining
 
     def _record_completion(self, key: str, persist: bool = True) -> None:

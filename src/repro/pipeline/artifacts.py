@@ -316,13 +316,17 @@ class ArtifactStore:
 
     def put_json(self, stage: str, fingerprint: str, value: Any,
                  encode: Callable[[Any], Any] | None = None) -> None:
-        """Persist ``value`` (memory + disk) under its fingerprint."""
-        self._memory[(stage, fingerprint)] = value
+        """Persist ``value`` (disk, then memory) under its fingerprint.
+
+        A failed write memoizes nothing, as in :meth:`fetch_dir`, so a
+        retry computes the value again and writes it.
+        """
         path = self.json_path(stage, fingerprint)
         if path is not None:
             payload = encode(value) if encode is not None else value
             self._write_text(stage, fingerprint, path,
                              json.dumps(payload, sort_keys=True))
+        self._memory[(stage, fingerprint)] = value
 
     def peek_json(self, stage: str, fingerprint: str,
                   decode: Callable[[Any], Any] | None = None,

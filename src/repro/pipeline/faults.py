@@ -12,11 +12,10 @@ and CI.
 Sites (``site`` → where it fires, and the ``key`` it draws on):
 
 ======================  ====================================================
-``worker.prepare``      entry of a per-workload pool worker (key: workload)
-``worker.batch``        entry of a batched-simulation pool worker (key:
-                        workload); also fired in-process by the serial
-                        sweep's batch priming
-``worker.experiment``   entry of a per-experiment pool worker
+``worker.prepare``      entry of a per-workload sweep task (key: workload)
+``worker.batch``        entry of a batched-simulation sweep task (key:
+                        workload)
+``worker.experiment``   entry of a per-experiment sweep task
                         (key: ``workload/config``)
 ``artifact.read``       before an artifact JSON is read
                         (key: ``stage/fingerprint``)
@@ -25,11 +24,15 @@ Sites (``site`` → where it fires, and the ``key`` it draws on):
 ``stage.<stage>``       before a stage's compute runs (key: fingerprint)
 ======================  ====================================================
 
+The ``worker.*`` sites fire at task entry at every ``jobs``: in a pool
+worker at ``jobs > 1``, in the sweep process itself at ``jobs=1``.
+
 Fault kinds:
 
 ``crash``    ``os._exit`` the current process — from a pool worker this
              surfaces as ``BrokenProcessPool`` in the parent, the same
-             signature as an OOM kill.
+             signature as an OOM kill; from an in-process task
+             (``--jobs 1``) it ends the sweep process.
 ``hang``     sleep for ``s=<seconds>`` — exercises per-task timeouts.
 ``io``       raise ``OSError`` (classified *transient* → retried).
 ``fail``     raise :class:`InjectedFailure` (*permanent* → recorded).

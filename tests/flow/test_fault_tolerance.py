@@ -147,6 +147,45 @@ def test_prepare_failure_is_one_record_serial_and_parallel(tmp_path, jobs):
                        if event.get("name") == "artifact.miss"
                        and event["attrs"]["stage"] == PROFILE_STAGE)
     assert attempts == Counter(fingerprints.values())
+    # the failed task's lookups reach the manifest too
+    assert manifest.stages[PROFILE_STAGE].misses == \
+        sum(attempts.values())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_resume_carries_prepare_failures_forward(tmp_path, jobs):
+    """A workload whose preparation failed permanently stays failed on
+    ``--resume``: its pairs are skipped without profiling it again."""
+    probe = SweepRunner(_settings(), cache_dir=None).pipeline
+    failed = probe.profile_fingerprint("qsort")
+    configs = (MEDIUM_BOOM, MEGA_BOOM)
+    degraded = SweepRunner(
+        _settings(f"stage.{PROFILE_STAGE}:fail:n=0:k={failed}"),
+        cache_dir=tmp_path)
+    degraded.run_all(configs=configs, workloads=WORKLOADS, jobs=jobs)
+    assert not degraded.last_manifest.ok
+
+    # resume with faults cleared: profiling qsort would now succeed, but
+    # the known-permanent failure is carried forward instead
+    resumed = SweepRunner(_settings(), cache_dir=tmp_path)
+    results = resumed.run_all(configs=configs, workloads=WORKLOADS,
+                              jobs=jobs, resume=True, trace=True)
+    manifest = resumed.last_manifest
+    kinds = {record.key: record.kind for record in manifest.failures}
+    assert kinds == {"prepare:qsort": PERMANENT,
+                     f"qsort/{MEDIUM_BOOM.name}": "skipped",
+                     f"qsort/{MEGA_BOOM.name}": "skipped"}
+    assert next(record.error for record in manifest.failures
+                if record.key == "prepare:qsort").startswith(
+        "(carried from interrupted run)")
+    assert sorted(results) == [("sha", MEDIUM_BOOM.name),
+                               ("sha", MEGA_BOOM.name)]
+    with open(manifest.trace) as handle:
+        events = json.load(handle)["events"]
+    assert not [event for event in events
+                if event.get("name") == "artifact.miss"
+                and event["attrs"]["stage"] == PROFILE_STAGE]
+    assert manifest.total_executions == 0
 
 
 def test_serial_fail_fast_skips_the_tail(tmp_path):

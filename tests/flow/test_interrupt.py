@@ -182,3 +182,27 @@ class TestKilledSweepRegression:
             env=env, cwd=Path(__file__).resolve().parents[2],
             capture_output=True, text=True, timeout=120.0)
         assert resume.returncode == 0, resume.stderr
+
+
+def test_interrupt_inside_an_in_process_task_settles_the_sweep(
+        tmp_path, monkeypatch):
+    """At ``jobs=1`` the tasks run in the sweep process: an interrupt
+    raised inside one propagates and settles the sweep, and is never
+    recorded as that task's failure."""
+    from repro.flow.experiment import FlowSettings
+    from repro.flow.sweep import SweepRunner
+    from repro.pipeline.stages import ExperimentPipeline
+    from repro.uarch.config import MEDIUM_BOOM
+
+    def interrupted(self, workload, config):
+        raise SweepInterrupted("SIGTERM")
+
+    monkeypatch.setattr(ExperimentPipeline, "result", interrupted)
+    runner = SweepRunner(FlowSettings(scale=0.05), cache_dir=tmp_path)
+    with pytest.raises(SweepInterrupted):
+        runner.run_all(configs=(MEDIUM_BOOM,), workloads=["sha"], jobs=1)
+    state = json.loads((tmp_path / "sweep_state.json").read_text())
+    assert state["status"] == "interrupted"
+    assert state["failures"] == []
+    assert runner.last_manifest.failures == []
+    assert runner.last_manifest.retries == {}

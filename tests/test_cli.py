@@ -563,26 +563,34 @@ def test_cpi_skip_past_the_program_is_a_usage_error(capsys):
     assert "dominant bottleneck:" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["cpi", "sha", "--window", "0"],
-    ["cpi", "sha", "--skip", "-5"],
-    ["pipeline", "sha", "--uops", "-3"],
-    ["pipeline", "sha", "--uops", "0"],
-    ["pipeline", "sha", "--skip", "-1"],
-    ["--jobs", "0", "sweep"],
-    ["--jobs", "-3", "sweep"],
-    ["sweep", "--retries", "-1"],
-    ["dse", "sweep", "--retries", "-2"],
+@pytest.mark.parametrize("argv, message", [
+    (["cpi", "sha", "--window", "0"], "must be at least"),
+    (["cpi", "sha", "--skip", "-5"], "must be at least"),
+    (["pipeline", "sha", "--uops", "-3"], "must be at least"),
+    (["pipeline", "sha", "--uops", "0"], "must be at least"),
+    (["pipeline", "sha", "--skip", "-1"], "must be at least"),
+    (["--jobs", "0", "sweep"], "must be at least"),
+    (["--jobs", "-3", "sweep"], "must be at least"),
+    (["sweep", "--retries", "-1"], "must be at least"),
+    (["dse", "sweep", "--retries", "-2"], "must be at least"),
+    (["sweep", "--faults", "stage.bbv_profile:fail:k="],
+     "argument --faults: fault spec"),
+    (["sweep", "--faults", "worker.experiment:boom"],
+     "argument --faults: unknown fault kind 'boom'"),
+    (["dse", "sweep", "--faults", "worker.experiment"],
+     "argument --faults: fault spec"),
 ], ids=["cpi-window-0", "cpi-skip-negative", "pipeline-uops-negative",
         "pipeline-uops-0", "pipeline-skip-negative", "jobs-0",
-        "jobs-negative", "sweep-retries-negative", "dse-retries-negative"])
-def test_window_flags_reject_out_of_range_values(capsys, argv):
+        "jobs-negative", "sweep-retries-negative", "dse-retries-negative",
+        "sweep-faults-empty-option", "sweep-faults-unknown-kind",
+        "dse-faults-no-kind"])
+def test_window_flags_reject_out_of_range_values(capsys, argv, message):
     from repro.errors import EXIT_USAGE
 
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_USAGE
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_pipeline_skip_past_the_program_is_a_usage_error(capsys):
