@@ -17,8 +17,8 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
 
+from repro.analysis.exact import mean
 from repro.analysis.figures import ResultMap
 from repro.power.area import ANALYZED_COMPONENTS
 from repro.workloads.suite import workload_names

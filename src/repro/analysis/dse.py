@@ -25,10 +25,10 @@ efficiently?* — to an arbitrary swept design space:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
 from typing import Iterable, Sequence
 
 from repro.analysis.efficiency import energy_per_instruction_pj
+from repro.analysis.exact import mean
 from repro.analysis.figures import ResultMap
 from repro.power.area import ANALYZED_COMPONENTS, area_proxy
 from repro.uarch.config import BoomConfig, config_id, PRESET_CONFIGS

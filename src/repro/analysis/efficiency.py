@@ -15,8 +15,8 @@ raising ``KeyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
 
+from repro.analysis.exact import mean
 from repro.analysis.figures import ResultMap
 from repro.uarch.config import CLOCK_HZ
 from repro.workloads.suite import workload_names

@@ -9,8 +9,8 @@ claims the reproduction supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
+from repro.analysis.exact import mean
 from repro.analysis.figures import ResultMap
 from repro.power.area import ANALYZED_COMPONENTS
 from repro.uarch.config import config_by_name

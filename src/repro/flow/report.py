@@ -13,7 +13,6 @@ computes only the inputs that section reads.
 from __future__ import annotations
 
 from functools import cached_property
-from statistics import mean
 from typing import Callable
 
 from repro.analysis.efficiency import (
@@ -21,6 +20,7 @@ from repro.analysis.efficiency import (
     energy_per_instruction_pj,
     summarize,
 )
+from repro.analysis.exact import mean
 from repro.analysis.figures import (
     COMPONENT_LABELS,
     component_power_series,

@@ -211,12 +211,18 @@ class SupervisedScheduler:
         return self._executor_factory(self.max_workers)
 
     def _kill(self, pool: Any) -> None:
-        """Tear a pool down without waiting on its (possibly hung) work."""
+        """Tear a pool down without waiting on its (possibly hung) work.
+
+        Workers get SIGKILL, not SIGTERM: a SIGTERM that lands before
+        CPython's after-fork signal reset is swallowed, and a worker that
+        survives blocks on the call queue while the ``concurrent.futures``
+        exit hook joins it forever.
+        """
         processes = getattr(pool, "_processes", None)
         if processes:
             for process in list(processes.values()):
                 try:
-                    process.terminate()
+                    process.kill()
                 except Exception:  # already dead / not ours to kill
                     pass
         try:

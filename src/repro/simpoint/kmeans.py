@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimPointError
+from repro.simpoint.pcg64 import Generator
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_init(data: np.ndarray, k: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by D^2 sampling."""
     samples = data.shape[0]
     centroids = np.empty((k, data.shape[1]))
@@ -57,7 +58,7 @@ def _kmeanspp_init(data: np.ndarray, k: int,
             centroids[index] = data[rng.integers(samples)]
             continue
         probabilities = closest / total
-        choice = rng.choice(samples, p=probabilities)
+        choice = rng.choice(samples, probabilities.tolist())
         centroids[index] = data[choice]
         new_distance = _squared_distances(data, centroids[index:index + 1])
         closest = np.minimum(closest, new_distance.ravel())
@@ -86,7 +87,7 @@ def kmeans(data: np.ndarray, k: int, weights: np.ndarray | None = None,
         if weights.shape != (samples,):
             raise SimPointError("weights must have one entry per sample")
 
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     centroids = _kmeanspp_init(data, k, rng)
     labels = np.zeros(samples, dtype=int)
     previous_inertia = np.inf

@@ -6,7 +6,9 @@ lemma guarantees pairwise distances are approximately preserved, and the
 clustering cost drops from O(blocks) to O(15) per distance.
 
 The projection matrix entries are drawn i.i.d. uniform in [-1, 1] from a
-seeded generator, matching the SimPoint release.
+seeded generator, matching the SimPoint release.  The stream is owned
+in-repo (:mod:`.pcg64`) and pinned to numpy's ``Generator`` algorithms as
+of numpy 2.4, so the pinned selections do not move with numpy releases.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimPointError
+from repro.simpoint.pcg64 import Generator
 from repro.simpoint.simpoints import DEFAULT_DIMENSIONS
 
 
@@ -24,8 +27,8 @@ def projection_matrix(num_blocks: int, dimensions: int = DEFAULT_DIMENSIONS,
         raise SimPointError("projection needs at least one block")
     if dimensions <= 0:
         raise SimPointError("projection dimension must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(num_blocks, dimensions))
+    draws = Generator(seed).uniform(-1.0, 1.0, num_blocks * dimensions)
+    return np.array(draws).reshape(num_blocks, dimensions)
 
 
 def project(matrix: np.ndarray, dimensions: int = DEFAULT_DIMENSIONS,

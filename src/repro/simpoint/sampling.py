@@ -15,10 +15,9 @@ unchanged — the comparison isolates the selection policy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SimPointError
 from repro.profiling.bbv import BBVProfile
+from repro.simpoint.pcg64 import Generator
 from repro.simpoint.simpoints import SimPoint, SimPointSelection
 
 
@@ -61,6 +60,5 @@ def random_selection(profile: BBVProfile, count: int,
         raise SimPointError("count must be positive")
     n = profile.num_intervals
     count = min(count, n)
-    rng = np.random.default_rng(seed)
-    indices = sorted(rng.choice(n, size=count, replace=False).tolist())
+    indices = sorted(Generator(seed).sample(n, count))
     return _selection_from_indices(profile, indices)

@@ -459,6 +459,14 @@ class BoomCore:
         lifetime ``total_*`` ledgers and the flush count as locals; the
         frees since the last settle are ``free - free_mark + allocs``.
 
+        Readiness reads ``complete_cycle`` alone.  It stays ``_NEVER``
+        until issue sets it to a later cycle, and writeback pops
+        ``completions[cycle]`` before issue and fetch, so there
+        ``state == COMPLETED`` holds exactly when ``complete_cycle <=
+        cycle``; commit runs before writeback, so there it holds exactly
+        when ``complete_cycle < cycle``.  Writeback still sets ``state``
+        for observers and the generic loop's ``Uop.ready``.
+
         ``observers`` follow the :meth:`run` contract: every
         ``_OBSERVER_STRIDE`` cycles the hoisted locals are settled back
         onto the core/stats tree (``settle`` below, the same fold the
@@ -661,13 +669,10 @@ class BoomCore:
             index = 0
             div_blocked = False
             for uop in queue:
-                ok = True
                 for producer in uop.srcs:
-                    if producer.state != _COMPLETED \
-                            or producer.complete_cycle > cycle:
-                        ok = False
+                    if producer.complete_cycle > cycle:
                         break
-                if ok:
+                else:
                     # ExecutionUnits.can_accept + dispatch, unrolled per
                     # opclass (same counters and latencies as
                     # execute.LATENCY).
@@ -855,8 +860,7 @@ class BoomCore:
                 width = commit_width
                 while width > 0 and rob_n:
                     head = rob_q[0]
-                    if head.state != _COMPLETED \
-                            or head.complete_cycle > cycle:
+                    if head.complete_cycle >= cycle:
                         break
                     if head.is_store:
                         latency = dcache_access(head.mem_addr, cycle,
@@ -931,13 +935,10 @@ class BoomCore:
                     index = 0
                     touched = False
                     for uop in mem_q:
-                        ok = True
                         for producer in uop.srcs:
-                            if producer.state != _COMPLETED \
-                                    or producer.complete_cycle > cycle:
-                                ok = False
+                            if producer.complete_cycle > cycle:
                                 break
-                        if ok:
+                        else:
                             took = False
                             if uop.is_load:
                                 lseq = uop.seq
@@ -1137,8 +1138,7 @@ class BoomCore:
                     exited = trace.exited
                 if pos < n_entries or not exited:
                     if blocked is not None:
-                        if blocked.state == _COMPLETED and cycle >= \
-                                blocked.complete_cycle + _REDIRECT:
+                        if cycle >= blocked.complete_cycle + _REDIRECT:
                             fe.blocked_by = blocked = None
                         else:
                             fs += 1

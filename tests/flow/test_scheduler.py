@@ -1,6 +1,9 @@
 """Tests for the supervised sweep scheduler."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -217,3 +220,46 @@ def test_timeout_abandons_hung_task_but_finishes_others():
     assert record.key == "hung"
     assert record.kind == "timeout"
     assert not outcome.ok
+
+
+def _alive(pid):
+    """Whether ``pid`` names a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_killed_pool_leaves_no_worker_to_hang_exit(tmp_path):
+    """A timed-out worker that ignores SIGTERM still dies with its pool,
+    so the interpreter's exit hook has no live worker to join."""
+    code = (
+        "import os, signal, sys, time\n"
+        "from repro.flow.scheduler import SupervisedScheduler, Task\n"
+        "def stubborn(directory):\n"
+        "    signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "    open(os.path.join(directory, str(os.getpid())), 'w').close()\n"
+        "    time.sleep(20.0)\n"
+        "outcome = SupervisedScheduler(2, timeout=0.5).run(\n"
+        "    [Task('stubborn', stubborn, sys.argv[1])])\n"
+        "assert [r.key for r in outcome.timeouts] == ['stubborn']\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, start_new_session=True)
+    try:
+        status = child.wait(timeout=10.0)
+    except subprocess.TimeoutExpired:
+        status = None
+    workers = [int(name) for name in os.listdir(tmp_path)]
+    survivors = [pid for pid in workers if _alive(pid)]
+    try:  # leave nothing behind, whatever the outcome
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    child.wait()
+    assert status == 0, "the run did not exit within 10 s of a 20 s hang"
+    assert workers
+    assert not survivors

@@ -112,6 +112,7 @@ def test_cold_sweep_imports_its_stack_before_it_computes(tmp_path):
         " if m.startswith('repro.'))))", str(tmp_path))
     assert set(late.split()) == {"repro.simpoint.bic",
                                  "repro.simpoint.kmeans",
+                                 "repro.simpoint.pcg64",
                                  "repro.simpoint.projection"}
 
 
@@ -125,3 +126,26 @@ def test_computed_and_round_tripped_selections_hold_tuple_labels():
         assert isinstance(selection.labels, tuple)
         assert len(selection.labels) == profile.num_intervals
         assert all(type(label) is int for label in selection.labels)
+
+
+def test_cold_sweep_and_dse_load_neither_numpy_random_nor_statistics(
+        tmp_path):
+    """SimPoint draws from the in-repo PCG64 stream and the analyses
+    average with the exact in-repo mean, so cold runs leave numpy's
+    random package and statistics (with fractions and decimal) unloaded."""
+    loaded = heavy_modules_after(
+        "import sys\n"
+        "from repro.flow.dse import run_dse\n"
+        "from repro.flow.experiment import FlowSettings\n"
+        "from repro.flow.sweep import SweepRunner\n"
+        "from repro.uarch.space import SpaceSpec\n"
+        "settings = FlowSettings(scale=0.05)\n"
+        "runner = SweepRunner(settings, cache_dir=sys.argv[1] + '/sweep')\n"
+        "runner.run_all()\n"
+        "assert runner.last_manifest.total_executions\n"
+        "run_dse(SpaceSpec(base='MediumBOOM', mode='random', count=2,"
+        " seed=3, include_presets=False), settings,"
+        " cache_dir=sys.argv[1] + '/dse', workloads=['sha'])",
+        str(tmp_path),
+        watch=("numpy.random", "statistics", "fractions", "decimal"))
+    assert loaded == set()
