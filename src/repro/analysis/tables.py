@@ -2,16 +2,18 @@
 
 Table I (the three BOOM configurations) comes straight from the config
 objects; Table II (benchmark instructions, interval size, number of
-SimPoints) is *measured* — the workloads are profiled and SimPoint-
-selected exactly as in the experiment flow, then compared against the
-paper's values at the documented 1:1000 scale.
+SimPoints) is *measured* — each row reads the workload's SimPoint
+selection, fetched through the experiment pipeline exactly as the flow
+stores it, and sets it against the paper's values at the documented
+1:1000 scale.  A warm store serves the selections alone: the BBV
+profiles behind them are neither read nor decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flow.experiment import FlowSettings, profile_and_select
+from repro.flow.experiment import experiment_pipeline, FlowSettings
 from repro.uarch.config import ALL_CONFIGS, BoomConfig
 from repro.workloads.suite import get_workload, workload_names
 
@@ -46,19 +48,18 @@ class TableIIRow:
 
 def table_ii(settings: FlowSettings | None = None,
              store=None) -> list[TableIIRow]:
-    """Measure Table II: run profiling + SimPoint selection per workload.
+    """Measure Table II from each workload's SimPoint selection.
 
     Pass an :class:`~repro.pipeline.artifacts.ArtifactStore` to reuse
-    (and populate) cached profiling/selection artifacts — the same ones
-    the sweep's pipeline stages share.
+    (and populate) the cached selection artifacts — the same ones the
+    sweep's pipeline stages share; only a missing selection profiles.
     """
     if settings is None:
         settings = FlowSettings()
     rows = []
     for name in workload_names():
         spec = get_workload(name)
-        profile, selection = profile_and_select(name, settings,
-                                                store=store)
+        selection = experiment_pipeline(settings, store).selection(name)
         top = selection.top_points()
         rows.append(TableIIRow(
             benchmark=name,
@@ -66,7 +67,7 @@ def table_ii(settings: FlowSettings | None = None,
             interval=spec.interval_for_scale(settings.scale),
             num_simpoints=len(top),
             coverage=selection.coverage_of(top),
-            instructions=profile.total_instructions,
+            instructions=selection.total_instructions,
             paper_instructions_scaled=spec.target_instructions(settings.scale),
             paper_simpoints=spec.paper_simpoints,
         ))

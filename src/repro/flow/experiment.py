@@ -82,8 +82,8 @@ class FlowSettings:
         return max(200, int(self.warmup * self.scale))
 
 
-def _pipeline(settings: FlowSettings,
-              store: ArtifactStore | None) -> ExperimentPipeline:
+def experiment_pipeline(settings: FlowSettings,
+                        store: ArtifactStore | None) -> ExperimentPipeline:
     if store is None:
         store = ArtifactStore(None, faults=FaultInjector.from_settings(
             settings, None))
@@ -98,7 +98,7 @@ def profile_and_select(workload: str, settings: FlowSettings,
     With a ``store``, both artifacts are served from / persisted to the
     content-addressed cache shared with the full experiment flow.
     """
-    pipeline = _pipeline(settings, store)
+    pipeline = experiment_pipeline(settings, store)
     return pipeline.profile(workload), pipeline.selection(workload)
 
 
@@ -109,7 +109,7 @@ def run_experiment(workload: str, config: BoomConfig,
     """Run the full staged flow for one (workload, configuration) pair."""
     if settings is None:
         settings = FlowSettings(scale=scale)
-    return _pipeline(settings, store).result(workload, config)
+    return experiment_pipeline(settings, store).result(workload, config)
 
 
 def run_selection(workload: str, config: BoomConfig,

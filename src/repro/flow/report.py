@@ -49,7 +49,7 @@ class ReportInputs:
 
     ``results`` is the preset sweep; ``gshare_results`` the gshare
     ablation sweep (``None`` unless ``include_gshare``); ``table_ii_rows``
-    the measured Table II, which reads the sweep's stored profiles.
+    the measured Table II, which reads the sweep's stored selections.
     Pass ``results`` to render from a sweep already in hand.
     """
 
@@ -85,7 +85,7 @@ class ReportInputs:
 
     def load_all(self) -> None:
         """Compute every input, in the order the full report reads them:
-        the sweeps first, then Table II from their stored profiles."""
+        the sweeps first, then Table II from their stored selections."""
         self.results
         self.gshare_results
         self.table_ii_rows

@@ -48,7 +48,7 @@ from repro.simpoint.simpoints import (
     select_simpoints,
 )
 from repro.uarch.config import BoomConfig
-from repro.workloads.suite import build_program, get_workload
+from repro.workloads.suite import build_program, get_workload, WORKLOADS
 
 if TYPE_CHECKING:
     from repro.checkpoint.checkpoint import Checkpoint
@@ -80,7 +80,7 @@ PAPER_COUNTERPART = {
 
 
 #: the modules that compute stages and read the checkpoints they replay;
-#: a warm run, which reads only results and profiles, needs none of them
+#: a warm run, which reads only results and selections, needs none of them
 COMPUTE_MODULES = (
     "repro.isa.assembler",
     "repro.sim.executor",
@@ -95,12 +95,15 @@ COMPUTE_MODULES = (
 
 
 def import_compute_stack() -> None:
-    """Import :data:`COMPUTE_MODULES`, all at once.
+    """Import the workload generators and :data:`COMPUTE_MODULES`, all at
+    once.
 
     A warm run never calls this.  A run with work to compute calls it
     before it allocates: the same modules imported one by one, as each
     stage first ran, raised ``dse_cold`` peak RSS from 43.3 to 44.7 MB.
     """
+    for spec in WORKLOADS:
+        spec.builder  # resolving a builder imports its generator module
     for name in COMPUTE_MODULES:
         importlib.import_module(name)
 
@@ -299,6 +302,9 @@ class ExperimentPipeline:
         self._programs: dict[str, Any] = {}
         #: (stage, workload[, config]) -> fingerprint (see _memo)
         self._fingerprints: dict[tuple, str] = {}
+        #: config -> ``asdict(config)``, hashed into every workload's
+        #: detailed fingerprint but built once per config
+        self._config_dicts: dict[BoomConfig, dict] = {}
 
     def program(self, workload: str):
         """The assembled :class:`Program` for ``workload`` (memoized).
@@ -359,11 +365,15 @@ class ExperimentPipeline:
 
     def detailed_fingerprint(self, workload: str,
                              config: BoomConfig) -> str:
-        return self._memo((DETAILED_STAGE, workload, config), lambda: {
-            "checkpoints": self.checkpoint_fingerprint(workload),
-            "config": asdict(config),
-            "model": MODEL_VERSION,
-        })
+        def params() -> dict:
+            fields = self._config_dicts.get(config)
+            if fields is None:
+                fields = self._config_dicts[config] = asdict(config)
+            return {"checkpoints": self.checkpoint_fingerprint(workload),
+                    "config": fields,
+                    "model": MODEL_VERSION}
+
+        return self._memo((DETAILED_STAGE, workload, config), params)
 
     def power_fingerprint(self, workload: str, config: BoomConfig) -> str:
         return self._memo((POWER_STAGE, workload, config), lambda: {

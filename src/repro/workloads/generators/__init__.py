@@ -1,17 +1,5 @@
-"""Workload generator modules; importing this package registers all specs.
+"""Workload generator modules, one per benchmark (``fft`` builds two).
 
-Import order matches Table II of the paper.
+:data:`repro.workloads.suite.WORKLOADS` names each builder by its
+``module:function`` path; importing this package loads none of them.
 """
-
-from repro.workloads.generators import (  # noqa: F401
-    basicmath,
-    stringsearch,
-    fft,
-    bitcount,
-    qsort,
-    dijkstra,
-    patricia,
-    matmult,
-    sha,
-    tarfind,
-)

@@ -18,7 +18,6 @@ Phases (Table II reports 2 SimPoints; the first two phases dominate):
 from __future__ import annotations
 
 from repro.workloads.data import dword_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 
@@ -251,15 +250,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="basicmath",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=364_758_047,
-    paper_simpoints=2,
-    builder=build,
-    description="Integer square roots, fixed-point cube roots, and angle "
-                "conversions: divider visits between polynomial ALU work.",
-))

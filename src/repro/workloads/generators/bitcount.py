@@ -19,7 +19,6 @@ the Python mirror.
 from __future__ import annotations
 
 from repro.workloads.data import byte_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 
@@ -172,15 +171,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="bitcount",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=495_204_057,
-    paper_simpoints=3,
-    builder=build,
-    description="Three bit-counting kernels: data-dependent loop, "
-                "branch-free SWAR, and table lookups (three phases).",
-))

@@ -15,7 +15,6 @@ node's matrix row.
 from __future__ import annotations
 
 from repro.workloads.data import word_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 _INF = (1 << 40)
@@ -196,15 +195,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="dijkstra",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=227_879_044,
-    paper_simpoints=1,
-    builder=build,
-    description="O(V^2) Dijkstra on a dense adjacency matrix: dependent "
-                "load/compare chains; integer-issue-queue hotspot.",
-))

@@ -24,7 +24,6 @@ from repro.workloads.data import (
     word_directive,
     Xorshift64Star,
 )
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 
@@ -286,26 +285,3 @@ def build_fft(scale: float, seed: int) -> str:
 def build_ifft(scale: float, seed: int) -> str:
     """Generate the inverse-FFT assembly program."""
     return _build(scale, seed, inverse=True)
-
-
-FFT_SPEC = register_workload(WorkloadSpec(
-    name="fft",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=266_217_322,
-    paper_simpoints=1,
-    builder=build_fft,
-    description="Iterative radix-2 complex FFT: the floating-point "
-                "pipeline and FP-register-file anchor of the suite.",
-))
-
-IFFT_SPEC = register_workload(WorkloadSpec(
-    name="ifft",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=266_643_273,
-    paper_simpoints=1,
-    builder=build_ifft,
-    description="Inverse FFT with 1/N normalization: FP-heavy, slightly "
-                "longer than the forward transform.",
-))

@@ -16,7 +16,6 @@ thrashes less than MediumBOOM's 16 KiB) wins it on perf-per-watt.
 from __future__ import annotations
 
 from repro.workloads.data import dword_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 
@@ -111,15 +110,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="matmult",
-    suite="Embench",
-    interval_size=1000,
-    paper_instructions=516_885_284,
-    paper_simpoints=1,
-    builder=build,
-    description="Integer matrix multiply: streaming plus strided loads, "
-                "the suite's data-cache hotspot.",
-))

@@ -17,7 +17,6 @@ model sees, is identical).  Two phases match Table II's 2 SimPoints:
 from __future__ import annotations
 
 from repro.workloads.data import dword_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 _KEY_BITS = 16
@@ -167,15 +166,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="patricia",
-    suite="MiBench",
-    interval_size=2000,
-    paper_instructions=154_589_629,
-    paper_simpoints=2,
-    builder=build,
-    description="Radix-trie build and query over 16-bit keys: pure "
-                "pointer chasing; load-to-use latency bound.",
-))

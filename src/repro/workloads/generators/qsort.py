@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 
 from repro.workloads.data import double_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 
@@ -136,15 +135,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="qsort",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=22_868_929,
-    paper_simpoints=1,
-    builder=build,
-    description="Iterative quicksort over doubles: FP compares with "
-                "data-dependent branches; the shortest benchmark.",
-))

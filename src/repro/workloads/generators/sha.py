@@ -21,7 +21,6 @@ the program exits 0 only if the architectural result matches.
 from __future__ import annotations
 
 from repro.workloads.data import dword_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 _W_SIZE = 256  # dwords in the message buffer
@@ -208,15 +207,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="sha",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=111_029_722,
-    paper_simpoints=3,
-    builder=build,
-    description="Four-lane interleaved hash rounds: the suite's ILP and "
-                "IPC ceiling; stresses the integer register file.",
-))

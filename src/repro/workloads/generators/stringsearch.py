@@ -13,7 +13,6 @@ pattern list give SimPoint the 2 phases Table II reports.
 from __future__ import annotations
 
 from repro.workloads.data import byte_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _ALPHABET = b"abcdefghijklmnopqrstuvwxyz"
 _NUM_PATTERNS = 12
@@ -153,15 +152,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="stringsearch",
-    suite="MiBench",
-    interval_size=1000,
-    paper_instructions=136_360_766,
-    paper_simpoints=2,
-    builder=build,
-    description="Horspool multi-pattern text search: byte-load heavy with "
-                "data-dependent skips; memory-issue-unit hotspot.",
-))

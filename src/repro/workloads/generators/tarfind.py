@@ -17,7 +17,6 @@ to the bottom of the suite.
 from __future__ import annotations
 
 from repro.workloads.data import byte_directive, Xorshift64Star
-from repro.workloads.suite import register_workload, WorkloadSpec
 
 _MASK = (1 << 64) - 1
 _HEADER_BYTES = 512
@@ -204,15 +203,3 @@ def build(scale: float, seed: int) -> str:
         "    ecall",
     ]
     return "\n".join(lines)
-
-
-SPEC = register_workload(WorkloadSpec(
-    name="tarfind",
-    suite="Embench",
-    interval_size=2000,
-    paper_instructions=1_220_430_895,
-    paper_simpoints=1,
-    builder=build,
-    description="Tar-archive scan: octal parsing, name matching, and a "
-                "branch-per-byte checksum; the suite's IPC floor.",
-))

@@ -2,10 +2,12 @@
 
 Each of the eleven benchmarks from MiBench and Embench is re-implemented
 as a RISC-V assembly generator with the behavioural signature the paper's
-analysis depends on (see DESIGN.md §1).  A :class:`WorkloadSpec` carries
-the Table II metadata — suite, SimPoint interval size, paper dynamic
-instruction count, and paper SimPoint count — plus the builder that
-produces assembly for a given ``scale``.
+analysis depends on (see DESIGN.md §1).  :data:`WORKLOADS` is Table II as
+one static table of :class:`WorkloadSpec` rows: suite, SimPoint interval
+size, paper dynamic instruction count and paper SimPoint count, plus the
+``module:function`` path of the builder that produces assembly for a given
+``scale``.  The builder's module is imported on first use, so reading the
+metadata (names, intervals, paper counts) loads no generator.
 
 ``scale=1.0`` targets the paper's instruction counts divided by 1000 (the
 documented reproduction scale); smaller scales produce miniature versions
@@ -21,8 +23,9 @@ Example::
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
@@ -49,8 +52,16 @@ class WorkloadSpec:
     paper_instructions: int
     #: number of top-ranked SimPoints used in the paper
     paper_simpoints: int
-    builder: BuilderFn
+    #: ``module:function`` path of the assembly generator
+    builder_path: str
     description: str
+
+    @cached_property
+    def builder(self) -> BuilderFn:
+        """The generator ``(scale, seed) -> assembly``, imported on first
+        use: reading the metadata loads no generator module."""
+        module, _, function = self.builder_path.partition(":")
+        return getattr(importlib.import_module(module), function)
 
     def target_instructions(self, scale: float = 1.0) -> int:
         """Expected dynamic instructions at ``scale`` (approximate)."""
@@ -61,35 +72,66 @@ class WorkloadSpec:
         return max(200, int(self.interval_size * scale))
 
 
-_REGISTRY: dict[str, WorkloadSpec] = {}
+def _spec(name: str, suite: str, interval_size: int,
+          paper_instructions: int, paper_simpoints: int, builder: str,
+          description: str) -> WorkloadSpec:
+    return WorkloadSpec(name, suite, interval_size, paper_instructions,
+                        paper_simpoints,
+                        f"repro.workloads.generators.{builder}", description)
 
 
-def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
-    """Add ``spec`` to the global registry (used by generator modules)."""
-    if spec.name in _REGISTRY:
-        raise ReproError(f"workload {spec.name!r} registered twice")
-    _REGISTRY[spec.name] = spec
-    return spec
+#: Table II, in the paper's row order
+WORKLOADS = (
+    _spec("basicmath", "MiBench", 1000, 364_758_047, 2, "basicmath:build",
+          "Integer square roots, fixed-point cube roots, and angle "
+          "conversions: divider visits between polynomial ALU work."),
+    _spec("stringsearch", "MiBench", 1000, 136_360_766, 2,
+          "stringsearch:build",
+          "Horspool multi-pattern text search: byte-load heavy with "
+          "data-dependent skips; memory-issue-unit hotspot."),
+    _spec("fft", "MiBench", 1000, 266_217_322, 1, "fft:build_fft",
+          "Iterative radix-2 complex FFT: the floating-point "
+          "pipeline and FP-register-file anchor of the suite."),
+    _spec("ifft", "MiBench", 1000, 266_643_273, 1, "fft:build_ifft",
+          "Inverse FFT with 1/N normalization: FP-heavy, slightly "
+          "longer than the forward transform."),
+    _spec("bitcount", "MiBench", 1000, 495_204_057, 3, "bitcount:build",
+          "Three bit-counting kernels: data-dependent loop, "
+          "branch-free SWAR, and table lookups (three phases)."),
+    _spec("qsort", "MiBench", 1000, 22_868_929, 1, "qsort:build",
+          "Iterative quicksort over doubles: FP compares with "
+          "data-dependent branches; the shortest benchmark."),
+    _spec("dijkstra", "MiBench", 1000, 227_879_044, 1, "dijkstra:build",
+          "O(V^2) Dijkstra on a dense adjacency matrix: dependent "
+          "load/compare chains; integer-issue-queue hotspot."),
+    _spec("patricia", "MiBench", 2000, 154_589_629, 2, "patricia:build",
+          "Radix-trie build and query over 16-bit keys: pure "
+          "pointer chasing; load-to-use latency bound."),
+    _spec("matmult", "Embench", 1000, 516_885_284, 1, "matmult:build",
+          "Integer matrix multiply: streaming plus strided loads, "
+          "the suite's data-cache hotspot."),
+    _spec("sha", "MiBench", 1000, 111_029_722, 3, "sha:build",
+          "Four-lane interleaved hash rounds: the suite's ILP and "
+          "IPC ceiling; stresses the integer register file."),
+    _spec("tarfind", "Embench", 2000, 1_220_430_895, 1, "tarfind:build",
+          "Tar-archive scan: octal parsing, name matching, and a "
+          "branch-per-byte checksum; the suite's IPC floor."),
+)
 
-
-def _ensure_loaded() -> None:
-    # Generator modules self-register on import.
-    from repro.workloads import generators  # noqa: F401
+_BY_NAME = {spec.name: spec for spec in WORKLOADS}
 
 
 def workload_names() -> list[str]:
-    """All registered workload names, in Table II order."""
-    _ensure_loaded()
-    return list(_REGISTRY)
+    """All workload names, in Table II order."""
+    return list(_BY_NAME)
 
 
 def get_workload(name: str) -> WorkloadSpec:
     """Look up one workload spec by name."""
-    _ensure_loaded()
     try:
-        return _REGISTRY[name]
+        return _BY_NAME[name]
     except KeyError:
-        known = ", ".join(_REGISTRY)
+        known = ", ".join(_BY_NAME)
         raise ReproError(
             f"unknown workload {name!r} (known: {known})") from None
 

@@ -33,3 +33,8 @@ def pytest_runtest_protocol(item, nextitem):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+def pytest_unconfigure(config):
+    while _stderr:
+        _stderr.pop().close()

@@ -30,8 +30,8 @@ def report_text(report_cache):
 
 
 def test_warm_report_never_reprofiles(report_cache, monkeypatch):
-    """Table II reads the sweep's cached profiles instead of re-running
-    the BBV pass for every workload."""
+    """Table II reads the sweep's cached selections instead of re-running
+    the BBV pass for every workload, and leaves the profiles unread."""
     from repro.pipeline import stages
     from repro.workloads.suite import workload_names
 
@@ -43,8 +43,8 @@ def test_warm_report_never_reprofiles(report_cache, monkeypatch):
     runner = SweepRunner(SETTINGS, cache_dir=cache)
     warm = generate_report(runner)
     stats = runner.store.stats()
-    assert stats["bbv_profile"].executions == 0
-    assert stats["bbv_profile"].hits == len(workload_names())
+    assert "bbv_profile" not in stats
+    assert stats["simpoint_selection"].hits == len(workload_names())
     assert sum(stage.executions for stage in stats.values()) == 0
     assert warm.split("## Pipeline cache")[0] == \
         cold.split("## Pipeline cache")[0]

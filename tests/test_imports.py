@@ -9,13 +9,16 @@ every check runs in a fresh interpreter.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.tables import table_ii
 from repro.flow.experiment import FlowSettings
+from repro.flow.sweep import SweepRunner
 from repro.pipeline.stages import (
     compute_profile,
     compute_selection,
@@ -149,3 +152,44 @@ def test_cold_sweep_and_dse_load_neither_numpy_random_nor_statistics(
         str(tmp_path),
         watch=("numpy.random", "statistics", "fractions", "decimal"))
     assert loaded == set()
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache filled by a scale-0.05 cold sweep of the whole study."""
+    cache = tmp_path_factory.mktemp("warm")
+    runner = SweepRunner(FlowSettings(scale=0.05), cache_dir=cache)
+    runner.run_all()
+    assert runner.last_manifest.total_executions
+    return cache
+
+
+def test_warm_report_loads_no_workload_generator(warm_cache):
+    """The report reads workload names and intervals from the static
+    table, so no generator module is compiled or imported."""
+    loaded = last_line_of(
+        "import sys\n"
+        "from repro.flow.experiment import FlowSettings\n"
+        "from repro.flow.report import generate_report\n"
+        "from repro.flow.sweep import SweepRunner\n"
+        "runner = SweepRunner(FlowSettings(scale=0.05),"
+        " cache_dir=sys.argv[1])\n"
+        "assert '## Table II' in generate_report(runner)\n"
+        "assert not runner.last_manifest.total_executions\n"
+        "print('modules:', *sorted(m for m in sys.modules"
+        " if m.startswith('repro.workloads.generators')))",
+        str(warm_cache))
+    assert loaded == "modules:"
+
+
+def test_warm_table_ii_reads_selections_not_profiles(warm_cache,
+                                                     tmp_path):
+    settings = FlowSettings(scale=0.05)
+    cold = table_ii(settings)
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    shutil.rmtree(cache / "bbv_profile")
+    store = SweepRunner(settings, cache_dir=cache).store
+    assert table_ii(settings, store=store) == cold
+    assert set(store.stats_snapshot()) == {"simpoint_selection"}
+    assert not (cache / "bbv_profile").exists()

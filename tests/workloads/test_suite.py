@@ -1,4 +1,7 @@
-"""Tests for the workload registry and Table II metadata."""
+"""Tests for the static workload table and Table II metadata."""
+
+import hashlib
+import importlib
 
 import pytest
 
@@ -11,7 +14,8 @@ from repro.workloads.suite import (
 )
 
 TABLE_II = {
-    # name: (suite, interval, paper simpoints, paper instructions)
+    # name: (suite, interval, paper simpoints, paper instructions),
+    # in the paper's row order
     "basicmath": ("MiBench", 1000, 2, 364_758_047),
     "stringsearch": ("MiBench", 1000, 2, 136_360_766),
     "fft": ("MiBench", 1000, 1, 266_217_322),
@@ -26,8 +30,49 @@ TABLE_II = {
 }
 
 
+#: name -> (builder path, digest of the program it assembles at scale 0.05,
+#: seed 7: every instruction's fields plus the data image)
+BUILDERS = {
+    "basicmath": ("basicmath:build", "45b08aa2d7546604"),
+    "stringsearch": ("stringsearch:build", "8792c03eb89cc34b"),
+    "fft": ("fft:build_fft", "146321269fbcf1b9"),
+    "ifft": ("fft:build_ifft", "bdfcd6238e5f9ea7"),
+    "bitcount": ("bitcount:build", "920858448c7d2193"),
+    "qsort": ("qsort:build", "0cc2f750904e0119"),
+    "dijkstra": ("dijkstra:build", "a4d0e4eeefffb94b"),
+    "patricia": ("patricia:build", "d75591b85c39ed5e"),
+    "matmult": ("matmult:build", "b09864be5446e3d3"),
+    "sha": ("sha:build", "ebf9755d5fd0a27b"),
+    "tarfind": ("tarfind:build", "ee9a842f62bc81f1"),
+}
+
+
 def test_all_eleven_workloads_registered():
-    assert set(workload_names()) == set(TABLE_II)
+    assert workload_names() == list(TABLE_II)
+
+
+def test_descriptions_are_pinned():
+    text = "\n".join(get_workload(name).description
+                     for name in workload_names())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        "b5fb55dc1e0807db"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_path_resolves_to_the_workloads_generator(name):
+    path, _ = BUILDERS[name]
+    spec = get_workload(name)
+    assert spec.builder_path == f"repro.workloads.generators.{path}"
+    module, function = spec.builder_path.split(":")
+    assert spec.builder is getattr(importlib.import_module(module), function)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_build_program_assembles_the_pinned_program(name):
+    program = build_program(name, 0.05, 7)
+    text = repr([(i.mnemonic, i.rd, i.rs1, i.rs2, i.rs3, i.imm)
+                 for i in program.instructions]) + program.data.hex()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BUILDERS[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_II))
@@ -58,8 +103,10 @@ def test_interval_for_scale_has_floor():
 
 
 def test_unknown_workload_raises():
-    with pytest.raises(ReproError):
+    with pytest.raises(ReproError) as raised:
         get_workload("doom")
+    assert str(raised.value) == \
+        f"unknown workload 'doom' (known: {', '.join(TABLE_II)})"
 
 
 def test_build_program_caches():
