@@ -48,8 +48,13 @@ class Checkpoint:
 
     @classmethod
     def capture(cls, state: ArchState, workload: str, interval_index: int,
-                weight: float, warmup_instructions: int) -> "Checkpoint":
-        """Snapshot ``state`` into a new checkpoint."""
+                weight: float, warmup_instructions: int,
+                previous: Checkpoint | None = None) -> "Checkpoint":
+        """Snapshot ``state`` into a new checkpoint.
+
+        A page equal to its copy in ``previous`` (an earlier checkpoint
+        of the same run) shares that copy instead of being copied again.
+        """
         import struct as _struct
 
         fregs_bits = [int.from_bytes(_struct.pack("<d", v), "little")
@@ -63,7 +68,8 @@ class Checkpoint:
                    xregs=list(state.x),
                    fregs_bits=fregs_bits,
                    fcsr=state.fcsr,
-                   pages=state.memory.snapshot_pages())
+                   pages=state.memory.snapshot_pages(
+                       previous.pages if previous is not None else None))
 
     def restore(self) -> ArchState:
         """Materialize a fresh :class:`ArchState` from this checkpoint."""

@@ -1,13 +1,22 @@
 """Checkpoint creation at SimPoint boundaries.
 
-Given a SimPoint selection, run the functional simulator once and snapshot
+Given a SimPoint selection, run the functional simulator and snapshot
 architectural state at each chosen point's warm-up start — i.e.
 ``interval_index * interval_size - warmup`` retired instructions (clamped
-to 0).  One sequential pass produces all checkpoints, exactly like the
-paper's Spike-based generation step (Fig. 4, step 3).
+to 0), like the paper's Spike-based generation step (Fig. 4, step 3).
+
+The points are captured in ascending order.  Each capture resumes from
+the nearest restart point at or before it — a state the profile pass
+left at an interval close (:class:`~repro.profiling.bbv.RestartTrail`) —
+or from where the previous capture stopped, whichever is later; with no
+restart points (a profile read from disk), the first capture starts from
+the program's initial state.  The functional model is deterministic, so
+the checkpoints are byte-identical wherever each capture starts.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.errors import CheckpointError
 from repro.checkpoint.checkpoint import Checkpoint
@@ -43,8 +52,15 @@ def checkpoint_starts(points: list[SimPoint], interval_size: int,
 
 def create_checkpoints(program: Program, selection: SimPointSelection,
                        points: list[SimPoint] | None = None,
-                       warmup: int = DEFAULT_WARMUP) -> list[Checkpoint]:
+                       warmup: int = DEFAULT_WARMUP,
+                       restarts: Sequence[Checkpoint] = ()) \
+        -> list[Checkpoint]:
     """Create checkpoints for ``points`` (default: the top-ranked points).
+
+    ``restarts`` are restart points of this program in ascending order,
+    the checkpoints a profile pass left in its
+    :class:`~repro.profiling.bbv.RestartTrail`; each capture resumes from
+    the nearest one at or before it.
 
     Returns checkpoints in ascending instruction order.  Raises
     :class:`CheckpointError` if the program exits before a requested
@@ -56,14 +72,22 @@ def create_checkpoints(program: Program, selection: SimPointSelection,
         raise CheckpointError("no SimPoints to checkpoint")
     plan = checkpoint_starts(points, selection.interval_size, warmup)
 
-    executor = Executor(program)
-    state = executor.state
+    executor: Executor | None = None
     checkpoints: list[Checkpoint] = []
     for point, capture_index, actual_warmup in plan:
+        start = None
+        for restart in restarts:
+            if restart.instruction_index > capture_index:
+                break
+            start = restart
+        if executor is None or start is not None \
+                and start.instruction_index > executor.state.retired:
+            executor = Executor(program, state=None if start is None
+                                else start.restore())
+        state = executor.state
         remaining = capture_index - state.retired
-        if remaining < 0:
-            raise CheckpointError(
-                "SimPoints overlap: two checkpoints within one warm-up")
+        # the plan ascends, and no restart point lies past its capture
+        assert remaining >= 0, "checkpoint plan out of order"
         if remaining:
             executor.run(max_instructions=remaining)
         if state.retired != capture_index:

@@ -124,7 +124,8 @@ def run_selection(workload: str, config: BoomConfig,
     """
     program = build_program(workload, scale=settings.scale,
                             seed=settings.seed)
-    checkpoints = compute_checkpoints(workload, settings, selection)
+    checkpoints = compute_checkpoints(workload, settings, selection,
+                                      program)
     raw = simulate_raw_runs(config, program, checkpoints,
                             selection.interval_size)
     runs = power_runs_from_raw(raw, config, workload)

@@ -314,6 +314,16 @@ class ArtifactStore:
         """Memoize a live value without touching disk or counters."""
         self._memory[(stage, fingerprint)] = value
 
+    def forget(self, stage: str, fingerprint: str) -> None:
+        """Drop a persisted artifact's memoized value.
+
+        A later lookup reads it from disk again, a hit like a memory
+        one.  A memory-only store keeps the value: its memo is the only
+        copy.
+        """
+        if self.root is not None:
+            self._memory.pop((stage, fingerprint), None)
+
     def put_json(self, stage: str, fingerprint: str, value: Any,
                  encode: Callable[[Any], Any] | None = None) -> None:
         """Persist ``value`` (disk, then memory) under its fingerprint.

@@ -27,6 +27,15 @@ every downstream address and can never serve a stale artifact.  The
 pipeline memoizes each fingerprint, and decoding a stored profile,
 selection or result needs neither numpy (only computing a selection
 clusters) nor the simulators (:data:`COMPUTE_MODULES`).
+
+On a disk-backed store the pipeline drops each artifact from memory
+once its last reader in the run has finished, and reads it back from
+disk if a later stage asks again: the profile once its selection is
+clustered, the checkpoints once the workload is prepared (its batch
+reloads them), and the detailed and power records once the result is
+assembled; a memory-only store keeps every artifact.  On any store, the
+profile pass's restart points and the compiled superblocks go once the
+checkpoints are captured, and the program once its batch has run.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from repro.check.validators import require_valid_result
 from repro.errors import CorruptArtifactError
 from repro.flow.results import ExperimentResult, SimPointRun
 from repro.pipeline.artifacts import ArtifactStore, MODEL_VERSION
-from repro.profiling.bbv import BBVProfile, BBVProfiler
+from repro.profiling.bbv import BBVProfile, BBVProfiler, RestartTrail
 # simulate_checkpoint is re-exported: stage 4's per-checkpoint entry point
 from repro.sim.batch import simulate_checkpoint, simulate_raw_runs_batched
 from repro.simpoint.simpoints import (
@@ -51,6 +60,8 @@ from repro.uarch.config import BoomConfig
 from repro.workloads.suite import build_program, get_workload, WORKLOADS
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from repro.checkpoint.checkpoint import Checkpoint
 
 PROFILE_STAGE = "bbv_profile"
@@ -192,15 +203,16 @@ def selection_from_dict(data: dict) -> SimPointSelection:
 # run_selection path used by the sampling-policy baselines)
 # ----------------------------------------------------------------------
 
-def compute_profile(workload: str, settings,
-                    program=None) -> BBVProfile:
-    """Stage 1: functional run + per-interval basic-block vectors."""
+def compute_profile(workload: str, settings, program=None,
+                    trail: RestartTrail | None = None) -> BBVProfile:
+    """Stage 1: functional run + per-interval basic-block vectors; the
+    run leaves its restart points in ``trail``, if given."""
     spec = get_workload(workload)
     if program is None:
         program = build_program(workload, scale=settings.scale,
                                 seed=settings.seed)
     interval = spec.interval_for_scale(settings.scale)
-    return BBVProfiler(interval).profile(program)
+    return BBVProfiler(interval).profile(program, trail=trail)
 
 
 def compute_selection(profile: BBVProfile, settings) -> SimPointSelection:
@@ -212,16 +224,20 @@ def compute_selection(profile: BBVProfile, settings) -> SimPointSelection:
 
 
 def compute_checkpoints(workload: str, settings,
-                        selection: SimPointSelection,
-                        program=None) -> list[Checkpoint]:
-    """Stage 3: one functional pass snapshotting every SimPoint start."""
+                        selection: SimPointSelection, program=None,
+                        restarts: Sequence[Checkpoint] = ()) \
+        -> list[Checkpoint]:
+    """Stage 3: snapshot every SimPoint's warm-up start, each capture
+    resuming from the nearest of the profile pass's ``restarts`` (from
+    the program's initial state when there are none)."""
     from repro.checkpoint.creator import create_checkpoints
 
     if program is None:
         program = build_program(workload, scale=settings.scale,
                                 seed=settings.seed)
     return create_checkpoints(program, selection,
-                              warmup=settings.scaled_warmup())
+                              warmup=settings.scaled_warmup(),
+                              restarts=restarts)
 
 
 def simulate_raw_runs(config: BoomConfig, program,
@@ -293,13 +309,16 @@ class ExperimentPipeline:
     def __init__(self, store: ArtifactStore, settings) -> None:
         self.store = store
         self.settings = settings
-        #: workload -> assembled Program, built at most once per pipeline.
+        #: workload -> assembled Program, the run's only program cache.
         #: Sharing one Program object across stages (and across the N
         #: config points of a sweep) also shares the executor's superblock
         #: cache and the detailed core's decode table, which are keyed by
-        #: program identity.  Fingerprints never include the program, so
-        #: cached artifacts are unaffected.
+        #: program identity and die with it.  Fingerprints never include
+        #: the program, so cached artifacts are unaffected.
         self._programs: dict[str, Any] = {}
+        #: workload -> restart points of the profile pass this pipeline
+        #: ran, until its checkpoints are captured
+        self._restarts: dict[str, list[Checkpoint]] = {}
         #: (stage, workload[, config]) -> fingerprint (see _memo)
         self._fingerprints: dict[tuple, str] = {}
         #: config -> ``asdict(config)``, hashed into every workload's
@@ -390,30 +409,50 @@ class ExperimentPipeline:
     # ------------------------- materialization ------------------------
 
     def profile(self, workload: str) -> BBVProfile:
+        def compute() -> BBVProfile:
+            trail = RestartTrail()
+            profile = compute_profile(workload, self.settings,
+                                      self.program(workload), trail)
+            self._restarts[workload] = trail.points
+            return profile
+
         return self.store.fetch_json(
             PROFILE_STAGE, self.profile_fingerprint(workload),
-            compute=lambda: compute_profile(workload, self.settings,
-                                            self.program(workload)),
-            encode=profile_to_dict, decode=profile_from_dict,
-            label=workload)
+            compute=compute, encode=profile_to_dict,
+            decode=profile_from_dict, label=workload)
 
     def selection(self, workload: str) -> SimPointSelection:
+        def compute() -> SimPointSelection:
+            selection = compute_selection(self.profile(workload),
+                                          self.settings)
+            # clustering is the profile's last reader
+            self.store.forget(PROFILE_STAGE,
+                              self.profile_fingerprint(workload))
+            return selection
+
         return self.store.fetch_json(
             SELECTION_STAGE, self.selection_fingerprint(workload),
-            compute=lambda: compute_selection(self.profile(workload),
-                                              self.settings),
-            encode=selection_to_dict, decode=selection_from_dict,
-            label=workload)
+            compute=compute, encode=selection_to_dict,
+            decode=selection_from_dict, label=workload)
 
     def checkpoints(self, workload: str) -> list[Checkpoint]:
         from repro.checkpoint.store import load_checkpoints, save_checkpoints
 
+        def compute() -> list[Checkpoint]:
+            from repro.sim.executor import release_blocks
+
+            selection = self.selection(workload)
+            program = self.program(workload)
+            checkpoints = compute_checkpoints(
+                workload, self.settings, selection, program,
+                self._restarts.pop(workload, ()))
+            # the capture is the last run of the functional executor
+            release_blocks(program)
+            return checkpoints
+
         return self.store.fetch_dir(
             CHECKPOINT_STAGE, self.checkpoint_fingerprint(workload),
-            compute=lambda: compute_checkpoints(
-                workload, self.settings, self.selection(workload),
-                self.program(workload)),
-            save=save_checkpoints, load=load_checkpoints,
+            compute=compute, save=save_checkpoints, load=load_checkpoints,
             label=workload)
 
     def detailed(self, workload: str, config: BoomConfig) -> list[dict]:
@@ -449,6 +488,11 @@ class ExperimentPipeline:
             # Save boundary: impossible values in a freshly computed
             # result are a model bug — permanent, recorded, not retried.
             require_valid_result(result, boundary="save")
+            # the result is the power and detailed records' last reader
+            self.store.forget(POWER_STAGE,
+                              self.power_fingerprint(workload, config))
+            self.store.forget(DETAILED_STAGE,
+                              self.detailed_fingerprint(workload, config))
             return result
 
         def decode(payload: Any) -> ExperimentResult:
@@ -470,9 +514,15 @@ class ExperimentPipeline:
 
     def prepare_workload(self, workload: str) -> None:
         """Materialize every workload-scoped stage (profiling through
-        checkpoints) — the unit of per-workload parallel fan-out."""
+        checkpoints) — the unit of per-workload parallel fan-out.
+
+        A disk-backed store then drops the checkpoints from memory: the
+        workload's batch reads them back when it runs.
+        """
         self.selection(workload)
         self.checkpoints(workload)
+        self.store.forget(CHECKPOINT_STAGE,
+                          self.checkpoint_fingerprint(workload))
 
     def prepare_detailed_batch(self, workload: str,
                                configs: list[BoomConfig]) -> int:
@@ -486,13 +536,24 @@ class ExperimentPipeline:
         with no knowledge of how it was produced.  Returns the number of
         configs simulated; a later :meth:`detailed` call for any of them
         is a cache hit.
+
+        The batch is the last reader of the workload's program, which is
+        dropped after it and takes its decode table with it; a
+        disk-backed store drops the checkpoints too.
         """
         missing = [config for config in configs
                    if not self.store.has(
                        DETAILED_STAGE,
                        self.detailed_fingerprint(workload, config))]
-        if not missing:
-            return 0
+        if missing:
+            self._simulate_batch(workload, missing)
+        self.store.forget(CHECKPOINT_STAGE,
+                          self.checkpoint_fingerprint(workload))
+        self._programs.pop(workload, None)
+        return len(missing)
+
+    def _simulate_batch(self, workload: str,
+                        missing: list[BoomConfig]) -> None:
         settings = self.settings
         interval = get_workload(workload).interval_for_scale(settings.scale)
         batched = simulate_raw_runs_batched(
@@ -509,7 +570,6 @@ class ExperimentPipeline:
                 self.detailed_fingerprint(workload, config),
                 compute=lambda raw=raw: raw,
                 label=f"{workload}/{config.name}")
-        return len(missing)
 
     def workload_prepared(self, workload: str) -> bool:
         """Whether the per-workload chain is already cached."""

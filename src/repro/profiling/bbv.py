@@ -15,6 +15,14 @@ dispatch loop updates the interval vector and tests the boundary inline,
 with no per-block callback.  The profiler then numbers the blocks in
 first-seen order.
 
+A profile pass can also leave a :class:`RestartTrail`: checkpoints of
+the architectural state at up to :data:`MAX_RESTART_POINTS` evenly spaced
+interval closes.  Checkpoint creation resumes from the nearest one
+instead of replaying the program from its first instruction (the way
+gem5-style flows restore saved state instead of replaying a prefix).
+The trail is a by-product of the run it observes: the profile is
+byte-identical with and without it.
+
 Example::
 
     profiler = BBVProfiler(interval_size=10_000)
@@ -37,7 +45,12 @@ from repro.obs.tracer import get_tracer
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.checkpoint.checkpoint import Checkpoint
     from repro.isa.program import Program
+    from repro.sim.state import ArchState
+
+#: most restart points one profile pass keeps
+MAX_RESTART_POINTS = 16
 
 
 @dataclass
@@ -109,6 +122,41 @@ class BBVProfile:
         return lengths / lengths.sum()
 
 
+class RestartTrail:
+    """Restart points at evenly spaced interval closes of one run.
+
+    Each point is a :class:`~repro.checkpoint.checkpoint.Checkpoint` of
+    the state at the start of interval ``interval_index`` (weight and
+    warm-up 0), whose pages share the previous point's ``bytes`` where
+    they did not change.  The points sit at every ``stride``-th interval
+    close, starting with a stride of one; when a point beyond
+    :data:`MAX_RESTART_POINTS` arrives, every other point is dropped and
+    the stride doubles.  The trail therefore spans the whole run at any
+    length, with about ``stride`` intervals between neighbours.
+    """
+
+    def __init__(self) -> None:
+        self.points: list[Checkpoint] = []
+        self._stride = 1
+        self._closes = 0
+
+    def record(self, state: ArchState, workload: str) -> None:
+        """Note one interval close, with ``state`` as it is there."""
+        from repro.checkpoint.checkpoint import Checkpoint
+
+        self._closes += 1
+        if self._closes % self._stride or state.exited:
+            return
+        self.points.append(Checkpoint.capture(
+            state, workload=workload, interval_index=self._closes,
+            weight=0.0, warmup_instructions=0,
+            previous=self.points[-1] if self.points else None))
+        if len(self.points) > MAX_RESTART_POINTS:
+            # the points at odd multiples of the stride go
+            del self.points[::2]
+            self._stride *= 2
+
+
 class BBVProfiler:
     """Collects per-interval basic-block vectors from a functional run."""
 
@@ -118,31 +166,37 @@ class BBVProfiler:
         self.interval_size = interval_size
 
     def profile(self, program: Program,
-                max_instructions: int | None = None) -> BBVProfile:
-        """Run ``program`` to completion and return its BBV profile."""
+                max_instructions: int | None = None,
+                trail: RestartTrail | None = None) -> BBVProfile:
+        """Run ``program`` to completion and return its BBV profile.
+
+        With a ``trail``, the run also leaves its restart points there.
+        """
         from repro.obs.heartbeat import HeartbeatEmitter
         from repro.sim.executor import BlockCounts, Executor, block_of
 
         executor = Executor(program)
+        state = executor.state
         emitter = on_interval = None
         tracer = get_tracer()
         if tracer.enabled:
-            # sample progress at interval closes: block boundaries and
-            # interval contents are untouched, so the traced profile is
-            # byte-identical to the untraced one
             emitter = HeartbeatEmitter(tracer, "functional.instr",
                                        units="instructions",
                                        workload=program.name)
-            progress = [0]
-
+        if emitter is not None or trail is not None:
+            # progress samples and restart points are taken at interval
+            # closes: block boundaries and interval contents are
+            # untouched, so the profile is byte-identical without them
             def on_interval() -> None:
-                progress[0] += counts.lengths[-1]
-                emitter(progress[0])
+                if emitter is not None:
+                    emitter(state.retired)
+                if trail is not None:
+                    trail.record(state, program.name)
 
         counts = BlockCounts(self.interval_size, on_interval)
         executor.run(max_instructions=max_instructions, counts=counts)
         if emitter is not None:
-            emitter.finish(executor.state.retired)
+            emitter.finish(state.retired)
         vectors = counts.vectors
         lengths = counts.lengths
         if counts.filled:
@@ -164,5 +218,5 @@ class BBVProfiler:
             vectors[index] = vector
         return BBVProfile(interval_size=self.interval_size, vectors=vectors,
                           interval_lengths=lengths, blocks=blocks,
-                          total_instructions=executor.state.retired,
+                          total_instructions=state.retired,
                           program_name=program.name)

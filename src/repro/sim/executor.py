@@ -110,10 +110,11 @@ class BlockCounts:
     interval's vector (``block_key -> instructions``, in first-seen
     order); an interval closes as soon as it holds ``interval_size``
     instructions, and ``on_interval()`` (if given) is called after each
-    close.  The superblock loop performs this update inline; the
-    reference loop and budget tails call :meth:`close`.  Counts carry
-    over between :meth:`Executor.run` calls; the trailing partial
-    interval stays in ``current``/``filled``.
+    close, with the executor's ``state.pc`` and ``state.retired`` at the
+    close, so it can snapshot the state there.  The superblock loop
+    performs this update inline; the reference loop and budget tails
+    call :meth:`close`.  Counts carry over between :meth:`Executor.run`
+    calls; the trailing partial interval stays in ``current``/``filled``.
     """
 
     __slots__ = ("interval_size", "vectors", "lengths", "current",
@@ -161,6 +162,16 @@ def _blocks_for(program: Program) -> dict[int, _Block]:
         _BLOCK_CACHES[key] = cache
         weakref.finalize(program, _BLOCK_CACHES.pop, key, None)
     return cache
+
+
+def release_blocks(program: Program) -> None:
+    """Drop ``program``'s superblock cache while the program lives on.
+
+    The next executor of the program compiles its blocks again.  The
+    pipeline calls this once a workload's checkpoints are captured: the
+    detailed core never runs the functional executor.
+    """
+    _BLOCK_CACHES.pop(id(program), None)
 
 
 #: expression templates for x-register-writing ops: each must replicate
@@ -384,7 +395,9 @@ def _fuse_block(body: list, term, fall_pc: int) -> Callable:
     source = (f"def _block(_s, {', '.join(binds)}):\n"
               + "\n".join(prologue + lines) + "\n")
     exec(source, namespace)
-    return namespace["_block"]
+    # popped, not read: a function stored in its own ``__globals__`` is a
+    # reference cycle, and would outlive its block cache until a gen-2 GC
+    return namespace.pop("_block")
 
 
 class Executor:
@@ -520,6 +533,7 @@ class Executor:
         state = self.state
         blocks = self._blocks
         pc = state.pc
+        base = state.retired
         retired = 0
         # The *dynamic* block start: unlike a superblock entry, a dynamic
         # block only closes at control flow — an ecall (not a control op)
@@ -562,6 +576,8 @@ class Executor:
                         current = {}
                         filled = 0
                         if on_interval is not None:
+                            state.pc = pc
+                            state.retired = base + retired
                             on_interval()
                 else:
                     close(block_start, end_pc)
@@ -574,7 +590,7 @@ class Executor:
             counts.current = current
             counts.filled = filled
         state.pc = pc
-        state.retired += retired
+        state.retired = base + retired
         if fuel > 0 and not state.exited:
             # Budget ends inside this block: the per-instruction loop
             # continues the open dynamic block and closes it.
@@ -596,12 +612,13 @@ class Executor:
         ``block_start`` is where the open dynamic block began (``state.pc``
         unless this continues a superblock run); with ``close`` set, each
         control-flow instruction and the trailing partial block are
-        reported to it.
+        reported to it, with ``state.pc`` and ``state.retired`` current.
         """
         state = self.state
         ops = self._ops
         count = len(ops)
         pc = state.pc
+        base = state.retired
         retired = 0
         last_pc = pc
         while fuel > 0:
@@ -618,15 +635,17 @@ class Executor:
                 break
             pc = next_pc if next_pc is not None else pc + 4
             if is_control and close is not None:
+                state.pc = pc
+                state.retired = base + retired
                 close(block_start, last_pc)
                 block_start = pc
+        state.pc = pc
+        state.retired = base + retired
         if close is not None and retired \
                 and (state.exited or pc != block_start) \
                 and last_pc >= block_start:
             # Close the trailing partial block (exit / fuel exhausted).
             close(block_start, last_pc)
-        state.pc = pc
-        state.retired += retired
         return retired
 
     def run_to_completion(self, limit: int = 200_000_000) -> int:

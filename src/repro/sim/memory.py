@@ -127,9 +127,16 @@ class Memory:
     # checkpoint support
     # ------------------------------------------------------------------
 
-    def snapshot_pages(self) -> dict[int, bytes]:
-        """Return an immutable copy of every touched page (by page number)."""
-        return {number: bytes(page) for number, page in self._pages.items()}
+    def snapshot_pages(self, previous: dict[int, bytes] | None = None) \
+            -> dict[int, bytes]:
+        """Return an immutable copy of every touched page (by page number).
+
+        A page equal to its entry in ``previous`` (an earlier snapshot)
+        shares that entry's ``bytes`` instead of copying the page again.
+        """
+        previous = previous or {}
+        return {number: previous[number] if previous.get(number) == page
+                else bytes(page) for number, page in self._pages.items()}
 
     def restore_pages(self, pages: dict[int, bytes]) -> None:
         """Replace memory contents with a page snapshot."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
@@ -136,13 +136,14 @@ def get_workload(name: str) -> WorkloadSpec:
             f"unknown workload {name!r} (known: {known})") from None
 
 
-@lru_cache(maxsize=64)
 def build_program(name: str, scale: float = 1.0, seed: int = 7) -> Program:
     """Build and assemble one workload at the given scale.
 
-    Results are cached: the same (name, scale, seed) triple always returns
-    the same :class:`Program` object, which the simulators treat as
-    immutable.
+    Every call assembles a new :class:`Program` (equal to the last one
+    for the same (name, scale, seed) triple), which the simulators treat
+    as immutable.  Nothing here caches it: a caller that runs a program
+    more than once keeps it, as the pipeline does for the stages of one
+    run, and a dropped program frees its simulator caches with it.
     """
     from repro.isa.assembler import assemble
 

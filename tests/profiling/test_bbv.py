@@ -1,11 +1,17 @@
 """Unit tests for BBV profiling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import SimPointError
 from repro.isa.assembler import assemble
-from repro.profiling.bbv import BBVProfiler
+from repro.profiling.bbv import (
+    BBVProfiler,
+    MAX_RESTART_POINTS,
+    RestartTrail,
+)
 
 TWO_PHASE = """
 _start:
@@ -110,3 +116,70 @@ def test_traced_profile_equals_untraced(monkeypatch):
     assert len(values) > 2
     assert values == sorted(values)
     assert values[-1] == traced.total_instructions
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+@pytest.mark.parametrize("source", ["two_phase", "patricia"])
+def test_trail_leaves_the_profile_unchanged(source, traced, monkeypatch):
+    """Restart points are taken at interval closes and change nothing."""
+    from repro.obs.tracer import configure_tracer, reset_tracer
+    from repro.pipeline.stages import profile_to_dict
+    from repro.workloads.suite import build_program
+
+    def profile(trail):
+        program = assemble(TWO_PHASE) if source == "two_phase" \
+            else build_program("patricia", scale=0.05)
+        return json.dumps(profile_to_dict(BBVProfiler(
+            interval_size=50).profile(program, trail=trail)))
+
+    plain = profile(None)
+    if traced:
+        monkeypatch.setenv("REPRO_TRACE_HEARTBEAT", "1e-9")
+        configure_tracer(sink=[])
+    try:
+        trail = RestartTrail()
+        assert profile(trail) == plain
+        assert profile(None) == plain
+    finally:
+        reset_tracer()
+    assert trail.points
+
+
+def test_trail_points_restore_the_state_at_interval_closes():
+    from repro.sim.executor import Executor
+    from repro.workloads.suite import build_program
+
+    program = build_program("patricia", scale=0.05)
+    trail = RestartTrail()
+    profile = BBVProfiler(interval_size=50).profile(program, trail=trail)
+    points = trail.points
+    # evenly spaced: the interval closes at every multiple of a
+    # power-of-two stride, at most MAX_RESTART_POINTS of them, reaching
+    # to within one stride of the end
+    closes = [point.interval_index for point in points]
+    assert [point.instruction_index for point in points] == \
+        [profile.interval_starts()[close] for close in closes]
+    stride = closes[0]
+    assert profile.num_intervals > 2 * MAX_RESTART_POINTS
+    assert stride & (stride - 1) == 0 and stride > 1
+    assert closes == [stride * k for k in range(1, len(points) + 1)]
+    assert MAX_RESTART_POINTS // 2 <= len(points) <= MAX_RESTART_POINTS
+    assert stride * (len(points) + 1) >= profile.num_intervals - 1
+    for point in points:
+        reference = Executor(program)
+        reference.run(max_instructions=point.instruction_index)
+        expected, restored = reference.state, point.restore()
+        assert (restored.pc, restored.retired, restored.x, restored.f,
+                restored.fcsr) == (expected.pc, expected.retired,
+                                   expected.x, expected.f, expected.fcsr)
+        assert restored.memory.snapshot_pages() == \
+            expected.memory.snapshot_pages()
+    # a page unchanged since the previous point shares its bytes
+    shared = 0
+    for before, after in zip(points, points[1:]):
+        for number, page in after.pages.items():
+            if before.pages.get(number) == page:
+                assert page is before.pages[number]
+                shared += 1
+    assert shared

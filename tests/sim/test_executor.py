@@ -1,11 +1,14 @@
 """Integration tests for the functional executor."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.program import DATA_BASE, STACK_TOP
-from repro.sim.executor import Executor
+from repro.sim.executor import Executor, _blocks_for, release_blocks
 
 EXIT = """
     li a7, 93
@@ -252,3 +255,28 @@ def test_compiled_memory_ops_take_the_direct_path(monkeypatch):
     """)
     assert state.exit_code == 1
     assert calls == ["sd"]  # the store crossing into an untouched page
+
+
+def test_compiled_block_dies_with_its_cache():
+    # a block function is not kept alive by its own globals: dropping
+    # the superblock cache frees it without the cyclic collector
+    program = assemble(f"""
+    _start:
+        li t0, 20
+    loop:
+        addi t0, t0, -1
+        bnez t0, loop
+        {EXIT}
+    """)
+    gc.disable()
+    try:
+        Executor(program).run_to_completion()
+        blocks = _blocks_for(program)
+        compiled = weakref.ref(blocks[program.entry][0])
+        del blocks
+        assert compiled() is not None
+        release_blocks(program)
+        assert compiled() is None
+        assert _blocks_for(program) == {}
+    finally:
+        gc.enable()

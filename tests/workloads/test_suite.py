@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import weakref
 
 import pytest
 
@@ -109,12 +110,16 @@ def test_unknown_workload_raises():
         f"unknown workload 'doom' (known: {', '.join(TABLE_II)})"
 
 
-def test_build_program_caches():
+def test_build_program_builds_a_fresh_program():
+    # nothing caches programs process-wide: each call assembles a new,
+    # equal program, and the last reference to one frees it
     a = build_program("qsort", scale=0.02)
     b = build_program("qsort", scale=0.02)
-    assert a is b
-    c = build_program("qsort", scale=0.03)
-    assert c is not a
+    assert a is not b
+    assert (a.encode_text(), a.data) == (b.encode_text(), b.data)
+    dead = weakref.ref(a)
+    del a
+    assert dead() is None
 
 
 def test_different_seeds_differ():
