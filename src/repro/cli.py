@@ -29,7 +29,7 @@ import sys
 from repro.analysis.efficiency import summarize
 from repro.flow.experiment import FlowSettings
 from repro.flow.report import SECTIONS
-from repro.flow.sweep import SweepRunner
+from repro.flow.sweep import SweepRunner, open_trace_session
 from repro.obs.logs import setup_cli_logging
 from repro.pipeline.faults import FaultInjector, parse_fault_spec
 from repro.uarch.config import config_by_name
@@ -52,21 +52,6 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
     return SweepRunner(_settings(args), cache_dir=cache)
 
 
-def _maybe_trace_session(args: argparse.Namespace, runner: SweepRunner,
-                         *, label: str):
-    """Open a :class:`TraceSession` when tracing was requested."""
-    from repro.obs.session import TraceSession
-    from repro.obs.tracer import tracing_requested
-
-    if not (getattr(args, "trace", False) or tracing_requested()):
-        return None
-    if runner.cache_dir is None:
-        print("tracing requires a cache directory (drop --no-cache)",
-              file=sys.stderr)
-        return None
-    return TraceSession(runner.cache_dir, label=label).start()
-
-
 def _finish_trace_session(session) -> None:
     if session is None:
         return
@@ -79,7 +64,8 @@ def _finish_trace_session(session) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     runner = _runner(args)
     config = config_by_name(args.config)
-    session = _maybe_trace_session(args, runner, label="run")
+    session = open_trace_session(runner.cache_dir, trace=args.trace,
+                                 label="run")
     try:
         result = runner.run(args.workload, config)
     finally:
@@ -697,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the fault-injection probability draws")
     sweep_parser.add_argument(
         "--progress", action="store_true",
-        help="live per-workload progress + ETA on stderr, tailing the "
-             "simulator heartbeats (implies tracing)")
+        help="one stderr line per finished task: wave, key, done/total, "
+             "elapsed time and ETA")
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     trace_parser = commands.add_parser(
@@ -879,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the fault-injection probability draws")
     dse_parser.add_argument(
         "--progress", action="store_true",
-        help="live progress + ETA on stderr (implies tracing)")
+        help="one stderr line per finished task: wave, key, done/total, "
+             "elapsed time and ETA")
     dse_parser.set_defaults(handler=_cmd_dse)
 
     bench_parser = commands.add_parser(
@@ -956,19 +943,23 @@ def _report_failure(exc: BaseException, *, verbose: bool) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import os
+
     args = build_parser().parse_args(argv)
     setup_cli_logging(verbose=args.log_verbose, quiet=args.quiet)
+    # --check and --flight reach pool workers through the environment,
+    # which the handler's pools inherit; it is restored on return
+    exported: dict[str, str | None] = {}
     if args.runtime_checks:
-        from repro.check import set_checks_enabled
+        from repro.check import CHECK_ENV
 
-        set_checks_enabled(True)
+        exported[CHECK_ENV] = os.environ.get(CHECK_ENV)
+        os.environ[CHECK_ENV] = "1"
     if args.flight:
-        # The env var is the worker handoff (pool workers inherit it),
-        # and samples travel on the trace — so --flight implies --trace.
-        import os
-
+        # samples travel on the trace, so --flight implies --trace
         from repro.obs.flight import FLIGHT_ENV
 
+        exported[FLIGHT_ENV] = os.environ.get(FLIGHT_ENV)
         os.environ[FLIGHT_ENV] = "1"
         args.trace = True
     try:
@@ -977,6 +968,12 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except BaseException as exc:
         return _report_failure(exc, verbose=args.log_verbose > 0)
+    finally:
+        for key, value in exported.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 if __name__ == "__main__":

@@ -47,20 +47,14 @@ from concurrent.futures import (
     wait as wait_futures,
 )
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 from repro.errors import (
     PERMANENT,
     TRANSIENT,
     classify_failure,
 )
-from repro.obs.logs import setup_worker_logging
-from repro.obs.tracer import (
-    OBS_DIR_ENV,
-    OBS_PPID_ENV,
-    ensure_process_tracer,
-    get_tracer,
-)
+from repro.obs.tracer import ensure_process_tracer, get_tracer
 from repro.pipeline.manifest import TaskExecution, TaskRecord
 
 __all__ = ["RetryPolicy", "Task", "TaskEnvelope", "ScheduleOutcome",
@@ -113,22 +107,15 @@ class TaskEnvelope:
 def _run_task(payload: tuple) -> TaskEnvelope:
     """Module-level (picklable) wrapper around every scheduled task.
 
-    Worker-side observability bootstraps here: if the parent exported a
-    traced run directory, this process opens its own event file and
-    redirects its ``repro`` logging to a per-process log file (skipped
-    when running in-process, as a ``jobs=1`` sweep's tasks do, so the
-    parent's handlers are left alone).  The task body runs inside a ``task``
-    span; failures are recorded as an event and re-raised unchanged so
-    the scheduler's classification and retry logic see the original
-    exception.
+    Worker-side tracing bootstraps here: if the parent exported a traced
+    run directory, this process opens its own event file, the only
+    channel from a pool worker back to its parent besides the task's
+    return value.  The task body runs inside a ``task`` span; failures
+    are recorded as an event and re-raised unchanged so the scheduler's
+    classification and retry logic see the original exception.
     """
     fn, arg, key = payload
     tracer = ensure_process_tracer()
-    run_dir = os.environ.get(OBS_DIR_ENV)
-    if run_dir and tracer.enabled:
-        parent_pid = os.environ.get(OBS_PPID_ENV)
-        if parent_pid != str(os.getpid()):
-            setup_worker_logging(run_dir)
     started_wall = time.time()
     started_mono = time.monotonic()
     try:
@@ -170,6 +157,50 @@ class ScheduleOutcome:
         self.aborted = self.aborted or other.aborted
 
 
+class _WaveProgress:
+    """``--progress`` for one wave: a line per task as it settles.
+
+    A task settles when it will not run again: it completed, failed for
+    good or timed out.  The supervised loop calls :meth:`update` in the
+    parent after each round, so progress needs no thread and no trace.
+    """
+
+    def __init__(self, stream: IO[str], wave: str, total: int,
+                 clock: Callable[[], float]) -> None:
+        self.stream = stream
+        self.wave = wave
+        self.total = total
+        self._clock = clock
+        self._started = clock()
+        self._seen = (0, 0, 0)
+
+    def update(self, outcome: ScheduleOutcome) -> None:
+        results, failures, timeouts = self._seen
+        settled = [(key, "ok") for key in list(outcome.results)[results:]]
+        settled += [(record.key, f"failed ({record.kind})")
+                    for record in outcome.failures[failures:]]
+        settled += [(record.key, "timed out")
+                    for record in outcome.timeouts[timeouts:]]
+        if not settled:
+            return
+        self._seen = (len(outcome.results), len(outcome.failures),
+                      len(outcome.timeouts))
+        done = results + failures + timeouts
+        elapsed = self._clock() - self._started
+        lines = []
+        for key, status in settled:
+            done += 1
+            eta = elapsed / done * (self.total - done)
+            lines.append(f"progress: {self.wave} {done}/{self.total} "
+                         f"{key} {status}, {elapsed:.1f}s elapsed, "
+                         f"eta {eta:.1f}s\n")
+        try:
+            self.stream.write("".join(lines))
+            self.stream.flush()
+        except (OSError, ValueError):
+            pass  # a closed terminal must not fail the sweep
+
+
 def _process_pool(workers: int) -> Any:
     """The default executor: a fresh process pool of ``workers``."""
     # multiprocessing loads only when a run actually builds a pool
@@ -192,11 +223,13 @@ class SupervisedScheduler:
                  fail_fast: bool = False,
                  executor_factory: Callable[[int], Any] | None = None,
                  sleep: Callable[[float], None] = time.sleep,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 progress: IO[str] | None = None) -> None:
         self.max_workers = max(1, max_workers)
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = timeout
         self.fail_fast = fail_fast
+        self.progress = progress
         self._executor_factory = (
             executor_factory if executor_factory is not None
             else _process_pool)
@@ -236,19 +269,23 @@ class SupervisedScheduler:
 
     def run(self, tasks: list[Task],
             on_result: Callable[[Task, Any], None] | None = None,
-            on_error: Callable[[Task, Exception], None] | None = None) \
-            -> ScheduleOutcome:
+            on_error: Callable[[Task, Exception], None] | None = None,
+            *, wave: str = "tasks") -> ScheduleOutcome:
         """Run ``tasks`` to completion, surviving crashes and hangs.
 
         ``on_result`` is invoked in the parent as each task completes,
         which is what lets the sweep persist results incrementally (and
         therefore resume after a kill).  ``on_error`` sees the exception
         of every attempt that raised one (a crashed worker raises none),
-        before it is retried or recorded.
+        before it is retried or recorded.  With a ``progress`` stream,
+        each settled task writes one line to it naming ``wave``.
         """
         outcome = ScheduleOutcome()
         if not tasks:
             return outcome
+        progress = _WaveProgress(self.progress, wave, len(tasks),
+                                 self._clock) \
+            if self.progress is not None else None
         queue: deque[Task] = deque(tasks)
         attempts: dict[str, int] = {task.key: 0 for task in tasks}
         inflight: dict[Future, Task] = {}
@@ -270,6 +307,8 @@ class SupervisedScheduler:
                 elif self._expire(inflight, deadlines, attempts, outcome):
                     pool = self._recycle(pool, inflight, deadlines, queue,
                                          attempts, outcome)
+                if progress is not None:
+                    progress.update(outcome)
                 if self.fail_fast and outcome.failures:
                     self._abort(inflight, deadlines, queue, attempts,
                                 outcome)

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import PERMANENT, SweepInterrupted
 from repro.flow.experiment import FlowSettings
@@ -71,11 +72,8 @@ from repro.pipeline.stages import ExperimentPipeline, import_compute_stack
 from repro.uarch.config import ALL_CONFIGS, BoomConfig
 from repro.workloads.suite import workload_names
 
-if TYPE_CHECKING:
-    from repro.obs.progress import ProgressMonitor
-
 __all__ = ["DEFAULT_CACHE_DIR", "MODEL_VERSION", "SweepRunner",
-           "MANIFEST_NAME", "SWEEP_STATE_NAME"]
+           "MANIFEST_NAME", "SWEEP_STATE_NAME", "open_trace_session"]
 
 logger = logging.getLogger("repro.flow.sweep")
 
@@ -83,6 +81,20 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 
 MANIFEST_NAME = "run_manifest.json"
 SWEEP_STATE_NAME = "sweep_state.json"
+
+
+def open_trace_session(cache_dir: Path | None, *, trace: bool,
+                       label: str) -> TraceSession | None:
+    """Start a :class:`TraceSession` when ``trace`` or ``REPRO_TRACE``
+    asks for one; a run without a cache directory is left untraced."""
+    if not (trace or tracing_requested()):
+        return None
+    if cache_dir is None:
+        logger.warning("tracing requested but the run has no cache "
+                       "directory; trace disabled")
+        return None
+    return TraceSession(cache_dir, label=label).start()
+
 
 def _pair_key(workload: str, config: BoomConfig) -> str:
     return f"{workload}/{config.name}"
@@ -265,10 +277,10 @@ class SweepRunner:
         of the run — pipeline-stage spans, scheduler lifecycle events,
         artifact cache events, simulator heartbeats — under
         ``<cache>/obs/<run_id>/`` and merges it into ``trace.json`` when
-        the sweep finishes (``repro-cli trace`` renders it).
-        ``progress=True`` additionally tails the heartbeats live and
-        prints per-workload progress to stderr.  Tracing never alters
-        artifacts or fingerprints; it requires a cache directory.
+        the sweep finishes (``repro-cli trace`` renders it).  Tracing
+        never alters artifacts or fingerprints; it requires a cache
+        directory.  ``progress=True`` writes one stderr line per settled
+        task (wave, key, done/total, elapsed, ETA), traced or not.
         """
         started = perf_counter()
         before = self.store.stats_snapshot()
@@ -290,7 +302,8 @@ class SweepRunner:
         self.resumed_completed = 0
         self.batch_degraded = {}
         pending_pairs = self._apply_resume(pairs, sweep_id, resume, outcome)
-        session, monitor = self._start_observability(trace, progress)
+        session = open_trace_session(self.cache_dir, trace=trace,
+                                     label="sweep")
         self._state = {
             "sweep_id": sweep_id,
             "total": len(pairs),
@@ -309,7 +322,7 @@ class SweepRunner:
                 self._write_state()
                 self._run(pending_pairs, jobs, results, outcome,
                           policy=policy, timeout=timeout,
-                          fail_fast=fail_fast)
+                          fail_fast=fail_fast, progress=progress)
         except SweepInterrupted as exc:
             interrupted = exc
         except KeyboardInterrupt:
@@ -317,7 +330,8 @@ class SweepRunner:
             # beat the handler: settle the same way
             interrupted = SweepInterrupted("SIGINT")
         finally:
-            trace_path = self._finish_observability(session, monitor)
+            merged = session.finish() if session is not None else None
+        trace_path = str(merged) if merged is not None else ""
         manifest = RunManifest.delta(
             before, self.store.stats_snapshot(),
             wall_seconds=perf_counter() - started, jobs=jobs,
@@ -357,44 +371,14 @@ class SweepRunner:
             exc.signal_name, aborted, released)
 
     # ------------------------------------------------------------------
-    # observability session plumbing
-    # ------------------------------------------------------------------
-
-    def _start_observability(self, trace: bool, progress: bool) \
-            -> tuple[TraceSession | None, ProgressMonitor | None]:
-        """Open the trace session (and live monitor) for this run."""
-        if not (trace or progress or tracing_requested()):
-            return None, None
-        if self.cache_dir is None:
-            logger.warning("tracing requested but the sweep has no cache "
-                           "directory; trace disabled")
-            return None, None
-        session = TraceSession(self.cache_dir, label="sweep").start()
-        monitor = None
-        if progress:
-            from repro.obs.progress import ProgressMonitor
-
-            monitor = ProgressMonitor(session.run_dir).start()
-        return session, monitor
-
-    def _finish_observability(self, session: TraceSession | None,
-                              monitor: ProgressMonitor | None) -> str:
-        """Stop the monitor, merge the trace; returns the trace path."""
-        if monitor is not None:
-            monitor.stop()
-        if session is None:
-            return ""
-        merged = session.finish()
-        return str(merged) if merged is not None else ""
-
-    # ------------------------------------------------------------------
     # supervised execution: prepare, batch and experiment waves
     # ------------------------------------------------------------------
 
     def _run(self, pairs: list[tuple[str, BoomConfig]], jobs: int,
              results: dict[tuple[str, str], ExperimentResult],
              outcome: ScheduleOutcome, *, policy: RetryPolicy,
-             timeout: float | None, fail_fast: bool) -> None:
+             timeout: float | None, fail_fast: bool,
+             progress: bool) -> None:
         pipeline = self.pipeline
         pending: list[tuple[str, BoomConfig]] = []
         for workload, config in pairs:
@@ -433,7 +417,8 @@ class SweepRunner:
                 max_workers=jobs, policy=policy, timeout=timeout,
                 fail_fast=fail_fast,
                 executor_factory=(lambda _: _InProcessExecutor())
-                if in_process else None)
+                if in_process else None,
+                progress=sys.stderr if progress else None)
 
         def adopt_prepared(task: Task, payload: tuple) -> None:
             shipped, stats = payload
@@ -452,7 +437,8 @@ class SweepRunner:
         prepare_wave = scheduler.run(
             [task(f"prepare:{workload}", "worker.prepare", _prepare,
                   workload, ship) for workload in needed],
-            on_result=adopt_prepared, on_error=merge_failed)
+            on_result=adopt_prepared, on_error=merge_failed,
+            wave="prepare")
         outcome.absorb(prepare_wave)
 
         # a workload whose shared stages failed poisons all of its
@@ -490,7 +476,7 @@ class SweepRunner:
                  in enumerate(_batch_chunks(runnable, jobs))],
                 on_result=lambda task, payload:
                     self.store.merge_stats(payload[1]),
-                on_error=merge_failed)
+                on_error=merge_failed, wave="batch")
             for record in batch_wave.failures + batch_wave.timeouts:
                 workload = record.key.split(":")[1]
                 self.batch_degraded[workload] = record.error
@@ -515,7 +501,8 @@ class SweepRunner:
                   ExperimentPipeline.result, workload, config,
                   fault_key=_pair_key(workload, config))
              for workload, config in runnable],
-            on_result=adopt_result, on_error=merge_failed)
+            on_result=adopt_result, on_error=merge_failed,
+            wave="experiment")
         outcome.absorb(experiment_wave)
 
     # ------------------------------------------------------------------

@@ -4,11 +4,16 @@ Two halves (see DESIGN.md §9):
 
 * **Tracing** (:mod:`.tracer`, :mod:`.merge`, :mod:`.session`): nested
   spans and instant events on a monotonic clock, one JSONL file per
-  process, merged onto a unified wall-anchored timeline.
-* **Consumers** (:mod:`.render`, :mod:`.progress`): wall-clock trees,
-  critical path, worker utilization, the metrics snapshot counted from
-  the merged trace, Chrome/Perfetto export, and live sweep progress
-  from heartbeat events.
+  process, merged onto a unified wall-anchored timeline.  A pool
+  worker's event file is its only channel to the parent besides the
+  task's return value.
+* **Consumers** (:mod:`.render`): wall-clock trees, critical path,
+  worker utilization, the metrics snapshot counted from the merged
+  trace, and Chrome/Perfetto export.
+
+Live ``--progress`` is not an observability consumer: the sweep's
+scheduler prints it from the parent as tasks settle
+(:mod:`repro.flow.scheduler`).
 
 Everything is off-by-default-cheap (a shared no-op tracer when
 disabled) and strictly read-only with respect to results: observability

@@ -1,5 +1,4 @@
-"""Leveled logging for library code, CLI verbosity plumbing, and the
-single-writer merge that keeps parallel-sweep output from interleaving.
+"""Leveled logging for library code and CLI verbosity plumbing.
 
 Library modules log through the ``repro`` logger hierarchy (for example
 ``repro.flow.sweep``); nothing in ``src/repro`` outside the CLI/report
@@ -8,41 +7,22 @@ via :func:`setup_cli_logging` — user-facing tables stay on stdout,
 diagnostics go to stderr — and ``--quiet``/``--verbose`` map onto
 standard levels.
 
-Under a parallel sweep, each pool worker redirects its ``repro`` logger
-to a per-process file in the observability run directory (torn lines
-impossible: one line-buffered writer per file).  The parent is the only
-process that writes worker diagnostics to the terminal: it drains those
-files through :class:`WorkerLogMerger`, emitting complete lines tagged
-with the worker pid.
+Only the sweep parent logs: the scheduler and the sweep runner report
+retries, failures and degradations from the parent process, so a
+parallel sweep still has one writer on the terminal.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import sys
-from pathlib import Path
 from typing import IO
 
-__all__ = [
-    "WorkerLogMerger",
-    "get_logger",
-    "setup_cli_logging",
-    "setup_worker_logging",
-    "worker_log_path",
-]
+__all__ = ["setup_cli_logging", "verbosity_level"]
 
 ROOT_LOGGER = "repro"
 _HANDLER_TAG = "_repro_cli_handler"
-_WORKER_TAG = "_repro_worker_handler"
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
-
-
-def get_logger(name: str) -> logging.Logger:
-    """A logger under the ``repro`` hierarchy (pass ``__name__``)."""
-    if name == ROOT_LOGGER or name.startswith(ROOT_LOGGER + "."):
-        return logging.getLogger(name)
-    return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
 def verbosity_level(verbose: int = 0, quiet: bool = False) -> int:
@@ -77,75 +57,3 @@ def setup_cli_logging(verbose: int = 0, quiet: bool = False, *,
     logger.addHandler(handler)
     logger.propagate = False
     return logger
-
-
-def worker_log_path(run_dir: Path | str, pid: int | None = None) -> Path:
-    return Path(run_dir) / f"worker-{pid if pid is not None else os.getpid()}.log"
-
-
-def setup_worker_logging(run_dir: Path | str) -> logging.Logger:
-    """Route this worker's ``repro`` logging to its per-process file.
-
-    Replaces inherited stream handlers so a forked worker never writes
-    diagnostics to the shared terminal; the parent merges the files.
-    Idempotent per process.
-    """
-    logger = logging.getLogger(ROOT_LOGGER)
-    if any(getattr(handler, _WORKER_TAG, False) for handler in logger.handlers):
-        return logger
-    for handler in list(logger.handlers):
-        if getattr(handler, _HANDLER_TAG, False):
-            logger.removeHandler(handler)
-    handler = logging.FileHandler(worker_log_path(run_dir), delay=True)
-    handler.setFormatter(logging.Formatter(LOG_FORMAT))
-    setattr(handler, _WORKER_TAG, True)
-    logger.addHandler(handler)
-    logger.propagate = False
-    if logger.level == logging.NOTSET:
-        logger.setLevel(logging.INFO)
-    return logger
-
-
-class WorkerLogMerger:
-    """Parent-side single writer for worker log files.
-
-    Tracks a read offset per file and, on each :meth:`drain`, emits only
-    *complete* new lines prefixed with the worker pid — concurrent
-    workers can never tear each other's lines because each file has one
-    writer and the terminal has one (this merger).
-    """
-
-    def __init__(self, run_dir: Path | str, *,
-                 stream: IO[str] | None = None) -> None:
-        self.run_dir = Path(run_dir)
-        self.stream = stream
-        self._offsets: dict[Path, int] = {}
-
-    def drain(self) -> list[str]:
-        """Collect (and emit, if a stream is set) new complete lines."""
-        lines: list[str] = []
-        try:
-            files = sorted(self.run_dir.glob("worker-*.log"))
-        except OSError:
-            return lines
-        for path in files:
-            offset = self._offsets.get(path, 0)
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(offset)
-                    chunk = handle.read()
-            except OSError:
-                continue
-            if not chunk:
-                continue
-            complete, _, remainder = chunk.rpartition(b"\n")
-            self._offsets[path] = offset + len(chunk) - len(remainder)
-            if not complete:
-                continue
-            pid = path.stem.replace("worker-", "")
-            for line in complete.decode("utf-8", "replace").splitlines():
-                lines.append(f"[worker {pid}] {line}")
-        if self.stream is not None and lines:
-            self.stream.write("\n".join(lines) + "\n")
-            self.stream.flush()
-        return lines

@@ -2,8 +2,8 @@
 
 A :class:`TraceSession` owns one observability run directory under
 ``<cache_root>/obs/<run_id>/``.  Starting it configures the parent
-tracer to write there and exports ``REPRO_OBS_DIR``/``REPRO_OBS_TRACE``
-so that pool workers forked afterwards pick the directory up via
+tracer to write there and exports ``REPRO_OBS_DIR`` so that pool
+workers forked afterwards pick the directory up via
 :func:`repro.obs.tracer.ensure_process_tracer`.  Finishing it restores
 the environment, closes the parent tracer, merges every per-process
 event file into ``trace.json``, and refreshes the ``latest`` pointer
@@ -26,14 +26,7 @@ import time
 from pathlib import Path
 
 from .merge import write_merged_trace
-from .tracer import (
-    OBS_DIR_ENV,
-    OBS_PPID_ENV,
-    OBS_TRACE_ENV,
-    configure_tracer,
-    get_tracer,
-    reset_tracer,
-)
+from .tracer import OBS_DIR_ENV, configure_tracer, reset_tracer
 
 __all__ = ["OBS_DIR_NAME", "TraceSession", "latest_run_dir", "resolve_run_dir"]
 
@@ -84,7 +77,7 @@ class TraceSession:
         self.run_id = f"{stamp}-{label}-{os.getpid()}-{next(_SEQUENCE)}"
         self.run_dir = obs_root(cache_root) / self.run_id
         self.trace_path: Path | None = None
-        self._saved_env: dict[str, str | None] = {}
+        self._saved_env: str | None = None
         self._active = False
 
     # ------------------------------------------------------------------
@@ -93,11 +86,8 @@ class TraceSession:
         if self._active:
             return self
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        for key, value in ((OBS_DIR_ENV, str(self.run_dir)),
-                           (OBS_TRACE_ENV, "1"),
-                           (OBS_PPID_ENV, str(os.getpid()))):
-            self._saved_env[key] = os.environ.get(key)
-            os.environ[key] = value
+        self._saved_env = os.environ.get(OBS_DIR_ENV)
+        os.environ[OBS_DIR_ENV] = str(self.run_dir)
         configure_tracer(self.run_dir / f"events-{os.getpid()}.jsonl",
                          role="main")
         self._active = True
@@ -107,12 +97,10 @@ class TraceSession:
         if not self._active:
             return self.trace_path
         self._active = False
-        for key, value in self._saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        self._saved_env.clear()
+        if self._saved_env is None:
+            os.environ.pop(OBS_DIR_ENV, None)
+        else:
+            os.environ[OBS_DIR_ENV] = self._saved_env
         reset_tracer()
         try:
             self.trace_path = write_merged_trace(self.run_dir)
@@ -128,9 +116,6 @@ class TraceSession:
         self.finish()
 
     # ------------------------------------------------------------------
-
-    def tracer(self):
-        return get_tracer()
 
     def _point_latest(self) -> None:
         # The temp name carries the pid: two traced runs finishing at

@@ -18,7 +18,7 @@ Event records (one JSON object per line):
 ``{"type": "I", "name", "ts", "pid", "tid", "attrs"}``
     Instant event (artifact hits, task lifecycle, checkpoints...).
 ``{"type": "hb", "name", "ts", "pid", "attrs"}``
-    Heartbeat sample (live progress; see :mod:`repro.obs.heartbeat`).
+    Heartbeat sample (simulator rate; see :mod:`repro.obs.heartbeat`).
 ``{"type": "flight", "ts", "pid", "attrs"}``
     Flight-recorder sample; ``attrs`` is the sample (see
     :mod:`repro.obs.flight`).
@@ -49,8 +49,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "OBS_DIR_ENV",
-    "OBS_PPID_ENV",
-    "OBS_TRACE_ENV",
     "Span",
     "TRACE_ENV",
     "Tracer",
@@ -64,13 +62,9 @@ __all__ = [
 
 #: user-facing switch: ``REPRO_TRACE=1`` enables tracing in the CLI
 TRACE_ENV = "REPRO_TRACE"
-#: run-directory handoff from the sweep parent to its pool workers
+#: run-directory handoff from the sweep parent to its pool workers; set
+#: only while a traced session runs
 OBS_DIR_ENV = "REPRO_OBS_DIR"
-#: internal parent->worker switch: set only while a traced session runs
-OBS_TRACE_ENV = "REPRO_OBS_TRACE"
-#: pid of the traced session's parent, so in-process "workers" (thread
-#: pools in tests) can tell they are not a separate worker process
-OBS_PPID_ENV = "REPRO_OBS_PPID"
 #: seconds between heartbeat samples (float)
 HEARTBEAT_ENV = "REPRO_TRACE_HEARTBEAT"
 
@@ -314,16 +308,16 @@ def reset_tracer() -> None:
 
 
 def ensure_process_tracer() -> Tracer | NullTracer:
-    """Worker-side lazy setup from the ``REPRO_OBS_*`` environment.
+    """Worker-side lazy setup from the ``REPRO_OBS_DIR`` environment.
 
     Called at pool-task entry: when the parent exported an observability
-    run directory with tracing enabled and this process has no tracer of
-    its *own*, open this process's ``events-<pid>.jsonl``.  A forked
-    worker inherits the parent's live tracer object — detected by its
-    recorded pid — and must never keep it: writing through it would tag
-    events with the parent's pid, collide span ids across processes, and
-    interleave into the parent's file.  Idempotent, and a no-op in the
-    parent (which configured its tracer explicitly).
+    run directory and this process has no tracer of its *own*, open this
+    process's ``events-<pid>.jsonl``.  A forked worker inherits the
+    parent's live tracer object — detected by its recorded pid — and
+    must never keep it: writing through it would tag events with the
+    parent's pid, collide span ids across processes, and interleave into
+    the parent's file.  Idempotent, and a no-op in the parent (which
+    configured its tracer explicitly).
     """
     global _GLOBAL
     if _GLOBAL is not None and _GLOBAL.pid == os.getpid():
@@ -333,7 +327,7 @@ def ensure_process_tracer() -> Tracer | NullTracer:
         # drop the reference, never close (or flush into) its stream
         _GLOBAL = None
     run_dir = os.environ.get(OBS_DIR_ENV)
-    if not run_dir or os.environ.get(OBS_TRACE_ENV) not in _TRUTHY:
+    if not run_dir:
         return NULL_TRACER
     try:
         return configure_tracer(

@@ -11,8 +11,8 @@ concurrent clients (DESIGN.md §12):
     A blocking advisory ``fcntl`` lock around any shared mutable file
     (sweep state, run manifest, ``obs/latest``).  fcntl locks are
     released by the kernel when the holder dies, so a crashed process
-    can never wedge the cache; lock waits are observed in the
-    ``lock.wait_seconds`` histogram so contention is visible.  Where
+    can never wedge the cache; a wait of at least one poll is recorded
+    as a ``lock.wait`` trace event so contention is visible.  Where
     ``fcntl`` is unavailable the lock degrades to the lease protocol
     below (create-exclusive + liveness reclamation).
 

@@ -179,6 +179,54 @@ def test_fail_fast_skips_remaining_tasks():
     assert len(outcome.results) + len(outcome.failures) == 6
 
 
+def test_progress_writes_one_line_per_settled_task(tmp_path):
+    """A retried task writes one line, when it settles; a failed one
+    writes its line too; the fail-fast skips after it write none."""
+    import io
+    import itertools
+
+    marker = tmp_path / "fired"
+
+    def worker(value):
+        if value == "flaky" and not marker.exists():
+            marker.write_text("x")
+            raise OSError("blip")
+        if value == "broken":
+            raise ReproError("bad model")
+        if value == "lost":
+            raise OSError("never recovers")
+        return value
+
+    stream = io.StringIO()
+    ticks = itertools.count()
+    scheduler = _threaded(max_workers=1, progress=stream,
+                          clock=lambda: float(next(ticks)),
+                          policy=RetryPolicy(max_attempts=2,
+                                             backoff_base=0.0))
+    keys = ["ok", "flaky", "broken", "lost"]
+    outcome = scheduler.run([Task(key, worker, key) for key in keys],
+                            wave="experiment")
+    assert sorted(outcome.results) == ["flaky", "ok"]
+    lines = stream.getvalue().splitlines()
+    # a retry goes to the back of the queue
+    assert [line.split()[3] for line in lines] == \
+        ["ok", "broken", "flaky", "lost"]
+    assert [line.split()[2] for line in lines] == \
+        ["1/4", "2/4", "3/4", "4/4"]
+    assert all(line.startswith("progress: experiment ") for line in lines)
+    assert "failed (permanent)" in lines[1] and "ok," in lines[2] \
+        and "failed (transient)" in lines[3]
+    assert lines[-1].endswith("eta 0.0s")
+
+    stream = io.StringIO()
+    fail_fast = _threaded(max_workers=1, progress=stream, fail_fast=True)
+    outcome = fail_fast.run([Task(key, worker, key)
+                             for key in ("broken", "ok", "ok2")])
+    assert outcome.aborted
+    (line,) = stream.getvalue().splitlines()
+    assert line.startswith("progress: tasks 1/3 broken failed")
+
+
 # ----------------------------------------------------------------------
 # real process pools: crash recovery and timeouts
 # ----------------------------------------------------------------------

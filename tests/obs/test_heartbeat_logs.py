@@ -1,15 +1,9 @@
-"""Tests for heartbeat emission, leveled logging, and log merging."""
+"""Tests for heartbeat emission and leveled logging."""
 
 import logging
 
 from repro.obs.heartbeat import HeartbeatEmitter
-from repro.obs.logs import (
-    WorkerLogMerger,
-    get_logger,
-    setup_cli_logging,
-    verbosity_level,
-    worker_log_path,
-)
+from repro.obs.logs import setup_cli_logging, verbosity_level
 from repro.obs.tracer import Tracer
 
 
@@ -69,23 +63,3 @@ def test_setup_cli_logging_idempotent_single_handler():
     tagged = [h for h in second.handlers
               if getattr(h, "_repro_cli_handler", False)]
     assert len(tagged) == 1
-
-
-def test_get_logger_namespaced():
-    assert get_logger("repro.flow.sweep").name == "repro.flow.sweep"
-    assert get_logger("other").name == "repro.other"
-
-
-def test_worker_log_merger_tails_complete_lines(tmp_path):
-    path = worker_log_path(tmp_path, pid=777)
-    path.write_text("first line\n")
-    merger = WorkerLogMerger(tmp_path)
-    lines = merger.drain()
-    assert lines == ["[worker 777] first line"]
-    with open(path, "a") as handle:
-        handle.write("second\npartial")  # no trailing newline yet
-    assert merger.drain() == ["[worker 777] second"]
-    with open(path, "a") as handle:
-        handle.write(" done\n")
-    assert merger.drain() == ["[worker 777] partial done"]
-    assert merger.drain() == []

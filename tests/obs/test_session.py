@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.obs.session import (
 )
 from repro.obs.tracer import (
     OBS_DIR_ENV,
-    OBS_TRACE_ENV,
     NullTracer,
     get_tracer,
     reset_tracer,
@@ -45,7 +45,6 @@ def test_session_lifecycle_env_and_merge(tmp_path):
     session = TraceSession(tmp_path, label="unit")
     with session:
         assert os.environ[OBS_DIR_ENV] == str(session.run_dir)
-        assert os.environ[OBS_TRACE_ENV] == "1"
         tracer = get_tracer()
         assert tracer.enabled
         with tracer.span("work"):
@@ -113,6 +112,25 @@ def test_traced_parallel_sweep_records_tasks(tmp_path):
     assert {"task.submit", "task.done"} <= names
     assert {f"worker.utilization.{pid}" for pid in worker_pids} <= \
         set(trace_metrics(merged))
+
+
+def test_traced_parallel_run_dir_holds_only_events_and_trace(
+        tmp_path, capsys):
+    """Pool workers reach the parent through their event files alone,
+    and ``progress`` prints from the parent without writing a file."""
+    runner = SweepRunner(FlowSettings(scale=0.05), cache_dir=tmp_path)
+    runner.run_all(configs=(MEDIUM_BOOM,), workloads=["qsort", "sha"],
+                   jobs=2, trace=True, progress=True)
+    run_dir = Path(runner.last_manifest.trace).parent
+    names = sorted(path.name for path in run_dir.iterdir())
+    events = [name for name in names
+              if name.startswith("events-") and name.endswith(".jsonl")]
+    assert names == sorted(events + ["trace.json"])
+    assert f"events-{os.getpid()}.jsonl" in events and len(events) >= 2
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("progress: ")]
+    assert [line.split()[1] for line in lines] == \
+        ["prepare"] * 2 + ["batch"] * 2 + ["experiment"] * 2
 
 
 def test_untraced_sweep_records_nothing(tmp_path):

@@ -332,6 +332,54 @@ def test_sweep_retries_transient_faults(capsys, tmp_path):
     assert "retries" in captured.out
 
 
+def test_sweep_progress_lines_leave_stdout_unchanged(capsys, tmp_path):
+    """``--progress`` writes one stderr line per settled task, a failed
+    one included, records no trace, and changes nothing on stdout."""
+    faults = "worker.experiment:fail:n=0:k=sha/MegaBOOM"
+    outputs = []
+    for name, flags in (("plain", ()), ("progress", ("--progress",))):
+        cache = tmp_path / name
+        code = main(["--scale", "0.05", "--cache-dir", str(cache), "sweep",
+                     "--workloads", "qsort", "sha", "--faults", faults,
+                     *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert not (cache / "obs").exists()
+        outputs.append(captured.out)
+    lines = [line for line in captured.err.splitlines()
+             if line.startswith("progress: ")]
+    # two workloads' shared stages, one batch each, six experiments
+    assert [line.split()[1] for line in lines] == \
+        ["prepare"] * 2 + ["batch"] * 2 + ["experiment"] * 6
+    assert lines[-1].split()[2] == "6/6"
+    assert sum("sha/MegaBOOM failed (permanent)" in line
+               for line in lines) == 1
+    assert outputs[0] == outputs[1]
+
+
+def test_main_leaves_the_environment_as_it_found_it(capsys, monkeypatch):
+    """``--check`` and ``--flight`` are exported for the handler's pool
+    workers only while it runs."""
+    import os
+
+    import repro.cli
+
+    monkeypatch.setenv("REPRO_CHECK", "0")
+    monkeypatch.delenv("REPRO_FLIGHT", raising=False)
+    before = dict(os.environ)
+    during = {}
+
+    def handler(_args):
+        during.update(check=os.environ.get("REPRO_CHECK"),
+                      flight=os.environ.get("REPRO_FLIGHT"))
+        return 0
+
+    monkeypatch.setattr(repro.cli, "_cmd_workloads", handler)
+    assert main(["--flight", "--check", "workloads"]) == 0
+    assert during == {"check": "1", "flight": "1"}
+    assert dict(os.environ) == before
+
+
 def test_recover_on_clean_cache(capsys, tmp_path):
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path), "recover")
     assert code == 0
@@ -381,11 +429,8 @@ def test_recover_check_only_audits_without_repair(capsys, tmp_path):
 # ----------------------------------------------------------------------
 
 def test_flight_sweep_records_and_renders(capsys, tmp_path):
-    import os
-
     code = main(["--scale", "0.05", "--cache-dir", str(tmp_path),
                  "--flight", "sweep"])
-    os.environ.pop("REPRO_FLIGHT", None)  # --flight exports it for workers
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "obs").is_dir()
