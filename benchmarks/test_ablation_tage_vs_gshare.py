@@ -10,7 +10,13 @@ reproduces the comparison, plus the accuracy side of the trade-off
 from statistics import mean
 
 from repro.analysis.takeaways import check_takeaway_7
+from repro.uarch.config import config_by_name
 from repro.workloads.suite import workload_names
+
+
+def _gshare_name(config_name):
+    """The ablation's name: it carries a content hash of the config."""
+    return config_by_name(config_name).with_predictor("gshare").name
 
 
 def _bp_average(results, config_name):
@@ -24,7 +30,7 @@ def test_tage_vs_gshare_power(benchmark, sweep_results, gshare_results):
     ratios = []
     for config in ("MediumBOOM", "LargeBOOM", "MegaBOOM"):
         tage = _bp_average(sweep_results, config)
-        gshare = _bp_average(gshare_results, f"{config}-gshare")
+        gshare = _bp_average(gshare_results, _gshare_name(config))
         ratios.append(tage / gshare)
         print(f"{config:<12} TAGE={tage:6.2f} mW  gshare={gshare:6.2f} mW"
               f"  ratio={tage / gshare:.2f}")
@@ -41,7 +47,7 @@ def test_tage_earns_its_power(benchmark, sweep_results, gshare_results):
         for config in ("MediumBOOM", "LargeBOOM", "MegaBOOM"):
             tage_ipc = mean(sweep_results[(w, config)].ipc
                             for w in workload_names())
-            gshare_ipc = mean(gshare_results[(w, f"{config}-gshare")].ipc
+            gshare_ipc = mean(gshare_results[(w, _gshare_name(config))].ipc
                               for w in workload_names())
             out[config] = (tage_ipc, gshare_ipc)
         return out

@@ -7,18 +7,27 @@ byte-identical to an uninterrupted run.*
 
 The script runs an uninterrupted baseline sweep into cache A, then
 repeatedly launches the same sweep against cache B as a real child
-process group and SIGKILLs it at seeded-random delays — landing kills
-inside stage computes, mid-rename, between journal claim and commit,
-while leases are held.  After each kill it runs :func:`recover_cache`
-(asserting the storage audit comes back clean) and resumes.  Once the
-sweep finally completes, every stage artifact in B must be
-byte-identical to A, and no quarantined garbage may have leaked back
-into the stage directories.
+process group and SIGKILLs it — landing kills inside stage computes,
+mid-rename, between journal claim and commit, while leases are held.
 
-Usage::
+Each kill falls once the child has published a seeded-random number of
+new artifacts (at least one, and never so many that the kills still to
+come run out of work), or at ``--max-delay`` seconds, whichever comes
+first.  Drawing the kill point from the child's own progress, not from
+wall time, is what makes every kill land: a resumed scale-0.05 sweep
+finishes in about a second.  A child that exits before its kill fails
+the smoke, so it can never pass with fewer kills than ``--kills``.
 
-    PYTHONPATH=src python scripts/smoke_chaos.py [--scale 0.05]
-        [--kills 4] [--seed 0]
+After each kill it runs :func:`recover_cache` (asserting the storage
+audit comes back clean) and resumes.  Once the sweep finally
+completes, every stage artifact in B must be byte-identical to A, and
+no quarantined garbage may have leaked back into the stage
+directories.
+
+Usage (from any directory)::
+
+    PYTHONPATH=<repo>/src python <repo>/scripts/smoke_chaos.py
+        [--scale 0.05] [--kills 4] [--seed 0] [--max-delay 6.0]
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ from repro.flow.sweep import SweepRunner
 from repro.pipeline.artifacts import INTERNAL_DIRS
 from repro.pipeline.journal import recover_cache
 
+#: the child's import path, independent of the working directory
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 #: the child sweep, run as its own process group so SIGKILL takes the
 #: whole pool down at once — exactly the operator's kill -9
 _CHILD = """
@@ -54,9 +66,9 @@ runner.run_all(jobs=2, resume=True)
 """
 
 
-def _artifact_digests(cache: Path) -> dict[str, str]:
-    """sha256 of every stage artifact (bookkeeping excluded)."""
-    digests: dict[str, str] = {}
+def _artifacts(cache: Path) -> list[Path]:
+    """Every stage artifact file (bookkeeping excluded)."""
+    found = []
     for path in sorted(cache.rglob("*")):
         if not path.is_file():
             continue
@@ -65,17 +77,44 @@ def _artifact_digests(cache: Path) -> dict[str, str]:
                 relative.suffix == ".lock" or \
                 relative.name in ("run_manifest.json", "sweep_state.json"):
             continue
-        digests[str(relative)] = hashlib.sha256(
-            path.read_bytes()).hexdigest()
-    return digests
+        found.append(path)
+    return found
 
 
-def _launch(cache: Path, scale: float) -> subprocess.Popen:
+def _artifact_digests(cache: Path) -> dict[str, str]:
+    """sha256 of every stage artifact."""
+    return {str(path.relative_to(cache)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in _artifacts(cache)}
+
+
+def _launch(cache: Path, scale: float, log) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-c", _CHILD, str(cache), str(scale)],
         start_new_session=True,  # its own process group: killable whole
-        env={**os.environ, "PYTHONPATH": "src"},
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL, stderr=log)
+
+
+def _kill_at(child: subprocess.Popen, cache: Path, target: int,
+             max_delay: float) -> float:
+    """SIGKILL ``child``'s group once ``cache`` holds ``target``
+    artifacts or ``max_delay`` seconds have passed; returns the delay.
+
+    Raises :class:`SystemExit` if the child exits first.
+    """
+    started = time.monotonic()
+    while True:
+        delay = time.monotonic() - started
+        if child.poll() is not None:
+            raise SystemExit(
+                f"chaos FAILED: the child sweep exited with status "
+                f"{child.returncode} after {delay:.1f}s, before its kill")
+        if delay >= max_delay or len(_artifacts(cache)) >= target:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            return delay
+        time.sleep(0.005)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,14 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kills", type=int, default=4,
                         help="number of kill-9 interruptions to inflict")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the kill-delay draws")
+                        help="seed for the kill-point draws")
     parser.add_argument("--max-delay", type=float, default=6.0,
                         help="upper bound on each kill delay (seconds)")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
 
     with tempfile.TemporaryDirectory() as a, \
-            tempfile.TemporaryDirectory() as b:
+            tempfile.TemporaryDirectory() as b, \
+            tempfile.TemporaryDirectory() as logs:
         baseline_cache, chaos_cache = Path(a), Path(b)
 
         print(f"baseline: uninterrupted sweep (scale {args.scale:g})")
@@ -103,20 +143,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline OK: {len(baseline_results)} experiments, "
               f"{len(baseline)} artifacts")
 
-        kills = 0
-        while kills < args.kills:
-            delay = rng.uniform(0.3, args.max_delay)
-            child = _launch(chaos_cache, args.scale)
-            try:
-                child.wait(timeout=delay)
-                # finished before the axe fell: sweep is complete
-                print(f"  kill {kills + 1}: sweep finished in under "
-                      f"{delay:.1f}s; no more work to interrupt")
-                break
-            except subprocess.TimeoutExpired:
-                os.killpg(child.pid, signal.SIGKILL)
-                child.wait()
-                kills += 1
+        for kills in range(1, args.kills + 1):
+            present = len(_artifacts(chaos_cache))
+            # leave at least one artifact unpublished for this kill and
+            # each kill after it
+            share = (len(baseline) - present) // (args.kills - kills + 2)
+            if share < 1:
+                raise SystemExit(
+                    f"chaos FAILED: kill {kills} of {args.kills} cannot "
+                    f"land: {len(baseline) - present} artifacts left")
+            target = present + rng.randint(1, share)
+            log_path = Path(logs) / f"child-{kills}.log"
+            with open(log_path, "w") as log:
+                child = _launch(chaos_cache, args.scale, log)
+                try:
+                    delay = _kill_at(child, chaos_cache, target,
+                                     args.max_delay)
+                except SystemExit:
+                    print(log_path.read_text(), file=sys.stderr)
+                    raise
             # the group is dying, not instantly dead: a SIGKILLed worker
             # can briefly still probe as alive.  Recovery is idempotent,
             # so run it until the audit settles clean.
@@ -128,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
                 time.sleep(0.1)
             assert audit.ok, (
                 f"storage audit failed after recover: {audit.problems}")
-            print(f"  kill {kills} after {delay:.1f}s: "
+            print(f"  kill {kills} after {delay:.1f}s "
+                  f"(target {target}/{len(baseline)} artifacts): "
                   f"{len(report.quarantined)} quarantined, "
                   f"{report.leases_released} leases released, "
                   f"{report.tmp_removed} tmp removed — audit clean")
@@ -160,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             (chaos_cache / "sweep_state.json").read_text())
         assert state["status"] == "complete", state["status"]
 
-    print(f"\nchaos OK: {kills} kill -9 interruption(s) recovered; "
+    print(f"\nchaos OK: {args.kills} kill -9 interruption(s) recovered; "
           f"{len(chaos)} artifacts byte-identical to the uninterrupted "
           f"run")
     return 0

@@ -14,7 +14,7 @@ raising ``KeyError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.exact import mean
 from repro.analysis.figures import ResultMap
@@ -51,17 +51,6 @@ def energy_delay_product(result) -> float | None:
     energy_pj = energy_per_instruction_pj(result)
     delay_ns = 1e9 / (result.ipc * CLOCK_HZ)
     return energy_pj * delay_ns
-
-
-def energy_delay_squared(result) -> float | None:
-    """ED^2P per instruction (pJ*ns^2): performance-leaning metric.
-
-    ``None`` when undefined (``ipc == 0``).
-    """
-    if result.ipc == 0.0:
-        return None
-    delay_ns = 1e9 / (result.ipc * CLOCK_HZ)
-    return energy_per_instruction_pj(result) * delay_ns ** 2
 
 
 @dataclass(frozen=True)

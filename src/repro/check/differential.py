@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.errors import DifferentialMismatch
 from repro.sim.executor import Executor
-from repro.uarch.core import BoomCore
 
 
 def _f_bits(value: float) -> int:
@@ -80,24 +79,6 @@ def _first_divergence(detailed, reference) -> str | None:
                     else "contents differ")
             return f"memory page {number}: {side}"
     return None
-
-
-def run_differential(config, program, checkpoint,
-                     max_instructions: int,
-                     raise_on_mismatch: bool = True) -> DifferentialReport:
-    """Run detailed and functional models from ``checkpoint`` and diff.
-
-    ``max_instructions`` is the detailed core's retire budget (warm-up
-    plus measurement window in real runs).  Raises
-    :class:`DifferentialMismatch` on the first divergence unless
-    ``raise_on_mismatch`` is False, in which case the report carries it.
-    """
-    core = BoomCore(config, program, state=checkpoint.restore())
-    core.retire_log = []
-    core.run(max_instructions)
-    return diff_core_against_reference(
-        core, program, checkpoint.restore(),
-        raise_on_mismatch=raise_on_mismatch)
 
 
 def diff_core_against_reference(core, program, reference_state,

@@ -57,12 +57,6 @@ class OpClass(enum.Enum):
     def is_control(self) -> bool:
         return self in (OpClass.BRANCH, OpClass.JAL, OpClass.JALR)
 
-    @property
-    def is_floating_point(self) -> bool:
-        """True for ops that execute in the FP pipeline."""
-        return self in (OpClass.FP_ALU, OpClass.FP_MUL, OpClass.FP_DIV,
-                        OpClass.FP_CVT)
-
 
 _MEMORY_CLASSES = (OpClass.LOAD, OpClass.STORE, OpClass.FP_LOAD,
                    OpClass.FP_STORE)
@@ -323,10 +317,6 @@ class Instruction:
         self.pc = pc
 
     # -- classification helpers used by the detailed core --------------
-
-    @property
-    def is_branch(self) -> bool:
-        return self.opclass is OpClass.BRANCH
 
     @property
     def is_control(self) -> bool:

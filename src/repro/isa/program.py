@@ -42,23 +42,6 @@ class Program:
         for index, instr in enumerate(self.instructions):
             instr.pc = TEXT_BASE + 4 * index
 
-    @property
-    def text_size(self) -> int:
-        """Size of the text segment in bytes."""
-        return 4 * len(self.instructions)
-
-    @property
-    def text_end(self) -> int:
-        return TEXT_BASE + self.text_size
-
-    def instruction_at(self, pc: int) -> Instruction:
-        """Return the decoded instruction at ``pc``."""
-        index = (pc - TEXT_BASE) >> 2
-        if pc & 3 or not 0 <= index < len(self.instructions):
-            raise SimulationError(f"instruction fetch outside text: "
-                                  f"pc=0x{pc:x}")
-        return self.instructions[index]
-
     def symbol(self, name: str) -> int:
         """Return the address of symbol ``name``."""
         try:

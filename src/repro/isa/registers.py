@@ -79,17 +79,3 @@ def is_xreg_name(name: str) -> bool:
 def is_freg_name(name: str) -> bool:
     """True if ``name`` names a floating-point register."""
     return name in _FREG_NAMES
-
-
-def xreg_name(index: int) -> str:
-    """Return the canonical ABI name of integer register ``index``."""
-    if not 0 <= index < NUM_XREGS:
-        raise IsaError(f"integer register index out of range: {index}")
-    return XREG_ABI_NAMES[index]
-
-
-def freg_name(index: int) -> str:
-    """Return the canonical ABI name of FP register ``index``."""
-    if not 0 <= index < NUM_FREGS:
-        raise IsaError(f"floating-point register index out of range: {index}")
-    return FREG_ABI_NAMES[index]

@@ -203,12 +203,6 @@ class IntentJournal:
         self._track(ABORT, stage, fingerprint)
         self._append(ABORT, stage, fingerprint)
 
-    def open_count(self) -> int:
-        """How many of this process's intents are still unsettled."""
-        if self._open_pid != os.getpid():
-            return 0
-        return len(self._open)
-
     def abort_open(self) -> int:
         """Abort every intent this process claimed but never settled.
 

@@ -50,7 +50,7 @@ try:  # POSIX; the lease fallback covers everything else
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-from repro.errors import LeaseTimeoutError, LockTimeoutError
+from repro.errors import LockTimeoutError
 from repro.obs.tracer import get_tracer
 
 __all__ = ["DecorrelatedJitter", "FileLock", "Lease", "WorkClaims",
@@ -470,27 +470,3 @@ class DecorrelatedJitter:
         self._prev = min(self.cap,
                          self._rng.uniform(self.base, self._prev * 3.0))
         return self._prev
-
-
-def wait_for(predicate: Callable[[], bool], *, timeout: float,
-             poll: float = 0.05, what: str = "condition",
-             clock: Callable[[], float] = time.monotonic,
-             sleep: Callable[[float], None] = time.sleep,
-             rng: random.Random | None = None) -> None:
-    """Poll ``predicate`` until true or ``timeout`` elapses.
-
-    Raises :class:`LeaseTimeoutError` (transient — the scheduler
-    retries) on expiry; used by lease waiters blocking on a winner's
-    artifact.  Delays between probes follow
-    :class:`DecorrelatedJitter` (base ``poll``) so concurrent waiters
-    released by one holder do not stampede the lease in lockstep; each
-    delay is clamped to the time remaining, so the total sleep never
-    drifts past ``timeout``.
-    """
-    deadline = clock() + timeout
-    jitter = DecorrelatedJitter(poll, rng=rng)
-    while not predicate():
-        remaining = deadline - clock()
-        if remaining <= 0.0:
-            raise LeaseTimeoutError(what, timeout)
-        sleep(min(jitter.next_delay(), remaining))

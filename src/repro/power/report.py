@@ -62,12 +62,6 @@ class PowerReport:
     def component_mw(self, name: str) -> float:
         return self.components[name].total_mw
 
-    def ranked_components(self) -> list[tuple[str, float]]:
-        """Analyzed components sorted by descending power."""
-        pairs = [(name, self.components[name].total_mw)
-                 for name in ANALYZED_COMPONENTS]
-        return sorted(pairs, key=lambda item: item[1], reverse=True)
-
     def format_table(self) -> str:
         """Human-readable per-component table."""
         lines = [f"{self.config_name} / {self.workload} "

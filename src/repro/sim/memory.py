@@ -144,18 +144,6 @@ class Memory:
                        for number, page in pages.items()}
         self._rebuild_direct()
 
-    def touched_page_count(self) -> int:
-        """Number of pages that have been allocated."""
-        return len(self._pages)
-
-    def clone(self) -> "Memory":
-        """Return an independent deep copy of this memory."""
-        copy = Memory()
-        copy._pages = {number: bytearray(page)
-                       for number, page in self._pages.items()}
-        copy._rebuild_direct()
-        return copy
-
     # ------------------------------------------------------------------
 
     def _rebuild_direct(self) -> None:

@@ -1,12 +1,9 @@
-"""Tests for the sweep comparison tool."""
+"""Sweep-level comparison of the ring and collapsing issue queues."""
+
+from statistics import mean
 
 import pytest
 
-from repro.analysis.compare import (
-    compare_sweeps,
-    format_comparison,
-    SweepComparison,
-)
 from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SweepRunner
 from repro.uarch.config import MEGA_BOOM
@@ -15,57 +12,15 @@ SETTINGS = FlowSettings(scale=0.1)
 WORKLOADS = ["qsort", "sha", "dijkstra"]
 
 
-@pytest.fixture(scope="module")
-def sweeps():
+def test_ring_comparison_shows_issue_power_drop():
     runner = SweepRunner(SETTINGS, cache_dir=None)
-    baseline = runner.run_all(configs=(MEGA_BOOM,), workloads=WORKLOADS)
     ring = MEGA_BOOM.with_issue_queues("ring")
-    variant = runner.run_all(configs=(ring,), workloads=WORKLOADS)
-    return baseline, variant, ring.name
-
-
-def test_identity_comparison(sweeps):
-    baseline, _, _ = sweeps
-    comparison = compare_sweeps(baseline, baseline,
-                                "MegaBOOM", "MegaBOOM")
-    assert comparison.average("ipc_ratio") == pytest.approx(1.0)
-    assert comparison.average("tile_ratio") == pytest.approx(1.0)
-    for name, ratio in comparison.biggest_component_changes():
-        assert ratio == pytest.approx(1.0)
-
-
-def test_ring_comparison_shows_issue_power_drop(sweeps):
-    baseline, variant, variant_name = sweeps
-    comparison = compare_sweeps(baseline, variant,
-                                "MegaBOOM", variant_name)
-    assert len(comparison.deltas) == len(WORKLOADS)
+    results = runner.run_all(configs=(MEGA_BOOM, ring), workloads=WORKLOADS)
+    pairs = [(results[(w, "MegaBOOM")], results[(w, ring.name)])
+             for w in WORKLOADS]
     # IPC essentially unchanged, issue power down.
-    assert comparison.average("ipc_ratio") == pytest.approx(1.0, abs=0.05)
-    assert comparison.average_component("int_issue") < 1.0
-    moved = dict(comparison.biggest_component_changes(13))
-    assert moved["int_issue"] < 1.0
-
-
-def test_format_comparison(sweeps):
-    baseline, variant, variant_name = sweeps
-    text = format_comparison(compare_sweeps(baseline, variant,
-                                            "MegaBOOM", variant_name))
-    assert "AVERAGE" in text
-    assert "qsort" in text
-    assert "largest component moves" in text
-
-
-def test_zero_baseline_handling():
-    comparison = SweepComparison("a", "b")
-    from repro.analysis.compare import _ratio
-
-    assert _ratio(0.0, 0.0) == 1.0
-    assert _ratio(1.0, 0.0) == float("inf")
-    assert _ratio(2.0, 1.0) == 2.0
-
-
-def test_explicit_workload_subset(sweeps):
-    baseline, variant, variant_name = sweeps
-    comparison = compare_sweeps(baseline, variant, "MegaBOOM",
-                                variant_name, workloads=["sha"])
-    assert [d.workload for d in comparison.deltas] == ["sha"]
+    assert mean(variant.ipc / base.ipc for base, variant in pairs) == \
+        pytest.approx(1.0, abs=0.05)
+    assert mean(variant.component_mw("int_issue")
+                / base.component_mw("int_issue")
+                for base, variant in pairs) < 1.0

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.check.differential import (
-    diff_core_against_reference,
-    run_differential,
-)
+from repro.check.differential import diff_core_against_reference
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.errors import DifferentialMismatch
 from repro.isa.assembler import assemble
@@ -24,12 +21,21 @@ def make_checkpoint(program, at_instruction: int) -> Checkpoint:
                               warmup_instructions=0)
 
 
+def run_core(config, program, checkpoint, max_instructions):
+    """A detailed core resumed from ``checkpoint`` with its commit log."""
+    core = BoomCore(config, program, state=checkpoint.restore())
+    core.retire_log = []
+    core.run(max_instructions)
+    return core
+
+
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_clean_run_matches_reference(config):
     program = assemble(generate_program(9))
     checkpoint = make_checkpoint(program, at_instruction=200)
-    report = run_differential(config, program, checkpoint,
-                              max_instructions=500)
+    core = run_core(config, program, checkpoint, max_instructions=500)
+    report = diff_core_against_reference(core, program,
+                                         checkpoint.restore())
     assert report.ok
     assert report.instructions >= 500
     assert report.commit_pcs_checked >= 500
@@ -40,17 +46,16 @@ def test_run_to_completion_matches_reference():
     program = assemble(generate_program(13, body_ops=40, iterations=6))
     checkpoint = make_checkpoint(program, at_instruction=100)
     # No budget: the core runs until the program exits.
-    report = run_differential(MEDIUM_BOOM, program, checkpoint,
-                              max_instructions=None)
+    core = run_core(MEDIUM_BOOM, program, checkpoint, max_instructions=None)
+    report = diff_core_against_reference(core, program,
+                                         checkpoint.restore())
     assert report.ok
 
 
 def test_tampered_register_is_caught():
     program = assemble(generate_program(9))
     checkpoint = make_checkpoint(program, at_instruction=200)
-    core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
-    core.retire_log = []
-    core.run(500)
+    core = run_core(MEDIUM_BOOM, program, checkpoint, max_instructions=500)
     core.frontend.trace.state.x[7] ^= 0xDEAD
     report = diff_core_against_reference(core, program,
                                          checkpoint.restore(),
@@ -62,9 +67,7 @@ def test_tampered_register_is_caught():
 def test_tampered_memory_is_caught():
     program = assemble(generate_program(9))
     checkpoint = make_checkpoint(program, at_instruction=200)
-    core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
-    core.retire_log = []
-    core.run(500)
+    core = run_core(MEDIUM_BOOM, program, checkpoint, max_instructions=500)
     state = core.frontend.trace.state
     pages = state.memory.snapshot_pages()
     number = next(iter(pages))
@@ -79,9 +82,7 @@ def test_tampered_memory_is_caught():
 def test_tampered_commit_log_is_caught():
     program = assemble(generate_program(9))
     checkpoint = make_checkpoint(program, at_instruction=200)
-    core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
-    core.retire_log = []
-    core.run(500)
+    core = run_core(MEDIUM_BOOM, program, checkpoint, max_instructions=500)
     uop, cycle = core.retire_log[10]
     other = core.retire_log[11][0]
     core.retire_log[10] = (other, cycle)
@@ -95,9 +96,7 @@ def test_tampered_commit_log_is_caught():
 def test_mismatch_raises_by_default():
     program = assemble(generate_program(9))
     checkpoint = make_checkpoint(program, at_instruction=200)
-    core = BoomCore(MEDIUM_BOOM, program, state=checkpoint.restore())
-    core.retire_log = []
-    core.run(500)
+    core = run_core(MEDIUM_BOOM, program, checkpoint, max_instructions=500)
     core.frontend.trace.state.x[7] ^= 0xDEAD
     with pytest.raises(DifferentialMismatch):
         diff_core_against_reference(core, program, checkpoint.restore())

@@ -132,9 +132,11 @@ class TestJournalAbortOpen:
         journal.claim("sim", "aaaa", tmp_path / "aaaa.json")
         journal.claim("sim", "bbbb", tmp_path / "bbbb.json")
         journal.commit("sim", "aaaa")
-        assert journal.open_count() == 1
+        (path,) = journal_files(tmp_path)
+        assert [record.fingerprint for record
+                in open_intents(read_journal(path))] == ["bbbb"]
         assert journal.abort_open() == 1
-        assert journal.open_count() == 0
+        assert open_intents(read_journal(path)) == []
 
     def test_abort_open_idempotent(self, tmp_path):
         journal = IntentJournal(tmp_path)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.efficiency import (
     energy_delay_product,
-    energy_delay_squared,
     energy_per_instruction_pj,
 )
 from repro.flow import report
@@ -161,15 +160,10 @@ class TestEnergyMetrics:
         # 40 mW / (2 * 500 MHz) = 40 pJ per instruction.
         assert energy_per_instruction_pj(result) == pytest.approx(40.0)
 
-    def test_edp_and_ed2p_ordering(self):
+    def test_edp_ordering(self):
         fast = self.make_result(ipc=4.0, tile_mw=40.0)
         slow = self.make_result(ipc=1.0, tile_mw=40.0)
         assert energy_delay_product(fast) < energy_delay_product(slow)
-        # ED^2P penalizes the slow design even harder.
-        ratio_edp = energy_delay_product(slow) / energy_delay_product(fast)
-        ratio_ed2p = energy_delay_squared(slow) / \
-            energy_delay_squared(fast)
-        assert ratio_ed2p > ratio_edp
 
     def test_zero_ipc_is_undefined(self):
         # None (not inf): the sentinel survives strict-JSON round trips.
@@ -177,4 +171,3 @@ class TestEnergyMetrics:
         dead.runs[0].ipc = 0.0
         assert energy_per_instruction_pj(dead) is None
         assert energy_delay_product(dead) is None
-        assert energy_delay_squared(dead) is None

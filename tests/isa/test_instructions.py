@@ -46,10 +46,8 @@ def test_memory_classification():
 
 
 def test_control_classification():
-    assert Instruction("beq").is_branch
     assert Instruction("beq").is_control
     assert Instruction("jal").is_control
-    assert not Instruction("jal").is_branch
     assert Instruction("jalr").is_control
     assert not Instruction("add").is_control
 
@@ -83,8 +81,8 @@ def test_source_registers_fp_and_mixed():
 
 
 def test_fp_opclass_flags():
-    assert OpClass.FP_MUL.is_floating_point
-    assert not OpClass.FP_LOAD.is_floating_point  # it is a memory op
+    assert OpClass.FP_MUL.issue_queue == "fp"
+    assert OpClass.FP_LOAD.issue_queue == "mem"  # it is a memory op
     assert OpClass.FP_LOAD.is_memory
     assert not OpClass.ALU.is_memory
 

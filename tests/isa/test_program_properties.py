@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.encoding import decode
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
+from repro.sim.executor import Executor
 from repro.workloads.suite import get_workload, workload_names
 
 
@@ -29,7 +30,7 @@ def test_text_image_roundtrips_through_decoder():
         ecall
     """)
     image = program.encode_text()
-    assert len(image) == program.text_size
+    assert len(image) == 4 * len(program.instructions)
     for index, instr in enumerate(program.instructions):
         word = int.from_bytes(image[4 * index:4 * index + 4], "little")
         redecoded = decode(word, pc=TEXT_BASE + 4 * index)
@@ -57,13 +58,12 @@ def test_instruction_pcs_are_sequential():
         [TEXT_BASE, TEXT_BASE + 4, TEXT_BASE + 8]
 
 
-def test_instruction_at_bounds():
+def test_fetch_past_text_and_missing_symbol_raise():
     program = assemble("_start: nop")
-    assert program.instruction_at(TEXT_BASE).mnemonic == "addi"
-    with pytest.raises(SimulationError):
-        program.instruction_at(TEXT_BASE + 4)
-    with pytest.raises(SimulationError):
-        program.instruction_at(TEXT_BASE + 2)  # unaligned
+    # the nop falls through to TEXT_BASE + 4, past the text segment
+    for dispatch in ("superblock", "reference"):
+        with pytest.raises(SimulationError, match="left text segment"):
+            Executor(program, dispatch=dispatch).run(max_instructions=5)
     with pytest.raises(SimulationError):
         program.symbol("missing")
 

@@ -4,11 +4,14 @@ import json
 import multiprocessing
 import os
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LeaseTimeoutError, LockTimeoutError
+from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.locking import (
     DecorrelatedJitter,
     FileLock,
@@ -17,7 +20,6 @@ from repro.pipeline.locking import (
     boot_id,
     owner_token,
     process_alive,
-    wait_for,
 )
 
 
@@ -165,25 +167,56 @@ def test_iter_leases_reports_owners(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# wait_for
+# lease waiters (ArtifactStore._wait_for_peer)
 # ----------------------------------------------------------------------
 
-def test_wait_for_returns_when_predicate_turns_true():
-    calls = []
+def test_wait_for_returns_when_predicate_turns_true(tmp_path):
+    """The waiter returns the holder's artifact once it is published,
+    without computing it."""
+    store = ArtifactStore(tmp_path, lease_timeout=30.0, lease_poll=0.01)
+    peer = ArtifactStore(tmp_path)
+    held = peer.claims.claim("sim", "fp")
+    assert held is not None
 
-    def predicate():
-        calls.append(1)
-        return len(calls) >= 3
+    def publish():
+        time.sleep(0.05)
+        peer.put_json("sim", "fp", {"v": 1})
+        held.release()
 
-    wait_for(predicate, timeout=5.0, poll=0.0, sleep=lambda _s: None)
-    assert len(calls) == 3
+    publisher = threading.Thread(target=publish)
+    publisher.start()
+    try:
+        value = store.fetch_json(
+            "sim", "fp", compute=lambda: pytest.fail("waiter computed"))
+    finally:
+        publisher.join(timeout=10.0)
+    assert not publisher.is_alive()
+    assert value == {"v": 1}
+    assert store.stats()["sim"].executions == 0
 
 
-def test_wait_for_times_out_transiently():
+def test_wait_for_times_out_transiently(tmp_path):
+    """A live holder that never publishes: the waiter raises the
+    transient LeaseTimeoutError, naming the artifact."""
+    store = ArtifactStore(tmp_path, lease_timeout=0.05, lease_poll=0.01)
+    held = store.claims.claim("sim", "fp")  # this live process holds it
+    assert held is not None
     with pytest.raises(LeaseTimeoutError) as excinfo:
-        wait_for(lambda: False, timeout=0.05, poll=0.01,
-                 what="peer artifact")
-    assert "peer artifact" in str(excinfo.value)
+        store.fetch_json("sim", "fp", compute=lambda: 1)
+    assert "sim/fp" in str(excinfo.value)
+    held.release()
+
+
+def test_wait_for_total_sleep_never_overshoots_deadline(tmp_path):
+    """Each jittered poll is clamped to the time left, so a 2 s poll
+    base cannot stretch a 0.05 s timeout."""
+    store = ArtifactStore(tmp_path, lease_timeout=0.05, lease_poll=2.0)
+    held = store.claims.claim("sim", "fp")
+    started = time.monotonic()
+    with pytest.raises(LeaseTimeoutError):
+        store.fetch_json("sim", "fp", compute=lambda: 1)
+    assert time.monotonic() - started < 1.0
+    held.release()
 
 
 # ----------------------------------------------------------------------
@@ -225,44 +258,9 @@ def test_jitter_spreads_waiters_apart(seed):
     assert delays_a != delays_b
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_wait_for_total_sleep_never_overshoots_deadline(seed):
-    """The jittered waiter caps each sleep at the remaining budget, so
-    total sleep drift past the timeout is bounded (here: zero, with an
-    injected clock)."""
-    now = [0.0]
-    slept = [0.0]
+def test_jitter_uses_injected_rng_deterministically():
+    def delays():
+        jitter = DecorrelatedJitter(0.05, rng=random.Random(1234))
+        return [jitter.next_delay() for _ in range(20)]
 
-    def clock():
-        return now[0]
-
-    def sleep(seconds):
-        assert seconds >= 0.0
-        slept[0] += seconds
-        now[0] += seconds
-
-    timeout = 1.0
-    with pytest.raises(LeaseTimeoutError):
-        wait_for(lambda: False, timeout=timeout, poll=0.05,
-                 clock=clock, sleep=sleep,
-                 rng=random.Random(seed))
-    assert slept[0] <= timeout + 1e-9
-
-
-def test_wait_for_uses_injected_rng_deterministically():
-    def run_once():
-        sleeps = []
-        now = [0.0]
-
-        def sleep(seconds):
-            sleeps.append(seconds)
-            now[0] += seconds
-
-        with pytest.raises(LeaseTimeoutError):
-            wait_for(lambda: False, timeout=0.5, poll=0.05,
-                     clock=lambda: now[0], sleep=sleep,
-                     rng=random.Random(1234))
-        return sleeps
-
-    assert run_once() == run_once()
+    assert delays() == delays()

@@ -161,14 +161,6 @@ def test_format_table_mentions_all_components(int_stats):
     assert "tile total" in text
 
 
-def test_ranked_components_descending(int_stats):
-    report = PowerModel(MEGA_BOOM).report(int_stats)
-    ranked = report.ranked_components()
-    values = [value for _, value in ranked]
-    assert values == sorted(values, reverse=True)
-    assert len(ranked) == 13
-
-
 def test_technology_card_defaults():
     assert ASAP7.clock_hz == 500e6
     assert ASAP7.cycle_seconds == pytest.approx(2e-9)

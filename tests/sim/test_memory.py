@@ -78,21 +78,12 @@ def test_snapshot_is_immutable_copy():
     assert restored.load(0, 1) == 1
 
 
-def test_clone_is_independent():
-    memory = Memory()
-    memory.store(64, 42, 1)
-    clone = memory.clone()
-    clone.store(64, 7, 1)
-    assert memory.load(64, 1) == 42
-    assert clone.load(64, 1) == 7
-
-
 def test_touched_page_count():
     memory = Memory()
-    assert memory.touched_page_count() == 0
+    assert memory.snapshot_pages() == {}
     memory.store(0, 1, 1)
     memory.store(PAGE_SIZE * 5, 1, 1)
-    assert memory.touched_page_count() == 2
+    assert sorted(memory.snapshot_pages()) == [0, 5]
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 20),

@@ -51,7 +51,7 @@ def test_scale_monotonicity(name):
 def test_fp_benchmarks_use_fp_instructions(name):
     program = build_program(name, scale=SMALL)
     fp_ops = [i for i in program.instructions
-              if i.opclass.is_floating_point or i.mnemonic in ("fld", "fsd")]
+              if i.opclass.issue_queue == "fp" or i.mnemonic in ("fld", "fsd")]
     assert fp_ops, f"{name} must exercise the FP pipeline"
 
 
@@ -62,7 +62,7 @@ def test_integer_benchmarks_avoid_fp(name):
     """Only fft/ifft/qsort touch FP registers (paper §IV-B)."""
     program = build_program(name, scale=SMALL)
     fp_ops = [i for i in program.instructions
-              if i.opclass.is_floating_point or i.mnemonic in ("fld", "fsd")]
+              if i.opclass.issue_queue == "fp" or i.mnemonic in ("fld", "fsd")]
     assert fp_ops == [], f"{name} must not use FP registers"
 
 

@@ -57,5 +57,5 @@ def test_programs_touch_bounded_memory(name):
 
     executor = Executor(build_program(name, scale=0.05))
     executor.run_to_completion()
-    pages = executor.state.memory.touched_page_count()
+    pages = len(executor.state.memory.snapshot_pages())
     assert pages < 1024  # < 4 MiB touched
