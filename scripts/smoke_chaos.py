@@ -19,10 +19,11 @@ finishes in about a second.  A child that exits before its kill fails
 the smoke, so it can never pass with fewer kills than ``--kills``.
 
 After each kill it runs :func:`recover_cache` (asserting the storage
-audit comes back clean) and resumes.  Once the sweep finally
-completes, every stage artifact in B must be byte-identical to A, and
-no quarantined garbage may have leaked back into the stage
-directories.
+audit comes back clean) and resumes.  The final resume must count as
+already complete exactly the results the store held before it.  Once
+the sweep finally completes, every stage artifact in B must be
+byte-identical to A, and no quarantined garbage may have leaked back
+into the stage directories.
 
 Usage (from any directory)::
 
@@ -49,6 +50,7 @@ from repro.flow.experiment import FlowSettings
 from repro.flow.sweep import SweepRunner
 from repro.pipeline.artifacts import INTERNAL_DIRS
 from repro.pipeline.journal import recover_cache
+from repro.pipeline.stages import RESULT_STAGE
 
 #: the child's import path, independent of the working directory
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,18 +69,24 @@ runner.run_all(jobs=2, resume=True)
 
 
 def _artifacts(cache: Path) -> list[Path]:
-    """Every stage artifact file (bookkeeping excluded)."""
+    """Every stage artifact file (bookkeeping excluded).
+
+    ``os.walk`` skips a directory that a live child renames away
+    mid-walk (a checkpoint directory's scratch sibling), where
+    ``rglob`` would raise.
+    """
     found = []
-    for path in sorted(cache.rglob("*")):
-        if not path.is_file():
-            continue
-        relative = path.relative_to(cache)
-        if relative.parts[0] in INTERNAL_DIRS or \
-                relative.suffix == ".lock" or \
-                relative.name in ("run_manifest.json", "sweep_state.json"):
-            continue
-        found.append(path)
-    return found
+    for folder, _, files in os.walk(cache):
+        for name in files:
+            path = Path(folder) / name
+            relative = path.relative_to(cache)
+            if relative.parts[0] in INTERNAL_DIRS or \
+                    relative.suffix == ".lock" or \
+                    relative.name in ("run_manifest.json",
+                                      "sweep_state.json"):
+                continue
+            found.append(path)
+    return sorted(found)
 
 
 def _artifact_digests(cache: Path) -> dict[str, str]:
@@ -183,12 +191,21 @@ def main(argv: list[str] | None = None) -> int:
         # final recover + resume to completion (in-process, so the run
         # manifest is inspectable) — the operator's documented sequence
         recover_cache(chaos_cache)
+        stored = sum(path.relative_to(chaos_cache).parts[0] == RESULT_STAGE
+                     for path in _artifacts(chaos_cache))
         final = SweepRunner(FlowSettings(scale=args.scale),
                             cache_dir=chaos_cache)
         results = final.run_all(jobs=2, resume=True)
         assert final.last_manifest.ok, (
             f"resumed sweep not clean: "
             f"{[r.key for r in final.last_manifest.failures]}")
+        # the store is the record of finished work: every result it
+        # held before the resume is counted as already complete
+        assert final.resumed_completed == stored, (
+            f"resume counted {final.resumed_completed} completed "
+            f"experiments, the store held {stored} results")
+        print(f"  final resume: {stored} of {len(baseline_results)} "
+              f"experiments already complete")
         assert {key for key in results} == set(baseline_results), \
             "resumed sweep lost experiments"
 

@@ -26,10 +26,10 @@ artifacts) retry with capped exponential backoff, hung pool tasks are
 abandoned after a per-task timeout, and deterministic model failures
 are recorded in the manifest while the rest of the sweep completes.
 Results persist incrementally, so a killed sweep resumes from its last
-completed experiment (``repro-cli sweep --resume``); sweep progress is
-tracked in ``<cache>/sweep_state.json``, written when the sweep starts,
-after each computed experiment and when it ends (cache hits join the
-next write).
+completed experiment (``repro-cli sweep --resume``): the artifact store
+is the only record of finished work.  ``<cache>/sweep_state.json``
+holds the sweep's status, owner and failures, written when the sweep
+starts and when it ends.
 
 Each ``run_all`` produces a :class:`~repro.pipeline.manifest.RunManifest`
 (``SweepRunner.last_manifest``) with per-stage execution counts, cache
@@ -269,9 +269,10 @@ class SweepRunner:
 
         ``resume=True`` picks an interrupted sweep back up: completed
         experiments are served from the incrementally-persisted artifact
-        store, and experiments that already failed *permanently* are
-        carried forward instead of being recomputed (transient and
-        fail-fast-skipped ones are re-attempted).
+        store (``resumed_completed`` counts the results it held when
+        the sweep began), and experiments that already failed
+        *permanently* are carried forward instead of being recomputed
+        (transient and fail-fast-skipped ones are re-attempted).
 
         ``trace=True`` (or ``REPRO_TRACE=1``) records a structured trace
         of the run — pipeline-stage spans, scheduler lifecycle events,
@@ -307,7 +308,6 @@ class SweepRunner:
         self._state = {
             "sweep_id": sweep_id,
             "total": len(pairs),
-            "completed": [],
             "failures": [record.to_dict() for record in outcome.failures],
             "status": "running",
             "owner": owner_token(),
@@ -385,10 +385,9 @@ class SweepRunner:
             cached = pipeline.peek_result(workload, config)
             if cached is not None:
                 results[(workload, config.name)] = cached
-                self._record_completion(_pair_key(workload, config),
-                                        persist=False)
             else:
                 pending.append((workload, config))
+        self.resumed_completed = len(results)
         if not pending:
             return
         # loaded once here, the stack is shared by every forked worker
@@ -494,7 +493,6 @@ class SweepRunner:
             _, _, _, workload, (config,), _ = task.payload
             pipeline.adopt_result(workload, config, result)
             results[(workload, config.name)] = result
-            self._record_completion(task.key)
 
         experiment_wave = scheduler.run(
             [task(_pair_key(workload, config), "worker.experiment",
@@ -566,7 +564,6 @@ class SweepRunner:
         if state is None:
             logger.info("no resumable sweep state; starting fresh")
             return pairs
-        self.resumed_completed = len(state.get("completed", []))
         carried = {record["key"]: TaskRecord(
                        key=record["key"], kind=PERMANENT,
                        error=f"(carried from interrupted run) "
@@ -587,33 +584,17 @@ class SweepRunner:
                 outcome.failures.append(record)
         return remaining
 
-    def _record_completion(self, key: str, persist: bool = True) -> None:
-        """Mark ``key`` completed in the sweep state.
-
-        A computed pair is persisted at once.  A cache hit
-        (``persist=False``) rides along with the next write, a computed
-        pair's or the final one in :meth:`run_all`: ``--resume`` serves
-        hits from the store anyway, and a warm run would otherwise take
-        the state lock once per pair.
-        """
-        state = getattr(self, "_state", None)
-        if state is None:
-            return
-        if key not in state["completed"]:
-            state["completed"].append(key)
-        if persist:
-            self._write_state()
-
     def _write_state(self) -> None:
-        """Persist sweep progress with a locked read-modify-write merge.
+        """Persist the sweep state with a locked read-modify-write merge.
 
         Concurrent sweeps over the same cache each rewrite the shared
         ``sweep_state.json``; without the lock-and-merge, whichever
-        process wrote last would erase the other's ``completed`` keys
-        and ``--resume`` would silently redo (or worse, mis-carry) work.
-        Under the lock, completions from a concurrent run of the *same*
-        sweep are folded in; a state file from a different sweep is
-        simply replaced.
+        process wrote last would erase the other's failures and
+        ``--resume`` would re-run a known-permanent failure.  Under the
+        lock, failures from a concurrent run of the *same* sweep are
+        folded in; a state file from a different sweep is simply
+        replaced.  Called twice per :meth:`run_all`: at start and at
+        settle.
         """
         path = self._state_path()
         if path is None:
@@ -622,13 +603,6 @@ class SweepRunner:
         with FileLock(lock):
             prior = self._load_state(self._state["sweep_id"])
             if prior is not None:
-                merged = list(self._state["completed"])
-                known = set(merged)
-                for key in prior.get("completed", []):
-                    if key not in known:
-                        known.add(key)
-                        merged.append(key)
-                self._state["completed"] = merged
                 ours = {record["key"]
                         for record in self._state["failures"]}
                 for record in prior.get("failures", []):

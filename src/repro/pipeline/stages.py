@@ -591,13 +591,9 @@ class ExperimentPipeline:
             decode=decode)
 
     def adopt_workload(self, workload: str,
-                       profile: BBVProfile | None = None,
                        selection: SimPointSelection | None = None,
                        checkpoints: list[Checkpoint] | None = None) -> None:
         """Seed the store with artifacts computed by another process."""
-        if profile is not None:
-            self.store.remember(PROFILE_STAGE,
-                                self.profile_fingerprint(workload), profile)
         if selection is not None:
             self.store.remember(SELECTION_STAGE,
                                 self.selection_fingerprint(workload),

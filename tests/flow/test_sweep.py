@@ -191,28 +191,26 @@ def test_model_version_still_exported():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_warm_rerun_writes_state_once_per_end(tmp_path, monkeypatch, jobs):
-    """Cache hits ride along with the final state write instead of each
-    taking the state lock; a computed pair is still persisted at once."""
+def test_every_run_writes_state_once_per_end(tmp_path, monkeypatch, jobs):
+    """The state is written at start and at settle, never per pair: the
+    artifact store is the record of finished work."""
     configs, workloads = (MEDIUM_BOOM, MEGA_BOOM), ["qsort", "sha"]
     writes = []
     original = SweepRunner._write_state
 
     def counting(self):
-        writes.append(list(self._state["completed"]))
+        writes.append(self._state["status"])
         original(self)
 
     monkeypatch.setattr(SweepRunner, "_write_state", counting)
     SweepRunner(SETTINGS, cache_dir=tmp_path).run(workloads[0], configs[0])
-    writes.clear()
-    # three computed pairs and one hit: start, three computes, final
-    SweepRunner(SETTINGS, cache_dir=tmp_path).run_all(
-        configs=configs, workloads=workloads, jobs=jobs)
-    assert len(writes) == 5
-    writes.clear()
-    SweepRunner(SETTINGS, cache_dir=tmp_path).run_all(
-        configs=configs, workloads=workloads, jobs=jobs)
-    assert [len(completed) for completed in writes] == [0, 4]
+    # three computed pairs and one hit, then all four hits
+    for _ in ("cold", "warm"):
+        writes.clear()
+        SweepRunner(SETTINGS, cache_dir=tmp_path).run_all(
+            configs=configs, workloads=workloads, jobs=jobs)
+        assert writes == ["running", "complete"]
     state = json.loads((tmp_path / "sweep_state.json").read_text())
     assert state["status"] == "complete"
-    assert len(state["completed"]) == 4
+    assert state["total"] == 4
+    assert "completed" not in state

@@ -103,3 +103,19 @@ def test_labels_in_range(seed):
     assert result.labels.min() >= 0
     assert result.labels.max() < 3
     assert result.labels.shape == (20,)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the first convergence check compares against an infinite previous "
+    "inertia and always stops after one pass; fixing it moves the "
+    "pinned SimPoint selections"))
+def test_lloyd_iterates_to_convergence():
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.normal(0.0, 1.0, size=(50, 2)),
+                      rng.normal(5.0, 1.0, size=(50, 2))])
+    result = kmeans(data, 5, seed=1)
+    distances = ((data[:, None, :] - result.centroids[None]) ** 2).sum(-1)
+    assert result.iterations > 1
+    # converged: the labels and inertia belong to the returned centroids
+    assert np.array_equal(result.labels, distances.argmin(axis=1))
+    assert result.inertia == pytest.approx(distances.min(axis=1).sum())
