@@ -12,11 +12,17 @@ mid-rename, between journal claim and commit, while leases are held.
 
 Each kill falls once the child has published a seeded-random number of
 new artifacts (at least one, and never so many that the kills still to
-come run out of work), or at ``--max-delay`` seconds, whichever comes
-first.  Drawing the kill point from the child's own progress, not from
-wall time, is what makes every kill land: a resumed scale-0.05 sweep
-finishes in about a second.  A child that exits before its kill fails
-the smoke, so it can never pass with fewer kills than ``--kills``.
+come run out of work), or ``--max-delay`` seconds after the child's
+first new artifact, whichever comes first.  The last kill counts
+``experiment_result`` artifacts instead, so it lands inside the
+experiment wave: after the child has published its first result and
+before its last.  Drawing the kill point from the child's own progress,
+not from wall time, is what makes every kill land: a resumed scale-0.05
+sweep finishes in about a second.  A child that exits before its kill
+fails the smoke, as does one that publishes nothing counted within
+twice the uninterrupted sweep's wall time plus ``--max-delay``, so it
+can never pass with fewer kills than ``--kills``.  The smoke also fails
+when no kill landed inside the experiment wave.
 
 After each kill it runs :func:`recover_cache` (asserting the storage
 audit comes back clean) and resumes.  The final resume must count as
@@ -89,6 +95,12 @@ def _artifacts(cache: Path) -> list[Path]:
     return sorted(found)
 
 
+def _count(cache: Path, stage: str | None = None) -> int:
+    """How many artifacts ``cache`` holds, or how many of ``stage``'s."""
+    return sum(stage is None or path.relative_to(cache).parts[0] == stage
+               for path in _artifacts(cache))
+
+
 def _artifact_digests(cache: Path) -> dict[str, str]:
     """sha256 of every stage artifact."""
     return {str(path.relative_to(cache)):
@@ -104,21 +116,36 @@ def _launch(cache: Path, scale: float, log) -> subprocess.Popen:
         stdout=subprocess.DEVNULL, stderr=log)
 
 
-def _kill_at(child: subprocess.Popen, cache: Path, target: int,
-             max_delay: float) -> float:
+def _kill_at(child: subprocess.Popen, cache: Path, stage: str | None,
+             target: int, max_delay: float, patience: float) -> float:
     """SIGKILL ``child``'s group once ``cache`` holds ``target``
-    artifacts or ``max_delay`` seconds have passed; returns the delay.
+    artifacts (of ``stage``, if given), or ``max_delay`` seconds after
+    that count first rises; returns the delay.
 
-    Raises :class:`SystemExit` if the child exits first.
+    Raises :class:`SystemExit` if the child exits first, or if the count
+    has not risen within ``patience`` seconds.
     """
     started = time.monotonic()
+    launched = _count(cache, stage)
+    rose = None
     while True:
-        delay = time.monotonic() - started
+        now = time.monotonic()
+        delay = now - started
         if child.poll() is not None:
             raise SystemExit(
                 f"chaos FAILED: the child sweep exited with status "
                 f"{child.returncode} after {delay:.1f}s, before its kill")
-        if delay >= max_delay or len(_artifacts(cache)) >= target:
+        reached = _count(cache, stage)
+        if rose is None and reached > launched:
+            rose = now
+        if rose is None and delay >= patience:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            raise SystemExit(
+                f"chaos FAILED: the child sweep published nothing in "
+                f"{delay:.1f}s")
+        if reached >= target or \
+                (rose is not None and now - rose >= max_delay):
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
             return delay
@@ -143,33 +170,49 @@ def main(argv: list[str] | None = None) -> int:
         baseline_cache, chaos_cache = Path(a), Path(b)
 
         print(f"baseline: uninterrupted sweep (scale {args.scale:g})")
+        started = time.monotonic()
         runner = SweepRunner(FlowSettings(scale=args.scale),
                              cache_dir=baseline_cache)
         baseline_results = runner.run_all(jobs=2)
+        patience = 2 * (time.monotonic() - started) + args.max_delay
         assert runner.last_manifest.ok, "baseline sweep must be clean"
         baseline = _artifact_digests(baseline_cache)
         print(f"baseline OK: {len(baseline_results)} experiments, "
               f"{len(baseline)} artifacts")
 
+        in_wave = []
         for kills in range(1, args.kills + 1):
-            present = len(_artifacts(chaos_cache))
-            # leave at least one artifact unpublished for this kill and
-            # each kill after it
-            share = (len(baseline) - present) // (args.kills - kills + 2)
+            stored = _count(chaos_cache, RESULT_STAGE)
+            if kills < args.kills:
+                # leave at least one artifact unpublished for this kill
+                # and each kill after it
+                stage, total = None, len(baseline)
+                start = _count(chaos_cache)
+                share = (total - start) // (args.kills - kills + 2)
+            else:
+                # the last kill lands inside the experiment wave: after
+                # the child's first result, before the sweep's last
+                stage, total = RESULT_STAGE, len(baseline_results)
+                start = stored
+                share = total - start - 1
+            unit = stage or "artifacts"
             if share < 1:
                 raise SystemExit(
                     f"chaos FAILED: kill {kills} of {args.kills} cannot "
-                    f"land: {len(baseline) - present} artifacts left")
-            target = present + rng.randint(1, share)
+                    f"land: {total - start} {unit} left")
+            target = start + rng.randint(1, share)
             log_path = Path(logs) / f"child-{kills}.log"
             with open(log_path, "w") as log:
                 child = _launch(chaos_cache, args.scale, log)
                 try:
-                    delay = _kill_at(child, chaos_cache, target,
-                                     args.max_delay)
+                    delay = _kill_at(child, chaos_cache, stage, target,
+                                     args.max_delay, patience)
                 except SystemExit:
                     print(log_path.read_text(), file=sys.stderr)
                     raise
+            landed = _count(chaos_cache, RESULT_STAGE)
+            if stored < landed < len(baseline_results):
+                in_wave.append(kills)
             # the group is dying, not instantly dead: a SIGKILLed worker
             # can briefly still probe as alive.  Recovery is idempotent,
             # so run it until the audit settles clean.
@@ -182,17 +225,20 @@ def main(argv: list[str] | None = None) -> int:
             assert audit.ok, (
                 f"storage audit failed after recover: {audit.problems}")
             print(f"  kill {kills} after {delay:.1f}s "
-                  f"(target {target}/{len(baseline)} artifacts): "
+                  f"(target {target}/{total} {unit}; "
+                  f"{landed}/{len(baseline_results)} results stored): "
                   f"{len(report.quarantined)} quarantined, "
                   f"{report.leases_released} leases released, "
                   f"{report.tmp_removed} tmp removed — audit clean")
             time.sleep(0.1)
+        if not in_wave:
+            raise SystemExit(
+                "chaos FAILED: no kill landed inside the experiment wave")
 
         # final recover + resume to completion (in-process, so the run
         # manifest is inspectable) — the operator's documented sequence
         recover_cache(chaos_cache)
-        stored = sum(path.relative_to(chaos_cache).parts[0] == RESULT_STAGE
-                     for path in _artifacts(chaos_cache))
+        stored = _count(chaos_cache, RESULT_STAGE)
         final = SweepRunner(FlowSettings(scale=args.scale),
                             cache_dir=chaos_cache)
         results = final.run_all(jobs=2, resume=True)
@@ -223,9 +269,9 @@ def main(argv: list[str] | None = None) -> int:
             (chaos_cache / "sweep_state.json").read_text())
         assert state["status"] == "complete", state["status"]
 
-    print(f"\nchaos OK: {args.kills} kill -9 interruption(s) recovered; "
-          f"{len(chaos)} artifacts byte-identical to the uninterrupted "
-          f"run")
+    print(f"\nchaos OK: {args.kills} kill -9 interruption(s) recovered "
+          f"({len(in_wave)} inside the experiment wave); {len(chaos)} "
+          f"artifacts byte-identical to the uninterrupted run")
     return 0
 
 

@@ -24,6 +24,7 @@ Usage (``python -m repro.cli`` or the ``repro-cli`` entry point)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.analysis.efficiency import summarize
@@ -600,6 +601,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number greater than 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number greater than 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in its errors
+
+
 def _fault_spec(text: str) -> str:
     """An argparse type: a fault-injection spec that parses."""
     try:
@@ -614,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-cli",
         description="SimPoint-based BOOM hotspot & energy-efficiency "
                     "analysis (ISPASS 2024 reproduction)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="workload scale (1.0 = Table II / 1000)")
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--cache-dir", default=".repro_cache")
@@ -813,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
              "artifact JSON; report = human-readable frontier + "
              "sensitivity tables")
     dse_parser.add_argument(
-        "--points", type=int, default=64, metavar="N",
+        "--points", type=_int_at_least(1), default=64, metavar="N",
         help="lattice size to generate (default 64)")
     dse_parser.add_argument(
         "--base", default="LargeBOOM",
@@ -823,10 +836,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("neighborhood", "random", "grid"),
         help="sampling strategy (default neighborhood)")
     dse_parser.add_argument(
-        "--radius", type=int, default=2,
+        "--radius", type=_int_at_least(1), default=2,
         help="neighborhood ring radius in lattice rungs (default 2)")
     dse_parser.add_argument(
-        "--max-changed", type=int, default=2,
+        "--max-changed", type=_int_at_least(1), default=2,
         help="max axes changed per neighborhood point (default 2)")
     dse_parser.add_argument(
         "--space-seed", type=int, default=17,

@@ -16,8 +16,11 @@ the per-experiment stages then consume as cache hits.  Every sweep
 runs its uncached work in three waves of tasks — the per-workload
 stages, the batches, then the per-experiment stages.  ``jobs=1`` runs
 each task in this process, on the runner's own pipeline and store;
-more jobs fan the tasks out to a process pool.  Every stage is
-fully seeded, so results are bit-identical at every ``jobs``.
+more jobs fan the tasks out to a process pool, whose workers hand each
+other artifacts through the store's directory.  A runner without a
+cache directory stores on a scratch directory of its own, removed with
+the runner, so every sweep runs the same waves.  Every stage is fully
+seeded, so results are bit-identical at every ``jobs``.
 
 Execution is *supervised* (:mod:`repro.flow.scheduler`) at every
 ``jobs``: a crashed or OOM-killed worker re-spawns the pool and
@@ -42,7 +45,10 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 import sys
+import tempfile
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 from time import perf_counter
@@ -144,37 +150,26 @@ def _batch_chunks(pairs: list[tuple[str, BoomConfig]], jobs: int) \
     return chunks
 
 
-def _prepare(pipeline: ExperimentPipeline, workload: str,
-             ship: bool) -> tuple | None:
-    """One workload's shared stages; ``ship`` returns their live values
-    for a parent that shares no disk with this process."""
-    pipeline.prepare_workload(workload)
-    return (pipeline.selection(workload), pipeline.checkpoints(workload)) \
-        if ship else None
-
-
 def _run_stage_task(payload: tuple) -> tuple:
     """One wave task: fire its ``worker.*`` fault site, then its work.
 
     Returns ``(work(pipeline, workload, *args), stats)``.  An in-process
     task runs on the sweep's own pipeline (``where``), whose store
     already counts its lookups, so ``stats`` is empty.  A pool task
-    builds a store from ``where = (settings, root, inline)`` and returns
-    its counters; a raised exception carries them as ``stage_stats``,
-    so a failed attempt's lookups reach the manifest too.
+    builds a store on the sweep's store directory from
+    ``where = (settings, root)`` and returns its counters; a raised
+    exception carries them as ``stage_stats``, so a failed attempt's
+    lookups reach the manifest too.
     """
     site, key, work, workload, args, where = payload
     store = None
     if isinstance(where, ExperimentPipeline):
         pipeline = where
     else:
-        settings, root, inline = where
+        settings, root = where
         store = ArtifactStore(
             root, faults=FaultInjector.from_settings(settings, root))
         pipeline = ExperimentPipeline(store, settings)
-        if inline is not None:
-            pipeline.adopt_workload(workload, selection=inline[0],
-                                    checkpoints=inline[1])
     try:
         if pipeline.store.faults is not None:
             pipeline.store.faults.inject(site, key)
@@ -217,10 +212,14 @@ class SweepRunner:
                  cache_dir: Path | str | None = DEFAULT_CACHE_DIR) -> None:
         self.settings = settings if settings is not None else FlowSettings()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        root = self.cache_dir
+        if root is None:
+            # a throwaway run stores on a scratch directory of its own,
+            # removed when the runner is collected or the process exits
+            root = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
+            weakref.finalize(self, shutil.rmtree, root, ignore_errors=True)
         self.store = ArtifactStore(
-            self.cache_dir,
-            faults=FaultInjector.from_settings(self.settings,
-                                               self.cache_dir))
+            root, faults=FaultInjector.from_settings(self.settings, root))
         self.pipeline = ExperimentPipeline(self.store, self.settings)
         self.last_manifest: RunManifest | None = None
         self.resumed_completed = 0
@@ -394,16 +393,14 @@ class SweepRunner:
         import_compute_stack()
 
         # jobs=1 runs every task in this process, on this runner's own
-        # pipeline and store; a pool task builds its own from these
+        # pipeline and store; a pool task builds its own on the same root
         in_process = jobs == 1
-        root = str(self.cache_dir) if self.cache_dir is not None else None
-        inline: dict[str, tuple] = {}
+        where = pipeline if in_process else \
+            (self.settings, str(self.store.root))
 
         def task(key: str, site: str, work: Callable[..., Any],
                  workload: str, *args: Any, fault_key: str | None = None) \
                 -> Task:
-            where = pipeline if in_process else \
-                (self.settings, root, inline.get(workload))
             return Task(key=key, fn=_run_stage_task,
                         payload=(site, fault_key or workload, work,
                                  workload, args, where))
@@ -419,24 +416,18 @@ class SweepRunner:
                 if in_process else None,
                 progress=sys.stderr if progress else None)
 
-        def adopt_prepared(task: Task, payload: tuple) -> None:
-            shipped, stats = payload
-            self.store.merge_stats(stats)
-            if shipped is not None:
-                workload = task.payload[3]
-                inline[workload] = shipped
-                pipeline.adopt_workload(workload, selection=shipped[0],
-                                        checkpoints=shipped[1])
+        def merge_stats(task: Task, payload: tuple) -> None:
+            self.store.merge_stats(payload[1])
 
         workloads = dict.fromkeys(workload for workload, _ in pending)
         needed = [workload for workload in workloads
                   if not pipeline.workload_prepared(workload)]
-        ship = root is None and not in_process
         scheduler = make_scheduler(fail_fast)
         prepare_wave = scheduler.run(
-            [task(f"prepare:{workload}", "worker.prepare", _prepare,
-                  workload, ship) for workload in needed],
-            on_result=adopt_prepared, on_error=merge_failed,
+            [task(f"prepare:{workload}", "worker.prepare",
+                  ExperimentPipeline.prepare_workload, workload)
+             for workload in needed],
+            on_result=merge_stats, on_error=merge_failed,
             wave="prepare")
         outcome.absorb(prepare_wave)
 
@@ -457,35 +448,29 @@ class SweepRunner:
         if not runnable:
             return
 
-        if root is not None or in_process:
-            # Batch wave: per-workload batches prime the detailed
-            # artifacts of every runnable pair; the experiment wave
-            # below then consumes them as cache hits.  A failed or hung
-            # batch never fails the sweep — its pairs simply simulate
-            # per-config in the next wave — so this wave runs without
-            # fail-fast and its failures are recorded as degradations,
-            # not sweep failures.  (A pool with no shared cache
-            # directory could not pass a batch's artifacts on to the
-            # experiment tasks, so it skips the wave.)
-            batch_wave = make_scheduler(False).run(
-                [task(f"batch:{workload}:{index}", "worker.batch",
-                      ExperimentPipeline.prepare_detailed_batch, workload,
-                      list(configs))
-                 for index, (workload, configs)
-                 in enumerate(_batch_chunks(runnable, jobs))],
-                on_result=lambda task, payload:
-                    self.store.merge_stats(payload[1]),
-                on_error=merge_failed, wave="batch")
-            for record in batch_wave.failures + batch_wave.timeouts:
-                workload = record.key.split(":")[1]
-                self.batch_degraded[workload] = record.error
-                logger.warning("batched simulation for %s failed (%s); "
-                               "degrading to per-config simulation",
-                               workload, record.error)
-                get_tracer().event("batch.degraded", workload=workload,
-                                   error=record.error)
-            batch_wave.failures, batch_wave.timeouts = [], []
-            outcome.absorb(batch_wave)
+        # Batch wave: per-workload batches prime the detailed artifacts
+        # of every runnable pair; the experiment wave below then
+        # consumes them as cache hits.  A failed or hung batch never
+        # fails the sweep — its pairs simply simulate per-config in the
+        # next wave — so this wave runs without fail-fast and its
+        # failures are recorded as degradations, not sweep failures.
+        batch_wave = make_scheduler(False).run(
+            [task(f"batch:{workload}:{index}", "worker.batch",
+                  ExperimentPipeline.prepare_detailed_batch, workload,
+                  list(configs))
+             for index, (workload, configs)
+             in enumerate(_batch_chunks(runnable, jobs))],
+            on_result=merge_stats, on_error=merge_failed, wave="batch")
+        for record in batch_wave.failures + batch_wave.timeouts:
+            workload = record.key.split(":")[1]
+            self.batch_degraded[workload] = record.error
+            logger.warning("batched simulation for %s failed (%s); "
+                           "degrading to per-config simulation",
+                           workload, record.error)
+            get_tracer().event("batch.degraded", workload=workload,
+                               error=record.error)
+        batch_wave.failures, batch_wave.timeouts = [], []
+        outcome.absorb(batch_wave)
 
         def adopt_result(task: Task, payload: tuple) -> None:
             result, stats = payload

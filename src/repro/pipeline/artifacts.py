@@ -87,19 +87,10 @@ INTERNAL_DIRS = frozenset({OBS_DIR_NAME, JOURNAL_DIR_NAME,
                            "fault_state"})
 
 #: how long a lease waiter blocks on a live winner before declaring the
-#: wait transient-failed (retried by the scheduler); override with
-#: REPRO_LEASE_TIMEOUT
+#: wait transient-failed (retried by the scheduler)
 DEFAULT_LEASE_TIMEOUT = 600.0
-LEASE_TIMEOUT_ENV = "REPRO_LEASE_TIMEOUT"
 
 _MISSING = object()
-
-
-def default_lease_timeout() -> float:
-    try:
-        return float(os.environ.get(LEASE_TIMEOUT_ENV, ""))
-    except ValueError:
-        return DEFAULT_LEASE_TIMEOUT
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -219,7 +210,7 @@ class ArtifactStore:
 
     def __init__(self, root: Path | str | None = None,
                  faults: Any = None,
-                 lease_timeout: float | None = None,
+                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  lease_poll: float = 0.05) -> None:
         self.root = Path(root) if root is not None else None
         self.faults = faults  # optional repro.pipeline.faults.FaultInjector
@@ -231,8 +222,7 @@ class ArtifactStore:
         # a hard kill.  Both are inert for memory-only stores.
         self.claims = WorkClaims(self.root)
         self.journal = IntentJournal(self.root)
-        self.lease_timeout = (lease_timeout if lease_timeout is not None
-                              else default_lease_timeout())
+        self.lease_timeout = lease_timeout
         self.lease_poll = lease_poll
 
     # ------------------------------------------------------------------

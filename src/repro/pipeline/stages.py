@@ -33,9 +33,11 @@ once its last reader in the run has finished, and reads it back from
 disk if a later stage asks again: the profile once its selection is
 clustered, the checkpoints once the workload is prepared (its batch
 reloads them), and the detailed and power records once the result is
-assembled; a memory-only store keeps every artifact.  On any store, the
-profile pass's restart points and the compiled superblocks go once the
-checkpoints are captured, and the program once its batch has run.
+assembled.  A memory-only store (``ArtifactStore(None)``, for one-shot
+runs and stage timings) keeps every artifact, since its memo is the
+only copy; a sweep always runs on a disk-backed store.  On any store,
+the profile pass's restart points and the compiled superblocks go once
+the checkpoints are captured, and the program once its batch has run.
 """
 
 from __future__ import annotations
@@ -589,19 +591,6 @@ class ExperimentPipeline:
         return self.store.peek_json(
             RESULT_STAGE, self.result_fingerprint(workload, config),
             decode=decode)
-
-    def adopt_workload(self, workload: str,
-                       selection: SimPointSelection | None = None,
-                       checkpoints: list[Checkpoint] | None = None) -> None:
-        """Seed the store with artifacts computed by another process."""
-        if selection is not None:
-            self.store.remember(SELECTION_STAGE,
-                                self.selection_fingerprint(workload),
-                                selection)
-        if checkpoints is not None:
-            self.store.remember(CHECKPOINT_STAGE,
-                                self.checkpoint_fingerprint(workload),
-                                checkpoints)
 
     def adopt_result(self, workload: str, config: BoomConfig,
                      result: ExperimentResult) -> None:

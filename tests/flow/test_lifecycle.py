@@ -1,11 +1,13 @@
 """Front-half lifetimes: each workload's functional state lives one run.
 
-A disk-backed sweep drops the profile once its selection is clustered,
-the compiled superblocks once the checkpoints are captured, and the
-program (with its decode table) once its batch has run; nothing of the
-sweep outlives its runner.  The checks run in a fresh interpreter with
-the cyclic garbage collector off, so an object held only by a reference
-cycle counts as alive, as it does for most of a real sweep.
+A sweep drops the profile once its selection is clustered, the
+compiled superblocks once the checkpoints are captured, and the program
+(with its decode table) once its batch has run; nothing of the sweep
+outlives its runner.  A cache-less sweep does the same on its scratch
+store, which goes with the runner.  The checks run in a fresh
+interpreter with the cyclic garbage collector off, so an object held
+only by a reference cycle counts as alive, as it does for most of a
+real sweep.
 """
 
 import json
@@ -101,11 +103,13 @@ alive_after_disk = alive()
 caches_after_disk = (len(executor._BLOCK_CACHES),
                      len(decode._DECODE_CACHES))
 
-# a memory-only store keeps everything until its runner goes
-for name in ("checkpoints", "prepare_detailed_batch", "result"):
-    setattr(ExperimentPipeline, name, original[name])
+# a cache-less runner stores on a scratch directory of its own, so it
+# frees the front half as a disk-backed one does
+disk_violations = len(violations)
 memory_runner = SweepRunner(settings, cache_dir=None)
 memory = memory_runner.run_all(jobs=1)
+audit(memory_runner.pipeline, "end of sweep")
+scratch = memory_runner.store.root
 del memory_runner
 print(json.dumps({
     "violations": violations,
@@ -115,6 +119,8 @@ print(json.dumps({
     "alive_after_memory": alive(),
     "caches_after_memory": (len(executor._BLOCK_CACHES),
                             len(decode._DECODE_CACHES)),
+    "memory_violations": violations[disk_violations:],
+    "scratch_after_memory": scratch.exists(),
     "pairs": len(disk),
     "same_results": sorted(disk) == sorted(memory) and all(
         disk[key].to_json() == memory[key].to_json() for key in disk),
@@ -141,7 +147,7 @@ def test_front_half_is_dropped_after_its_last_reader(lifecycle):
 
 
 def test_nothing_of_the_sweep_outlives_its_runner(lifecycle):
-    # 11 programs per sweep, disk-backed then memory-only
+    # 11 programs per sweep, disk-backed then cache-less
     assert lifecycle["pairs"] == 33
     assert lifecycle["programs"] == 22
     assert lifecycle["alive_after_disk"] == 0
@@ -152,3 +158,7 @@ def test_nothing_of_the_sweep_outlives_its_runner(lifecycle):
 
 def test_memory_only_sweep_equals_disk_backed_sweep(lifecycle):
     assert lifecycle["same_results"]
+    # a cache-less runner frees the front half as a disk-backed one
+    # does, and its scratch store goes with it
+    assert lifecycle["memory_violations"] == []
+    assert lifecycle["scratch_after_memory"] is False

@@ -1,5 +1,6 @@
 """Tests for the sweep runner and its stage-granular artifact cache."""
 
+import gc
 import json
 
 import pytest
@@ -149,15 +150,33 @@ def test_parallel_run_all_is_bit_identical_to_serial(tmp_path):
     assert len(_result_files(tmp_path)) == 4
 
 
-def test_parallel_without_disk_matches_serial():
-    serial = SweepRunner(SETTINGS, cache_dir=None)
+def test_parallel_without_disk_matches_serial(tmp_path, monkeypatch):
+    """A cache-less pool runs on a scratch store of its own: the same
+    waves as a disk-backed sweep, the same bytes, and nothing left
+    behind once the runner is gone."""
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    serial = SweepRunner(SETTINGS, cache_dir=tmp_path / "cache")
     expected = serial.run_all(configs=(MEDIUM_BOOM,),
                               workloads=["qsort", "sha"])
     parallel = SweepRunner(SETTINGS, cache_dir=None)
     actual = parallel.run_all(configs=(MEDIUM_BOOM,),
                               workloads=["qsort", "sha"], jobs=2)
+    assert parallel.cache_dir is None
+    batches = sorted(task.key.rsplit(":", 1)[0]
+                     for task in parallel.last_manifest.tasks
+                     if task.key.startswith("batch:"))
+    assert batches == ["batch:qsort", "batch:sha"]
+    assert set(actual) == set(expected)
     for key in expected:
         assert actual[key].to_json() == expected[key].to_json()
+    scratch = parallel.store.root
+    assert scratch.is_dir()
+    del parallel
+    gc.collect()
+    assert not scratch.exists()
+    assert list(workdir.iterdir()) == []
 
 
 def test_parallel_uses_cache(tmp_path):

@@ -193,20 +193,6 @@ def test_prepare_then_result_adds_no_extra_executions(tmp_path):
         assert stats[stage].executions == prepared[stage]
 
 
-def test_adopted_workload_artifacts_are_reused():
-    source = _pipeline()
-    source.prepare_workload("qsort")
-    target = _pipeline()
-    target.adopt_workload("qsort",
-                          selection=source.selection("qsort"),
-                          checkpoints=source.checkpoints("qsort"))
-    result = target.result("qsort", MEDIUM_BOOM)
-    stats = target.store.stats()
-    assert stats["simpoint_selection"].executions == 0
-    assert stats["checkpoints"].executions == 0
-    assert result.to_json() == source.result("qsort", MEDIUM_BOOM).to_json()
-
-
 def test_peek_result_does_not_compute(tmp_path):
     pipeline = _pipeline(tmp_path)
     assert pipeline.peek_result("qsort", MEDIUM_BOOM) is None

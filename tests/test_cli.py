@@ -624,11 +624,21 @@ def test_cpi_skip_past_the_program_is_a_usage_error(capsys):
      "argument --faults: unknown fault kind 'boom'"),
     (["dse", "sweep", "--faults", "worker.experiment"],
      "argument --faults: fault spec"),
+    (["--scale", "-1", "run", "qsort", "MediumBOOM"],
+     "argument --scale: must be a finite number greater than 0"),
+    (["--scale", "0", "run", "qsort", "MediumBOOM"],
+     "argument --scale: must be a finite number greater than 0"),
+    (["--scale", "nan", "sweep"],
+     "argument --scale: must be a finite number greater than 0"),
+    (["dse", "generate", "--points", "0"], "must be at least 1"),
+    (["dse", "generate", "--radius", "-1"], "must be at least 1"),
+    (["dse", "generate", "--max-changed", "0"], "must be at least 1"),
 ], ids=["cpi-window-0", "cpi-skip-negative", "pipeline-uops-negative",
         "pipeline-uops-0", "pipeline-skip-negative", "jobs-0",
         "jobs-negative", "sweep-retries-negative", "dse-retries-negative",
         "sweep-faults-empty-option", "sweep-faults-unknown-kind",
-        "dse-faults-no-kind"])
+        "dse-faults-no-kind", "scale-negative", "scale-0", "scale-nan",
+        "dse-points-0", "dse-radius-negative", "dse-max-changed-0"])
 def test_window_flags_reject_out_of_range_values(capsys, argv, message):
     from repro.errors import EXIT_USAGE
 
