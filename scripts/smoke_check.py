@@ -65,8 +65,7 @@ def _expect_violation(label: str, corrupt, caught: list[str],
         corrupt(core)
     try:
         if mid_run:
-            core.run(observers=[checker,
-                                lambda retired, cycles: corrupt(core)])
+            core.run(observers=[checker, lambda: corrupt(core)])
         checker.check()
     except InvariantViolation as exc:
         print(f"  caught [{label}]: {exc}")

@@ -5,7 +5,9 @@ Runs a small workload subset with tracing enabled across two pool
 workers and asserts the observability pillars end to end:
 
 * the merged trace covers every pipeline stage as a span, plus
-  scheduler task lifecycle events and simulator heartbeats;
+  scheduler task lifecycle events, and every simulator span ends with
+  its totals (retired instructions and cycles per checkpoint,
+  instructions per profile);
 * every span's begin has a matching end (no torn or dangling spans in
   a clean run);
 * the run manifest records per-task worker pids, wall-clock bounds and
@@ -117,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{counted[0]}/{counted[1]}/{counted[2]}, "
               f"{snapshot['scheduler.completed']} tasks completed")
 
-        # --- span coverage: every stage, scheduler events, heartbeats -
+        # --- span coverage: every stage, scheduler events, totals ----
         events = trace["events"]
         span_names = {e["name"] for e in events if e["type"] == "B"}
         for stage in ALL_STAGES:
@@ -126,10 +128,21 @@ def main(argv: list[str] | None = None) -> int:
         instant_names = {e["name"] for e in events if e["type"] == "I"}
         assert {"task.submit", "task.done"} <= instant_names, (
             "scheduler lifecycle events missing")
-        heartbeats = [e for e in events if e["type"] == "hb"]
-        assert heartbeats, "no heartbeats recorded"
+        def end_attrs(name: str) -> list[dict]:
+            return [e.get("attrs", {}) for e in events
+                    if e["type"] == "E" and e["name"] == name]
+
+        checkpoints = end_attrs("detailed_sim.checkpoint")
+        profiles = end_attrs("functional.profile")
+        assert checkpoints and all(
+            a.get("retired", 0) > 0 and a.get("cycles", 0) > 0
+            for a in checkpoints), "a checkpoint span ended without totals"
+        assert profiles and all(a.get("instructions", 0) > 0
+                                for a in profiles), (
+            "a profile span ended without its instruction count")
         print(f"trace: {len(events)} events, {len(span_names)} span "
-              f"kinds, {len(heartbeats)} heartbeats, "
+              f"kinds, {len(checkpoints)} checkpoint and "
+              f"{len(profiles)} profile spans with totals, "
               f"{len(trace['processes'])} processes")
 
         # --- every B has its E ----------------------------------------

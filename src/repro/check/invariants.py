@@ -64,7 +64,7 @@ class CoreInvariantChecker:
 
     # -- observer protocol --------------------------------------------
 
-    def __call__(self, retired: int, cycles: int) -> None:
+    def __call__(self) -> None:
         self.check()
 
     # -- the laws ------------------------------------------------------

@@ -63,9 +63,12 @@ def run_check(workload: str, config, settings, store) -> CheckReport:
     """Validate one (workload, config) pair end to end."""
     # Imported here: repro.pipeline.stages imports repro.check for its
     # own wiring, so a module-level import would be circular.
-    from repro.pipeline.stages import ExperimentPipeline, assemble_result
-    from repro.flow.results import SimPointRun
-    from repro.power.model import PowerModel
+    from repro.pipeline.stages import (
+        ExperimentPipeline,
+        assemble_result,
+        power_runs_from_raw,
+    )
+    from repro.sim.batch import raw_record
     from repro.uarch.core import BoomCore
     from repro.workloads.suite import get_workload
 
@@ -75,8 +78,7 @@ def run_check(workload: str, config, settings, store) -> CheckReport:
     selection = pipeline.selection(workload)
     checkpoints = pipeline.checkpoints(workload)
     interval = get_workload(workload).interval_for_scale(settings.scale)
-    model = PowerModel(config)
-    runs: list[SimPointRun] = []
+    raw: list[dict] = []
 
     for checkpoint in checkpoints:
         report.checkpoints += 1
@@ -107,19 +109,13 @@ def run_check(workload: str, config, settings, store) -> CheckReport:
             report.failures.append(
                 f"checkpoint {checkpoint.interval_index}: {diff.format()}")
 
-        power = model.report(stats, workload=workload)
-        report.failures.extend(
-            f"checkpoint {checkpoint.interval_index} power: {problem}"
-            for problem in validate_report(power))
-        runs.append(SimPointRun(
-            interval_index=checkpoint.interval_index,
-            weight=checkpoint.weight,
-            warmup_instructions=checkpoint.warmup_instructions,
-            measured_instructions=measured,
-            cycles=stats.cycles,
-            ipc=stats.ipc,
-            report=power))
+        raw.append(raw_record(checkpoint, measured, stats))
 
+    runs = power_runs_from_raw(raw, config, workload)
+    for run in runs:
+        report.failures.extend(
+            f"checkpoint {run.interval_index} power: {problem}"
+            for problem in validate_report(run.report))
     if runs:
         result = assemble_result(workload, config, settings, selection,
                                  runs)

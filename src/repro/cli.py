@@ -921,13 +921,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_failure(exc: BaseException, *, verbose: bool) -> int:
+def _report_failure(exc: BaseException, *, verbose: bool,
+                    resumable: bool) -> int:
     """One taxonomy-coded line on stderr + the reserved exit code.
 
     Subcommand handlers let unexpected exceptions escape; this is the
     single place they land.  Without ``--verbose`` the traceback is
     suppressed — scripts and CI wrappers get a stable one-liner and a
-    meaningful exit code (``repro.errors``) instead of a raw dump.
+    meaningful exit code (``repro.errors``) instead of a raw dump.  An
+    interruption points at ``--resume`` only when ``resumable``: the
+    command takes the flag and kept its state in a cache directory.
     """
     import traceback
 
@@ -941,8 +944,10 @@ def _report_failure(exc: BaseException, *, verbose: bool) -> int:
     if isinstance(exc, (SweepInterrupted, KeyboardInterrupt)):
         name = exc.signal_name if isinstance(exc, SweepInterrupted) \
             else "SIGINT"
-        print(f"repro-cli: interrupted by {name} (exit {code}); "
-              f"state settled — resume with --resume", file=sys.stderr)
+        hint = ("state settled — resume with --resume" if resumable
+                else "nothing was kept to resume from")
+        print(f"repro-cli: interrupted by {name} (exit {code}); {hint}",
+              file=sys.stderr)
         return code
     if verbose:
         traceback.print_exc()
@@ -980,7 +985,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         raise
     except BaseException as exc:
-        return _report_failure(exc, verbose=args.log_verbose > 0)
+        # only sweep and dse take --resume, and only with a cache
+        return _report_failure(
+            exc, verbose=args.log_verbose > 0,
+            resumable=hasattr(args, "resume") and not args.no_cache)
     finally:
         for key, value in exported.items():
             if value is None:

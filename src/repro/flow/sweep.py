@@ -275,7 +275,7 @@ class SweepRunner:
 
         ``trace=True`` (or ``REPRO_TRACE=1``) records a structured trace
         of the run — pipeline-stage spans, scheduler lifecycle events,
-        artifact cache events, simulator heartbeats — under
+        artifact cache events, simulator totals on their spans — under
         ``<cache>/obs/<run_id>/`` and merges it into ``trace.json`` when
         the sweep finishes (``repro-cli trace`` renders it).  Tracing
         never alters artifacts or fingerprints; it requires a cache

@@ -5,10 +5,10 @@ test stays green; the flight recorder turns one detailed-simulation
 window into a *timeline* so drift is attributable.  A
 :class:`FlightRecorder` is one of the observers ``BoomCore.run`` calls
 every ``_OBSERVER_STRIDE`` cycles: it diffs the core's stats tree
-against the previous sample and emits one ``flight`` record through the
-process tracer holding the interval's IPC, per-structure occupancy
-averages, stall/CPI-stack taxonomy, branch/cache miss rates, and
-per-component power shares.
+against the previous sample and emits one instant event named
+``flight`` through the process tracer, whose attributes hold the
+interval's IPC, per-structure occupancy averages, stall/CPI-stack
+taxonomy, branch/cache miss rates, and per-component power shares.
 
 Recording is opt-in (``REPRO_FLIGHT=1`` or ``repro-cli --flight``, which
 implies tracing) and observation-only: the recorder reads counters that
@@ -135,7 +135,7 @@ class FlightRecorder:
     # observer protocol
     # ------------------------------------------------------------------
 
-    def __call__(self, retired: int, cycles: int) -> None:
+    def __call__(self) -> None:
         self._sample(final=False)
 
     def set_phase(self, phase: str) -> None:
@@ -238,7 +238,7 @@ class FlightRecorder:
             json.dumps(record, allow_nan=False)
         except ValueError:
             return
-        self.tracer.flight(record)
+        self.tracer.event("flight", **record)
 
 
 def flight_samples(trace: dict) -> dict:
@@ -250,7 +250,8 @@ def flight_samples(trace: dict) -> dict:
     torn lines, any of which may have been a sample.
     """
     samples = [event["attrs"] for event in trace.get("events", [])
-               if event.get("type") == "flight"]
+               if event.get("type") == "I"
+               and event.get("name") == "flight"]
     samples.sort(key=lambda s: (str(s.get("workload", "")),
                                 str(s.get("config", "")),
                                 s.get("checkpoint") or 0,

@@ -274,11 +274,11 @@ def to_chrome(trace: dict) -> dict:
             "tid": event.get("tid", event.get("pid", 0)),
             "ts": (event.get("uts", origin) - origin) * 1e6,
         }
-        if kind == "B":
-            chrome.append({**base, "ph": "B", "args": event.get("attrs") or {}})
-        elif kind == "E":
-            chrome.append({**base, "ph": "E"})
-        elif kind in ("I", "hb"):
+        if kind in ("B", "E"):
+            chrome.append({**base, "ph": kind,
+                           "args": event.get("attrs") or {}})
+        elif kind == "I" and base["name"] != "flight":
+            # flight samples are exported by flight_to_chrome
             chrome.append({**base, "ph": "i", "s": "p",
                            "args": event.get("attrs") or {}})
     return {"traceEvents": chrome, "displayTimeUnit": "ms"}

@@ -13,19 +13,17 @@ Event records (one JSON object per line):
 ``{"type": "B", "name", "ts", "pid", "tid", "sid", "parent", "attrs"}``
     Span begin.  ``sid`` is unique within the process; ``parent`` is the
     enclosing span's ``sid`` (or ``None`` for a root).
-``{"type": "E", "name", "ts", "pid", "tid", "sid"}``
-    Span end, matched to its begin by ``sid``.
+``{"type": "E", "name", "ts", "pid", "tid", "sid", "attrs"?}``
+    Span end, matched to its begin by ``sid``.  ``attrs`` is present
+    when the span has attributes, including those set after entry with
+    :meth:`Span.set` (a simulator's totals on its span).
 ``{"type": "I", "name", "ts", "pid", "tid", "attrs"}``
-    Instant event (artifact hits, task lifecycle, checkpoints...).
-``{"type": "hb", "name", "ts", "pid", "attrs"}``
-    Heartbeat sample (simulator rate; see :mod:`repro.obs.heartbeat`).
-``{"type": "flight", "ts", "pid", "attrs"}``
-    Flight-recorder sample; ``attrs`` is the sample (see
-    :mod:`repro.obs.flight`).
+    Instant event (artifact hits, task lifecycle, flight-recorder
+    samples named ``flight``; see :mod:`repro.obs.flight`).
 
 The module-level tracer is what instrumented library code talks to via
 :func:`get_tracer`.  When tracing is off it is a :class:`NullTracer`
-whose ``span``/``event``/``heartbeat`` are constant-time no-ops, so
+whose ``span``/``event`` are constant-time no-ops, so
 instrumentation costs nothing measurable on the hot paths; when it is
 on, writes are line-buffered and serialized by a lock, so concurrent
 threads can never tear a line.  Observability must never perturb
@@ -45,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable, IO
 
 __all__ = [
-    "HEARTBEAT_ENV",
     "NULL_TRACER",
     "NullTracer",
     "OBS_DIR_ENV",
@@ -55,7 +52,6 @@ __all__ = [
     "configure_tracer",
     "ensure_process_tracer",
     "get_tracer",
-    "heartbeat_interval",
     "reset_tracer",
     "tracing_requested",
 ]
@@ -65,11 +61,6 @@ TRACE_ENV = "REPRO_TRACE"
 #: run-directory handoff from the sweep parent to its pool workers; set
 #: only while a traced session runs
 OBS_DIR_ENV = "REPRO_OBS_DIR"
-#: seconds between heartbeat samples (float)
-HEARTBEAT_ENV = "REPRO_TRACE_HEARTBEAT"
-
-DEFAULT_HEARTBEAT_S = 0.5
-
 _TRUTHY = ("1", "true", "yes", "on")
 
 
@@ -77,16 +68,6 @@ def tracing_requested(environ: dict | None = None) -> bool:
     """Whether ``REPRO_TRACE`` asks for tracing."""
     environ = os.environ if environ is None else environ
     return str(environ.get(TRACE_ENV, "")).strip().lower() in _TRUTHY
-
-
-def heartbeat_interval(environ: dict | None = None) -> float:
-    """Seconds between heartbeat samples (``REPRO_TRACE_HEARTBEAT``)."""
-    environ = os.environ if environ is None else environ
-    try:
-        value = float(environ.get(HEARTBEAT_ENV, DEFAULT_HEARTBEAT_S))
-    except (TypeError, ValueError):
-        return DEFAULT_HEARTBEAT_S
-    return value if value > 0 else DEFAULT_HEARTBEAT_S
 
 
 class Span:
@@ -141,12 +122,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def event(self, _name: str, **_attrs: Any) -> None:
-        pass
-
-    def heartbeat(self, _name: str, **_attrs: Any) -> None:
-        pass
-
-    def flight(self, _sample: dict) -> None:
         pass
 
     def close(self) -> None:
@@ -247,14 +222,6 @@ class Tracer:
         self._emit({"type": "I", "name": name, "ts": self._clock(),
                     "pid": self.pid, "tid": threading.get_ident(),
                     "attrs": attrs})
-
-    def heartbeat(self, name: str, **attrs: Any) -> None:
-        self._emit({"type": "hb", "name": name, "ts": self._clock(),
-                    "pid": self.pid, "attrs": attrs})
-
-    def flight(self, sample: dict) -> None:
-        self._emit({"type": "flight", "ts": self._clock(),
-                    "pid": self.pid, "attrs": sample})
 
     def close(self) -> None:
         file = self._file

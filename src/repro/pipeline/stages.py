@@ -97,7 +97,6 @@ PAPER_COUNTERPART = {
 COMPUTE_MODULES = (
     "repro.isa.assembler",
     "repro.sim.executor",
-    "repro.obs.heartbeat",
     "repro.checkpoint.creator",
     "repro.checkpoint.store",
     "repro.uarch.core",

@@ -172,31 +172,23 @@ class BBVProfiler:
 
         With a ``trail``, the run also leaves its restart points there.
         """
-        from repro.obs.heartbeat import HeartbeatEmitter
         from repro.sim.executor import BlockCounts, Executor, block_of
 
         executor = Executor(program)
         state = executor.state
-        emitter = on_interval = None
-        tracer = get_tracer()
-        if tracer.enabled:
-            emitter = HeartbeatEmitter(tracer, "functional.instr",
-                                       units="instructions",
-                                       workload=program.name)
-        if emitter is not None or trail is not None:
-            # progress samples and restart points are taken at interval
-            # closes: block boundaries and interval contents are
-            # untouched, so the profile is byte-identical without them
+        on_interval = None
+        if trail is not None:
+            # restart points are taken at interval closes: block
+            # boundaries and interval contents are untouched, so the
+            # profile is byte-identical without them
             def on_interval() -> None:
-                if emitter is not None:
-                    emitter(state.retired)
-                if trail is not None:
-                    trail.record(state, program.name)
+                trail.record(state, program.name)
 
         counts = BlockCounts(self.interval_size, on_interval)
-        executor.run(max_instructions=max_instructions, counts=counts)
-        if emitter is not None:
-            emitter.finish(state.retired)
+        with get_tracer().span("functional.profile",
+                               workload=program.name) as span:
+            executor.run(max_instructions=max_instructions, counts=counts)
+            span.set(instructions=state.retired)
         vectors = counts.vectors
         lengths = counts.lengths
         if counts.filled:

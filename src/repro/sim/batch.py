@@ -37,7 +37,8 @@ if TYPE_CHECKING:
     from repro.checkpoint.checkpoint import Checkpoint
     from repro.uarch.ftrace import FetchTrace
 
-__all__ = ["simulate_checkpoint", "simulate_raw_runs_batched"]
+__all__ = ["raw_record", "simulate_checkpoint",
+           "simulate_raw_runs_batched"]
 
 
 def simulate_checkpoint(config: BoomConfig, program,
@@ -51,21 +52,12 @@ def simulate_checkpoint(config: BoomConfig, program,
     """
     from repro.check.invariants import CoreInvariantChecker
     from repro.obs.flight import FlightRecorder
-    from repro.obs.heartbeat import HeartbeatEmitter
     from repro.uarch.core import BoomCore
 
     tracer = get_tracer()
-    emitter = None
-    if tracer.enabled:
-        window_hint = checkpoint.measure_instructions or interval_size
-        emitter = HeartbeatEmitter(
-            tracer, "core.instr", units="instructions",
-            total=checkpoint.warmup_instructions + window_hint,
-            workload=program.name, config=config.name,
-            checkpoint=checkpoint.interval_index)
     with tracer.span("detailed_sim.checkpoint",
                      workload=program.name, config=config.name,
-                     checkpoint=checkpoint.interval_index):
+                     checkpoint=checkpoint.interval_index) as span:
         state = checkpoint.restore() if trace is None else None
         core = BoomCore(config, program, state=state, trace=trace)
         # Observers only read, so a checked, recorded or traced run
@@ -78,7 +70,7 @@ def simulate_checkpoint(config: BoomConfig, program,
         recorder = FlightRecorder.for_session(
             core, tracer, workload=program.name,
             checkpoint=checkpoint.interval_index)
-        observers = [observer for observer in (checker, recorder, emitter)
+        observers = [observer for observer in (checker, recorder)
                      if observer is not None]
         try:
             if checkpoint.warmup_instructions:
@@ -94,11 +86,16 @@ def simulate_checkpoint(config: BoomConfig, program,
                 checker.check()
         finally:
             # A checkpoint that fails an invariant or deadlocks keeps its
-            # last stride's telemetry: that window is the one to look at.
+            # last stride's telemetry and ends its span with the totals
+            # it reached: that window is the one to look at.
             if recorder is not None:
                 recorder.finish()
-            if emitter is not None:
-                emitter.finish(core.retired_total)
+            span.set(retired=core.retired_total, cycles=core.cycle)
+    return raw_record(checkpoint, measured, stats)
+
+
+def raw_record(checkpoint: Checkpoint, measured: int, stats) -> dict:
+    """The stage-4 record of one checkpoint's measured window."""
     return {
         "interval_index": checkpoint.interval_index,
         "weight": checkpoint.weight,

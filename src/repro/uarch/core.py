@@ -14,9 +14,9 @@ one: collapsing-queue cores run the fused loop (``_run_fused``), every
 stage inlined; ring-queue cores step the generic loop (``_step``),
 which is also the fused loop's reference in the tests.  Both record the
 retire log when one is set, and both call the same observers (the
-invariant checker, the flight recorder, the progress heartbeat) every
-``_OBSERVER_STRIDE`` cycles on settled state; what an observer writes
-to the core is what either loop goes on with.
+invariant checker, the flight recorder) every ``_OBSERVER_STRIDE``
+cycles on settled state; what an observer writes to the core is what
+either loop goes on with.
 
 The core is the *detailed simulation* stage of the paper's flow (Fig. 3,
 step 5): it executes SimPoint checkpoints (warm-up excluded from stats)
@@ -144,16 +144,15 @@ class BoomCore:
         Every counter of :attr:`stats` is kept; a warm-up whose stats
         :meth:`begin_measurement` will drop runs :meth:`warm_up` instead.
 
-        ``observers`` are called in list order as
-        ``observer(retired_this_call, cycles_this_call)`` every
-        ``_OBSERVER_STRIDE`` cycles, after the loop has settled its
-        state (:meth:`_observe`), so every observer reads the stats a
-        generic loop would show on either loop.  The loop's termination
-        conditions and step sequence are identical with and without
-        observers, so a run whose observers only read retires exactly
-        the same instructions as an unobserved one; a value an observer
-        writes to the core (a corruption test does) is the one either
-        loop goes on with.
+        ``observers`` are zero-argument callables, called in list
+        order every ``_OBSERVER_STRIDE`` cycles after the loop has
+        settled its state, so every observer reads the stats (and
+        ``retired_total``/``cycle``) a generic loop would show on
+        either loop.  The loop's termination conditions and step
+        sequence are identical with and without observers, so a run
+        whose observers only read retires exactly the same instructions
+        as an unobserved one; a value an observer writes to the core (a
+        corruption test does) is the one either loop goes on with.
         """
         return self._advance(max_instructions, observers, account=True)
 
@@ -180,7 +179,6 @@ class BoomCore:
     def _advance(self, max_instructions: int | None, observers,
                  account: bool) -> int:
         start = self.retired_total
-        start_cycle = self.cycle
         target = None if max_instructions is None \
             else start + max_instructions
         budget = max_instructions if max_instructions is not None \
@@ -188,8 +186,7 @@ class BoomCore:
         deadline = self.cycle + _SAFETY_FACTOR * (budget + 64)
         try:
             if self._fused:
-                self._run_fused(target, deadline, observers, start,
-                                start_cycle, account)
+                self._run_fused(target, deadline, observers, account)
             else:
                 # -1 when unobserved: the countdown never reaches zero
                 countdown = _OBSERVER_STRIDE if observers else -1
@@ -203,9 +200,9 @@ class BoomCore:
                     countdown -= 1
                     if countdown == 0:
                         countdown = _OBSERVER_STRIDE
-                        self._observe(observers,
-                                      self.retired_total - start,
-                                      self.cycle - start_cycle)
+                        self._flush_samples()
+                        for observer in observers:
+                            observer()
                     if self.cycle > deadline:
                         raise SimulationError(
                             f"pipeline made no progress for "
@@ -223,12 +220,6 @@ class BoomCore:
         self.iq_int.flush_samples()
         self.iq_mem.flush_samples()
         self.iq_fp.flush_samples()
-
-    def _observe(self, observers, retired: int, cycles: int) -> None:
-        """Settle the occupancy histograms, then call every observer."""
-        self._flush_samples()
-        for observer in observers:
-            observer(retired, cycles)
 
     def _step(self) -> None:
         cycle = self.cycle
@@ -432,7 +423,7 @@ class BoomCore:
     # ------------------------------------------------------------------
 
     def _run_fused(self, target: int | None, deadline: int, observers,
-                   start: int, start_cycle: int, account: bool) -> None:
+                   account: bool) -> None:
         """Specialized cycle loop: the one every collapsing-queue core runs.
 
         Semantically identical to iterating :meth:`_step`: same stage
@@ -470,15 +461,16 @@ class BoomCore:
         ``observers`` follow the :meth:`run` contract: every
         ``_OBSERVER_STRIDE`` cycles the hoisted locals are settled back
         onto the core/stats tree (``settle`` below, the same fold the
-        exit path performs) before :meth:`_observe` — so invariant
-        checkers and flight recorders read exactly the state a generic
-        loop would show, while the unobserved cost is one integer
-        decrement and compare per cycle.  After the observers return,
-        ``load`` — the inverse of ``settle``, also run at entry — reads
-        the hoisted core state back, so a value an observer wrote is the
-        one the loop goes on with, as on the generic loop.  The
-        queue-length mirrors (``rob_n``, ``int_n``, ...) stay fast
-        locals outside that pair: observers do not resize the queues.
+        exit path performs) and the occupancy histograms are flushed
+        before the observers run — so invariant checkers and flight
+        recorders read exactly the state a generic loop would show,
+        while the unobserved cost is one integer decrement and compare
+        per cycle.  After the observers return, ``load`` — the inverse
+        of ``settle``, also run at entry — reads the hoisted core state
+        back, so a value an observer wrote is the one the loop goes on
+        with, as on the generic loop.  The queue-length mirrors
+        (``rob_n``, ``int_n``, ...) stay fast locals outside that pair:
+        observers do not resize the queues.
 
         With ``account`` false (an unobserved :meth:`warm_up`) the loop
         skips the stats-only updates :meth:`warm_up` lists.  The
@@ -1211,8 +1203,9 @@ class BoomCore:
                 if countdown == 0:
                     countdown = _OBSERVER_STRIDE
                     settle()
-                    self._observe(observers, retired_total - start,
-                                  cycle - start_cycle)
+                    self._flush_samples()
+                    for observer in observers:
+                        observer()
                     load()
                 if cycle > deadline:
                     raise SimulationError(

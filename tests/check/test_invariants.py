@@ -72,8 +72,8 @@ def test_wrapped_heartbeat_still_called():
     core = BoomCore(MEDIUM_BOOM, assemble(
         generate_program(2, body_ops=80, iterations=60)))
     checker = CoreInvariantChecker(core)
-    core.run(observers=[checker, lambda retired, cycles: calls.append(
-        (retired, cycles))])
+    core.run(observers=[checker, lambda: calls.append(
+        (core.retired_total, core.cycle))])
     assert calls
     assert len(calls) == checker.checks_run
 
@@ -152,7 +152,7 @@ class TestCorruptionIsCaught:
             generate_program(41, body_ops=80, iterations=60)))
         core._fused = fused
 
-        def corruptor(retired: int, cycles: int) -> None:
+        def corruptor() -> None:
             corrupt(core)
 
         checker = CoreInvariantChecker(core)

@@ -61,7 +61,7 @@ def sha_checkpoint():
 
 def _samples(events: list[dict]) -> list[dict]:
     return [event["attrs"] for event in events
-            if event["type"] == "flight"]
+            if event["type"] == "I" and event["name"] == "flight"]
 
 
 def _recorded_run(program, checkpoint, *, events, after=()):
@@ -176,7 +176,7 @@ def test_failed_check_still_leaves_the_final_sample(
     monkeypatch.setenv(CHECK_ENV, "1")
     monkeypatch.setenv(FLIGHT_ENV, "1")
 
-    def failing_stride(self, retired, cycles):
+    def failing_stride(self):
         raise InvariantViolation("test.mid_run", "forced",
                                  cycle=self.core.cycle)
 
@@ -191,19 +191,23 @@ def test_failed_check_still_leaves_the_final_sample(
     samples = _samples(events)
     assert [sample["final"] for sample in samples].count(True) == 1
     assert samples[-1]["final"] and samples[-1]["phase"] == "measure"
-    heartbeats = [event for event in events if event["type"] == "hb"]
-    assert heartbeats and heartbeats[-1]["attrs"].get("final")
+    # the span still ends, with the totals the core reached
+    (end,) = [event for event in events if event["type"] == "E"
+              and event["name"] == "detailed_sim.checkpoint"]
+    assert end["attrs"]["retired"] > checkpoint.warmup_instructions
+    assert end["attrs"]["cycles"] > 0
 
 
 def test_wrapped_observer_still_sees_every_heartbeat(sha_checkpoint):
     # An observer listed after the recorder is called at every stride.
     program, checkpoint = sha_checkpoint
-    beats: list[tuple[int, int]] = []
-    _recorded_run(program, checkpoint, events=[],
-                  after=[lambda retired, cycles: beats.append(
-                      (retired, cycles))])
-    assert beats
-    assert all(cycles > 0 for _retired, cycles in beats)
+    events: list[dict] = []
+    beats: list[int] = []
+    _recorded_run(program, checkpoint, events=events,
+                  after=[lambda: beats.append(len(events))])
+    assert beats and beats == sorted(set(beats))
+    # each call follows the recorder's sample of the same stride
+    assert all(events[count - 1]["name"] == "flight" for count in beats)
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +216,10 @@ def test_wrapped_observer_still_sees_every_heartbeat(sha_checkpoint):
 
 def test_flight_samples_canonical_order():
     def event(pid, seq, workload="sha", config="MediumBOOM"):
-        return {"type": "flight", "pid": pid, "ts": 1.0, "uts": 1.0,
-                "attrs": {"type": "flight", "pid": pid, "seq": seq,
-                          "workload": workload, "config": config,
-                          "checkpoint": 0}}
+        sample = {"type": "flight", "pid": pid, "seq": seq,
+                  "workload": workload, "config": config, "checkpoint": 0}
+        return {"type": "I", "name": "flight", "pid": pid, "ts": 1.0,
+                "uts": 1.0, "attrs": sample}
 
     # two "workers" whose samples interleave out of order, among spans
     trace = {"skipped_lines": 1, "events": [

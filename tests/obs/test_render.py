@@ -20,9 +20,10 @@ def _recorded_trace(tmp_path):
     """A real two-span trace recorded through the tracer + merger."""
     tracer = Tracer(tmp_path / "events-1.jsonl")
     with tracer.span("task", key="prepare:qsort"):
-        with tracer.span("stage.bbv_profile", fingerprint="f00"):
+        with tracer.span("stage.bbv_profile", fingerprint="f00") as span:
             tracer.event("artifact.miss", stage="bbv_profile")
-        tracer.heartbeat("functional.instr", value=10)
+            span.set(instructions=10)
+        tracer.event("flight", workload="qsort", seq=0)
     tracer.close()
     return merge_event_files([tmp_path / "events-1.jsonl"])
 
@@ -94,9 +95,17 @@ def test_chrome_export_valid_json_matched_pairs(tmp_path):
     assert len(begins) == len(ends) == 2
     # B/E pair up per (pid, tid) in stack order with non-negative ts
     assert all(e["ts"] >= 0 for e in events)
+    # flight samples are left to flight_to_chrome
     instants = [e for e in events if e["ph"] == "i"]
-    assert {e["name"] for e in instants} == \
-        {"artifact.miss", "functional.instr"}
+    assert {e["name"] for e in instants} == {"artifact.miss"}
+
+
+def test_chrome_export_carries_span_end_attributes(tmp_path):
+    """Attributes set on a live span reach Perfetto on its end record."""
+    events = to_chrome(_recorded_trace(tmp_path))["traceEvents"]
+    (end,) = [e for e in events
+              if e["ph"] == "E" and e["name"] == "stage.bbv_profile"]
+    assert end["args"] == {"fingerprint": "f00", "instructions": 10}
 
 
 def test_chrome_export_empty_trace():

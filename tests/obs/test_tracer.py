@@ -11,7 +11,6 @@ from repro.obs.tracer import (
     Tracer,
     configure_tracer,
     get_tracer,
-    heartbeat_interval,
     reset_tracer,
     tracing_requested,
 )
@@ -98,11 +97,11 @@ def test_file_tracer_writes_jsonl(tmp_path):
     path = tmp_path / "events.jsonl"
     tracer = Tracer(path)
     with tracer.span("s"):
-        tracer.heartbeat("hb", value=1)
+        tracer.event("e", value=1)
     tracer.close()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0]["type"] == "meta"
-    assert [r["type"] for r in lines[1:]] == ["B", "hb", "E"]
+    assert [r["type"] for r in lines[1:]] == ["B", "I", "E"]
 
 
 def test_null_tracer_is_reentrant_noop():
@@ -111,7 +110,6 @@ def test_null_tracer_is_reentrant_noop():
         with span:
             span.set(b=2)
     NULL_TRACER.event("e")
-    NULL_TRACER.heartbeat("h")
     assert NULL_TRACER.enabled is False
 
 
@@ -132,9 +130,3 @@ def test_tracing_requested_env_values():
     assert tracing_requested({"REPRO_TRACE": "true"})
     assert not tracing_requested({"REPRO_TRACE": "0"})
     assert not tracing_requested({})
-
-
-def test_heartbeat_interval_env():
-    assert heartbeat_interval({"REPRO_TRACE_HEARTBEAT": "2.5"}) == 2.5
-    assert heartbeat_interval({"REPRO_TRACE_HEARTBEAT": "bogus"}) == 0.5
-    assert heartbeat_interval({"REPRO_TRACE_HEARTBEAT": "-1"}) == 0.5

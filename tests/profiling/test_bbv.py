@@ -97,31 +97,30 @@ def test_profile_total_matches_plain_execution():
     assert profile.total_instructions == plain.state.retired
 
 
-def test_traced_profile_equals_untraced(monkeypatch):
-    """Tracing samples heartbeats at interval closes and changes nothing."""
+def test_traced_profile_equals_untraced():
+    """Tracing puts the run's total on its span and changes nothing."""
     from repro.obs.tracer import configure_tracer, reset_tracer
     from repro.pipeline.stages import profile_to_dict
 
     untraced = BBVProfiler(interval_size=50).profile(assemble(TWO_PHASE))
-    monkeypatch.setenv("REPRO_TRACE_HEARTBEAT", "1e-9")
     sink: list = []
     configure_tracer(sink=sink)
     try:
         traced = BBVProfiler(interval_size=50).profile(assemble(TWO_PHASE))
     finally:
         reset_tracer()
-    assert profile_to_dict(traced) == profile_to_dict(untraced)
-    values = [record["attrs"]["value"] for record in sink
-              if record["type"] == "hb"]
-    assert len(values) > 2
-    assert values == sorted(values)
-    assert values[-1] == traced.total_instructions
+    assert json.dumps(profile_to_dict(traced)) == \
+        json.dumps(profile_to_dict(untraced))
+    (end,) = [record for record in sink if record["type"] == "E"
+              and record["name"] == "functional.profile"]
+    assert end["attrs"] == {"workload": traced.program_name,
+                            "instructions": traced.total_instructions}
 
 
 @pytest.mark.parametrize("traced", [False, True],
                          ids=["untraced", "traced"])
 @pytest.mark.parametrize("source", ["two_phase", "patricia"])
-def test_trail_leaves_the_profile_unchanged(source, traced, monkeypatch):
+def test_trail_leaves_the_profile_unchanged(source, traced):
     """Restart points are taken at interval closes and change nothing."""
     from repro.obs.tracer import configure_tracer, reset_tracer
     from repro.pipeline.stages import profile_to_dict
@@ -135,7 +134,6 @@ def test_trail_leaves_the_profile_unchanged(source, traced, monkeypatch):
 
     plain = profile(None)
     if traced:
-        monkeypatch.setenv("REPRO_TRACE_HEARTBEAT", "1e-9")
         configure_tracer(sink=[])
     try:
         trail = RestartTrail()

@@ -334,8 +334,8 @@ def test_observers_see_the_same_state_on_both_loops(workload):
             core._fused = fused
             records = []
 
-            def observe(retired, cycles, core=core, records=records):
-                records.append((retired, cycles, core.cycle, json.dumps(
+            def observe(core=core, records=records):
+                records.append((core.retired_total, core.cycle, json.dumps(
                     core.stats.to_dict(), sort_keys=True)))
 
             core.run(_BATCH_WARMUP, [observe])

@@ -549,7 +549,8 @@ def test_transient_failure_gets_its_own_exit_code(capsys):
     from repro.cli import _report_failure
     from repro.errors import EXIT_TRANSIENT, TransientError
 
-    code = _report_failure(TransientError("flaky io"), verbose=False)
+    code = _report_failure(TransientError("flaky io"), verbose=False,
+                           resumable=False)
     captured = capsys.readouterr()
     assert code == EXIT_TRANSIENT
     assert "error[transient/TransientError]: flaky io" in captured.err
@@ -559,19 +560,46 @@ def test_interrupt_report_names_signal_and_resume(capsys):
     from repro.cli import _report_failure
     from repro.errors import EXIT_INTERRUPTED, SweepInterrupted
 
-    code = _report_failure(SweepInterrupted("SIGTERM"), verbose=False)
+    code = _report_failure(SweepInterrupted("SIGTERM"), verbose=False,
+                           resumable=True)
     captured = capsys.readouterr()
     assert code == EXIT_INTERRUPTED
     assert "interrupted by SIGTERM" in captured.err
     assert "--resume" in captured.err
 
 
+@pytest.mark.parametrize("argv, resumable", [
+    (["sweep"], True),
+    (["dse", "sweep"], True),
+    (["--no-cache", "sweep"], False),
+    (["run", "sha", "MediumBOOM"], False),
+    (["--no-cache", "run", "sha", "MediumBOOM"], False),
+], ids=["sweep", "dse", "no-cache-sweep", "run", "no-cache-run"])
+def test_interrupt_names_resume_only_when_state_was_kept(
+        capsys, monkeypatch, tmp_path, argv, resumable):
+    """Only a sweep or dse with a cache directory can be resumed."""
+    from repro import cli
+    from repro.errors import EXIT_INTERRUPTED, SweepInterrupted
+
+    def interrupted(_args):
+        raise SweepInterrupted("SIGINT")
+
+    for handler in ("_cmd_sweep", "_cmd_dse", "_cmd_run"):
+        monkeypatch.setattr(cli, handler, interrupted)
+    code = main(["--cache-dir", str(tmp_path), *argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERRUPTED == 4
+    assert "interrupted by SIGINT" in err
+    assert ("state settled — resume with --resume" in err) == resumable
+    assert ("nothing was kept to resume from" in err) != resumable
+
+
 def test_keyboard_interrupt_maps_to_interrupted(capsys):
     from repro.cli import _report_failure
     from repro.errors import EXIT_INTERRUPTED
 
-    assert _report_failure(KeyboardInterrupt(), verbose=False) == \
-        EXIT_INTERRUPTED
+    assert _report_failure(KeyboardInterrupt(), verbose=False,
+                           resumable=False) == EXIT_INTERRUPTED
     capsys.readouterr()
 
 

@@ -217,8 +217,8 @@ def test_fused_collapse_counts_match_generic_loop(config, observed):
         core._fused = fused
         records = []
 
-        def observe(retired, cycles, core=core, records=records):
-            records.append((cycles, _queue_counters(core.stats)))
+        def observe(core=core, records=records):
+            records.append((core.cycle, _queue_counters(core.stats)))
 
         core.run(observers=[observe] if observed else ())
         runs.append((core.cycle, records, _queue_counters(core.stats)))

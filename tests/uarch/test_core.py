@@ -320,7 +320,7 @@ def test_owned_trace_keeps_a_bounded_window():
     """
     core = BoomCore(MEDIUM_BOOM, assemble(source))
     lengths = []
-    core.run(observers=[lambda retired, cycles: lengths.append(
+    core.run(observers=[lambda: lengths.append(
         len(core.frontend.trace.entries))])
     lengths.append(len(core.frontend.trace.entries))
     assert core.retired_total > 32_000

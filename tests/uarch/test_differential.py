@@ -171,10 +171,10 @@ def test_observer_writes_stick_on_both_loops(fused, attr):
     core._fused = fused
     strides = []
 
-    def bump(retired, cycles):
+    def bump():
         if not strides:
             setattr(core, attr, getattr(core, attr) + 1)
-        strides.append(cycles)
+        strides.append(core.cycle)
 
     core.run(observers=[bump])
     assert strides

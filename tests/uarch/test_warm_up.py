@@ -124,7 +124,7 @@ def test_observed_warm_up_keeps_full_accounting(fused):
         core._fused = fused
         seen = []
 
-        def observe(retired, cycles, core=core, seen=seen):
+        def observe(core=core, seen=seen):
             seen.append(json.dumps(core.stats.to_dict(), sort_keys=True))
 
         getattr(core, warm)(_OBSERVED_WARMUP, [observe])
